@@ -1,14 +1,21 @@
 // Copyright 2026 The vfps Authors.
 // Experiment E13 (extension) — match latency under live subscription churn.
 // The paper's dynamic algorithm reorganizes between events on one thread;
-// this bench measures what the epoch-based churn matcher buys over that: a
-// dedicated churn thread drives paced SUB+UNSUB traffic at 0 / 1k / 10k
-// ops/s while the main thread matches events and records the per-event
-// latency distribution. The headline gate — enforced here with a non-zero
-// exit, and re-checked against committed baselines by bench-smoke — is that
-// p99 match latency under 10k ops/s churn stays within 1.25x of the
-// zero-churn p99 (snapshot readers never block on writers; they only eat
-// cache misses from the churn traffic).
+// this bench measures what the concurrent build of the same engine
+// (DynamicMatcher over epoch-published snapshots, algorithm identity
+// "dynamic-concurrent") buys over that: paced SUB+UNSUB traffic at 0 / 1k /
+// 10k ops/s runs while the main thread matches events and records the
+// per-event latency distribution. A serial "dynamic" row at churn 0, from
+// the same run, prices the concurrent build. Two gates are enforced here
+// with a non-zero exit (the rows are re-checked against committed
+// baselines by bench-smoke):
+//   * p99 match latency under 10k ops/s churn stays within 1.25x of the
+//     zero-churn p99 (snapshot readers never block on writers; they only
+//     eat cache misses from the churn traffic);
+//   * at churn 0 the concurrent build runs at >= 0.9x the events/s of the
+//     serial one.
+// On a multi-core host both churn modes run (see RunAtRate); a single core
+// runs the interleaved mode only.
 
 #include <algorithm>
 #include <atomic>
@@ -18,7 +25,7 @@
 #include <vector>
 
 #include "bench/common/harness.h"
-#include "src/matcher/churn_matcher.h"
+#include "src/matcher/dynamic_matcher.h"
 #include "src/util/epoch.h"
 
 namespace vfps::bench {
@@ -27,6 +34,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr double kGateRatio = 1.25;  // p99(10k churn) vs p99(no churn)
+constexpr double kMinSerialRatio = 0.9;  // events/s concurrent vs serial
 constexpr int kGateAttempts = 3;     // best-of-N re-measure before failing
 
 struct ChurnMeasurement {
@@ -55,11 +63,11 @@ double PercentileMs(std::vector<double>* ms, double q) {
 /// With `threaded` the churn runs on its own thread, truly concurrent with
 /// the matches — the configuration the epoch machinery exists for. On a
 /// single-core host that setup measures the scheduler (10k churner wakeups
-/// per second each preempt the match thread mid-call), so the caller falls
-/// back to interleaved pacing: churn ops run between matches on the match
+/// per second each preempt the match thread mid-call), so there only
+/// interleaved pacing runs: churn ops run between matches on the match
 /// thread, which isolates the algorithmic cost churn adds (snapshot swaps,
 /// cache pollution) from time-slicing noise.
-ChurnMeasurement RunAtRate(ChurnMatcher* matcher,
+ChurnMeasurement RunAtRate(Matcher* matcher,
                            const std::vector<Event>& events,
                            const std::vector<Subscription>& churn_pool,
                            uint64_t churn_rate, double duration_ms,
@@ -162,14 +170,31 @@ ChurnMeasurement RunAtRate(ChurnMatcher* matcher,
   return m;
 }
 
-void PrintEpochLine(const ChurnMatcher& matcher) {
-  const EpochManager& epoch = matcher.epoch();
+void PrintEpochLine(const EpochManager& epoch) {
   std::printf("# epoch pinned=%zu limbo=%zu reclaimed=%llu retired=%llu "
               "epoch=%llu\n",
               epoch.pinned_readers(), epoch.limbo_depth(),
               static_cast<unsigned long long>(epoch.reclaimed_total()),
               static_cast<unsigned long long>(epoch.retired_total()),
               static_cast<unsigned long long>(epoch.current_epoch()));
+}
+
+void AddRow(BenchReport* report, const char* algorithm, const char* mode,
+            uint64_t rate, uint64_t num_subs, const ChurnMeasurement& m) {
+  std::printf("%-20s %-12s %-12llu %12.1f %10.4f %10.4f %10.4f %14.1f\n",
+              algorithm, mode, static_cast<unsigned long long>(rate),
+              m.events_per_second, m.p50_ms, m.p99_ms, m.max_ms,
+              m.achieved_churn_per_s);
+  report->BeginRow();
+  report->SetText("algorithm", algorithm);
+  report->SetText("mode", mode);
+  report->Set("churn_rate", static_cast<double>(rate));
+  report->Set("n_subscriptions", static_cast<double>(num_subs));
+  report->Set("events_per_second", m.events_per_second);
+  report->Set("p50_ms", m.p50_ms);
+  report->Set("p99_ms", m.p99_ms);
+  report->Set("max_ms", m.max_ms);
+  report->Set("achieved_churn_per_s", m.achieved_churn_per_s);
 }
 
 int Run(int argc, char** argv) {
@@ -182,9 +207,9 @@ int Run(int argc, char** argv) {
 
   WorkloadSpec spec = workloads::W0(num_subs);
   PrintBanner("churn_vs_match",
-              "extension: match latency under live SUB+UNSUB churn via "
-              "epoch-based snapshots (paper Section 4 reorganizes "
-              "single-threaded, between events)",
+              "extension: match latency under live SUB+UNSUB churn on the "
+              "concurrent build of the dynamic matcher (paper Section 4 "
+              "reorganizes single-threaded, between events)",
               spec);
 
   WorkloadGenerator gen(spec);
@@ -194,75 +219,114 @@ int Run(int argc, char** argv) {
   std::vector<Subscription> churn_pool =
       gen.MakeSubscriptions(4096, static_cast<SubscriptionId>(num_subs) + 1);
 
-  ChurnMatcher matcher;
-  gen.SeedStatistics(matcher.mutable_statistics(), 10000.0);
-  for (const Subscription& s : subs) {
-    VFPS_CHECK(matcher.AddSubscription(s).ok());
+  DynamicMatcher concurrent(DynamicOptions{}, /*use_prefetch=*/true,
+                            /*observe_sample_rate=*/16, /*concurrent=*/true);
+  DynamicMatcher serial;
+  for (DynamicMatcher* m : {&concurrent, &serial}) {
+    gen.SeedStatistics(m->mutable_statistics(), 10000.0);
+    for (const Subscription& s : subs) {
+      VFPS_CHECK(m->AddSubscription(s).ok());
+    }
+  }
+  // Settle: a load can leave a maintenance sweep due. The serial build runs
+  // it inside the add that makes it due; the concurrent one spreads it over
+  // the following changes, so churn through it before measuring steady
+  // state.
+  for (size_t i = 0; i < 2 * churn_pool.size(); ++i) {
+    const Subscription& s = churn_pool[i % churn_pool.size()];
+    VFPS_CHECK(concurrent.AddSubscription(s).ok());
+    VFPS_CHECK(concurrent.RemoveSubscription(s.id()).ok());
   }
 
-  const bool threaded = std::thread::hardware_concurrency() > 1;
-  const char* mode = threaded ? "threaded" : "interleaved";
-  std::printf("# churn mode: %s (%u hardware threads)\n", mode,
+  std::vector<bool> modes{false};
+  if (std::thread::hardware_concurrency() > 1) modes.push_back(true);
+  std::printf("# churn modes: %s (%u hardware threads)\n",
+              modes.size() > 1 ? "interleaved, threaded" : "interleaved",
               std::thread::hardware_concurrency());
 
-  std::printf("\n%-12s %12s %10s %10s %10s %14s\n", "churn_ops/s",
-              "events/s", "p50 ms", "p99 ms", "max ms", "achieved_churn");
+  std::printf("\n%-20s %-12s %-12s %12s %10s %10s %10s %14s\n", "algorithm",
+              "mode", "churn_ops/s", "events/s", "p50 ms", "p99 ms", "max ms",
+              "achieved_churn");
   BenchReport report("churn_vs_match");
-  std::vector<ChurnMeasurement> best(rates.size());
-  // The gate compares the two endpoints; noisy runs get re-measured and the
-  // best (minimum) p99 of each endpoint wins, like a best-of-N lap time.
-  for (int attempt = 0; attempt < kGateAttempts; ++attempt) {
-    for (size_t r = 0; r < rates.size(); ++r) {
-      if (attempt > 0 && rates[r] != 0 && rates[r] != rates.back()) {
-        continue;  // only the gated endpoints get re-measured
+  bool failed = false;
+  for (bool threaded : modes) {
+    const char* mode = threaded ? "threaded" : "interleaved";
+    std::vector<ChurnMeasurement> best(rates.size());
+    ChurnMeasurement serial_best;
+    // Both gates compare endpoints; noisy runs get re-measured and the best
+    // run of each endpoint wins, like a best-of-N lap time.
+    for (int attempt = 0; attempt < kGateAttempts; ++attempt) {
+      for (size_t r = 0; r < rates.size(); ++r) {
+        if (attempt > 0 && rates[r] != 0 && rates[r] != rates.back()) {
+          continue;  // only the gated endpoints get re-measured
+        }
+        ChurnMeasurement m = RunAtRate(&concurrent, events, churn_pool,
+                                       rates[r], duration_ms, threaded);
+        // Best p99 and best events/s are taken independently.
+        const double fastest =
+            std::max(m.events_per_second, best[r].events_per_second);
+        if (attempt == 0 || m.p99_ms < best[r].p99_ms) best[r] = m;
+        best[r].events_per_second = fastest;
       }
-      ChurnMeasurement m = RunAtRate(&matcher, events, churn_pool, rates[r],
+      ChurnMeasurement s = RunAtRate(&serial, events, churn_pool, 0,
                                      duration_ms, threaded);
-      if (attempt == 0 || m.p99_ms < best[r].p99_ms) best[r] = m;
+      if (s.events_per_second > serial_best.events_per_second) {
+        serial_best = s;
+      }
+      if (best.back().p99_ms <= kGateRatio * best.front().p99_ms &&
+          best.front().events_per_second >=
+              kMinSerialRatio * serial_best.events_per_second) {
+        break;
+      }
     }
-    if (best.back().p99_ms <= kGateRatio * best.front().p99_ms) break;
-  }
 
-  for (size_t r = 0; r < rates.size(); ++r) {
-    const ChurnMeasurement& m = best[r];
-    std::printf("%-12llu %12.1f %10.4f %10.4f %10.4f %14.1f\n",
-                static_cast<unsigned long long>(rates[r]),
-                m.events_per_second, m.p50_ms, m.p99_ms, m.max_ms,
-                m.achieved_churn_per_s);
-    report.BeginRow();
-    report.SetText("algorithm", "churn");
-    report.SetText("mode", mode);
-    report.Set("churn_rate", static_cast<double>(rates[r]));
-    report.Set("n_subscriptions", static_cast<double>(num_subs));
-    report.Set("events_per_second", m.events_per_second);
-    report.Set("p50_ms", m.p50_ms);
-    report.Set("p99_ms", m.p99_ms);
-    report.Set("max_ms", m.max_ms);
-    report.Set("achieved_churn_per_s", m.achieved_churn_per_s);
-  }
-  PrintEpochLine(matcher);
+    for (size_t r = 0; r < rates.size(); ++r) {
+      AddRow(&report, "dynamic-concurrent", mode, rates[r], num_subs,
+             best[r]);
+    }
+    AddRow(&report, "dynamic", mode, 0, num_subs, serial_best);
 
-  const double ratio =
-      best.front().p99_ms > 0 ? best.back().p99_ms / best.front().p99_ms : 0;
-  std::printf("# p99 ratio %lluk-churn/no-churn: %.3f (gate %.2f)\n",
-              static_cast<unsigned long long>(rates.back() / 1000), ratio,
-              kGateRatio);
+    const double p99_ratio =
+        best.front().p99_ms > 0 ? best.back().p99_ms / best.front().p99_ms
+                                : 0;
+    const double serial_ratio =
+        serial_best.events_per_second > 0
+            ? best.front().events_per_second / serial_best.events_per_second
+            : 0;
+    std::printf("# %s p99 ratio %lluk-churn/no-churn: %.3f (gate %.2f)\n",
+                mode, static_cast<unsigned long long>(rates.back() / 1000),
+                p99_ratio, kGateRatio);
+    std::printf("# %s events/s concurrent/serial at churn 0: %.3f (gate "
+                ">= %.2f)\n",
+                mode, serial_ratio, kMinSerialRatio);
+    if (p99_ratio > kGateRatio) {
+      std::fprintf(stderr,
+                   "FAIL (%s): p99 under %llu ops/s churn is %.4f ms vs "
+                   "%.4f ms without churn (%.2fx > %.2fx gate, best of %d "
+                   "runs)\n",
+                   mode, static_cast<unsigned long long>(rates.back()),
+                   best.back().p99_ms, best.front().p99_ms, p99_ratio,
+                   kGateRatio, kGateAttempts);
+      failed = true;
+    }
+    if (serial_ratio < kMinSerialRatio) {
+      std::fprintf(stderr,
+                   "FAIL (%s): concurrent build at churn 0 runs %.0f "
+                   "events/s vs %.0f serial (%.2fx < %.2fx gate, best of %d "
+                   "runs)\n",
+                   mode, best.front().events_per_second,
+                   serial_best.events_per_second, serial_ratio,
+                   kMinSerialRatio, kGateAttempts);
+      failed = true;
+    }
+  }
+  PrintEpochLine(*concurrent.epoch());
 
   const std::string report_path = report.WriteJson();
   if (!report_path.empty()) {
     std::printf("\n# wrote %s\n", report_path.c_str());
   }
-
-  if (ratio > kGateRatio) {
-    std::fprintf(stderr,
-                 "FAIL: p99 under %llu ops/s churn is %.4f ms vs %.4f ms "
-                 "without churn (%.2fx > %.2fx gate, best of %d runs)\n",
-                 static_cast<unsigned long long>(rates.back()),
-                 best.back().p99_ms, best.front().p99_ms, ratio, kGateRatio,
-                 kGateAttempts);
-    return 1;
-  }
-  return 0;
+  return failed ? 1 : 0;
 }
 
 }  // namespace

@@ -97,8 +97,6 @@ const char* AlgoName(Algorithm a) {
       return "dynamic";
     case Algorithm::kTree:
       return "tree";
-    case Algorithm::kChurn:
-      return "churn";
   }
   return "?";
 }

@@ -111,7 +111,7 @@ int Run() {
     for (const AttributeSet& s : m.TableSchemas()) {
       if (s.size() >= 2) {
         ++multi;
-        schemas += " " + s.ToString();
+        schemas.append(" ").append(s.ToString());
       }
     }
     std::printf("%-24s %12.3f %12.1f %16d\n", "C2 (greedy static)",

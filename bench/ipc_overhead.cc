@@ -61,7 +61,7 @@ int Run() {
   // Load subscriptions through the wire too (they define the schema names).
   SchemaRegistry names;
   for (AttributeId a = 0; a < spec.num_attributes; ++a) {
-    names.InternAttribute("a" + std::to_string(a));
+    names.InternAttribute(std::string("a").append(std::to_string(a)));
   }
   {
     for (const Subscription& s : subs) {

@@ -34,8 +34,9 @@ class BPlusTree {
 
   /// Deep copy via bulk re-insertion of the leaf chain in ascending order
   /// (keys arrive sorted, so rebuild cost is O(n log n) node walks with no
-  /// rebalancing churn). Needed by the churn matcher's copy-on-write index
-  /// planes, which clone one attribute's indexes per mutation.
+  /// rebalancing churn). Needed by the concurrent clustered matchers'
+  /// copy-on-write index planes, which clone one attribute's indexes per
+  /// mutation.
   BPlusTree(const BPlusTree& other) {
     other.ScanAll([this](const K& k, const V& v) { Insert(k, v); });
   }

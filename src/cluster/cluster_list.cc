@@ -19,38 +19,66 @@
 
 namespace vfps {
 
-ClusterList::ClusterList(const ClusterList& other, uint32_t cow_size)
-    : by_size_(other.by_size_),
-      count_(other.count_),
-      cluster_count_(other.cluster_count_) {
-  if (cow_size < by_size_.size() && by_size_[cow_size] != nullptr) {
-    by_size_[cow_size] = std::make_shared<Cluster>(*by_size_[cow_size]);
+Cluster* ClusterList::PrivateCluster(uint32_t size) {
+  if (size >= by_size_.size()) by_size_.resize(size + 1);
+  std::shared_ptr<Cluster>& cluster = by_size_[size];
+  if (cluster == nullptr) {
+    cluster = std::make_shared<Cluster>(size);
+    ++cluster_count_;
+  } else if (cluster.use_count() > 1) {
+    cluster = std::make_shared<Cluster>(*cluster);
   }
+  return cluster.get();
 }
 
 ClusterSlot ClusterList::Add(SubscriptionId id,
                              std::span<const PredicateId> slots) {
-  uint32_t size = static_cast<uint32_t>(slots.size());
-  if (size >= by_size_.size()) by_size_.resize(size + 1);
-  if (by_size_[size] == nullptr) {
-    by_size_[size] = std::make_shared<Cluster>(size);
-    ++cluster_count_;
-  }
-  size_t row = by_size_[size]->Add(id, slots);
+  const auto size = static_cast<uint32_t>(slots.size());
+  const size_t row = PrivateCluster(size)->Add(id, slots);
   ++count_;
+  for (PredicateId pid : slots) {
+    if (pid >= id_bound_) id_bound_ = size_t{pid} + 1;
+  }
   VFPS_DCHECK_INVARIANT(CheckInvariants());
   return ClusterSlot{size, row};
 }
 
 SubscriptionId ClusterList::Remove(ClusterSlot slot) {
   VFPS_CHECK(slot.size < by_size_.size() && by_size_[slot.size] != nullptr);
-  SubscriptionId moved = by_size_[slot.size]->RemoveAt(slot.row);
+  const SubscriptionId moved = PrivateCluster(slot.size)->RemoveAt(slot.row);
   --count_;
   if (by_size_[slot.size]->empty()) {
     by_size_[slot.size].reset();
     --cluster_count_;
   }
   VFPS_DCHECK_INVARIANT(CheckInvariants());
+  return moved;
+}
+
+namespace {
+
+ClusterList* CopyList(const ClusterList* cur) {
+  return cur == nullptr ? new ClusterList() : new ClusterList(*cur);
+}
+
+}  // namespace
+
+ClusterSlot AddToList(EpochPtr<ClusterList>* list, SubscriptionId id,
+                      std::span<const PredicateId> slots,
+                      EpochPublisher* publisher) {
+  return ReplaceOrEdit(list, publisher, CopyList,
+                       [&](ClusterList& l) { return l.Add(id, slots); });
+}
+
+SubscriptionId RemoveFromList(EpochPtr<ClusterList>* list, ClusterSlot slot,
+                              EpochPublisher* publisher) {
+  VFPS_CHECK(WriterView(list, publisher) != nullptr);
+  const SubscriptionId moved =
+      ReplaceOrEdit(list, publisher, CopyList,
+                    [&](ClusterList& l) { return l.Remove(slot); });
+  if (WriterView(list, publisher)->empty()) {
+    ReplaceSlot<ClusterList>(list, nullptr, publisher);
+  }
   return moved;
 }
 

@@ -12,6 +12,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/core/types.h"
+#include "src/util/epoch.h"
 
 namespace vfps {
 
@@ -28,12 +29,12 @@ class ClusterList {
  public:
   ClusterList() = default;
 
-  /// Copy-on-write copy at cluster granularity: shares every cluster with
-  /// `other` except the one for `cow_size`, which is deep-copied so the
-  /// copy can mutate it while readers keep scanning `other`'s version
-  /// (epoch-based churn path; see docs/CONCURRENCY.md). Pass a size with
-  /// no allocated cluster to share everything.
-  ClusterList(const ClusterList& other, uint32_t cow_size);
+  /// Copy-on-write copy at cluster granularity: the copy shares every
+  /// per-size cluster with `other`, and Add/Remove deep-copy a shared
+  /// cluster before touching it, so readers keep scanning `other` while the
+  /// copy is edited (concurrent matchers; see docs/CONCURRENCY.md). In a
+  /// serial matcher no cluster is ever shared and nothing is copied.
+  ClusterList(const ClusterList& other) = default;
 
   /// Adds a subscription with the given residual predicate slots (already
   /// equality-first ordered). Returns its location.
@@ -58,6 +59,12 @@ class ClusterList {
   size_t subscription_count() const { return count_; }
   bool empty() const { return count_ == 0; }
 
+  /// One past the largest residual predicate id any row has held: a result
+  /// vector of at least this capacity covers every cell a Match over the
+  /// list reads. Never shrinks. Concurrent readers size their result
+  /// vectors by it, since a list may be newer than their phase-1 view.
+  size_t id_bound() const { return id_bound_; }
+
   /// Allocated per-size clusters (the clusters a Match call scans).
   /// Maintained incrementally so the match loop's telemetry does not walk
   /// by_size_.
@@ -67,14 +74,16 @@ class ClusterList {
   /// checks" — size-0 rows are matches, not checks).
   size_t CheckedRowsPerMatch() const;
 
-  /// The cluster for `size`, or nullptr if no subscription of that size is
-  /// present. Used by the dynamic matcher's redistribution.
-  const Cluster* cluster_for(uint32_t size) const {
-    return size < by_size_.size() ? by_size_[size].get() : nullptr;
+  /// Calls fn(SubscriptionId) for every row, cluster by cluster.
+  template <typename Fn>
+  void ForEachId(Fn&& fn) const {
+    for (const auto& cluster : by_size_) {
+      if (cluster == nullptr) continue;
+      for (size_t row = 0; row < cluster->count(); ++row) {
+        fn(cluster->id_at(row));
+      }
+    }
   }
-
-  /// Largest size with a cluster allocated (for iteration).
-  size_t max_size() const { return by_size_.size(); }
 
   /// Approximate heap footprint in bytes.
   size_t MemoryUsage() const;
@@ -87,12 +96,36 @@ class ClusterList {
   bool CheckInvariants() const;
 
  private:
-  // shared_ptr, not unique_ptr: the churn path's COW copies share all
+  /// The cluster for `size` (allocated if absent), deep-copied first if
+  /// another list version shares it.
+  Cluster* PrivateCluster(uint32_t size);
+
+  // shared_ptr, not unique_ptr: copy-on-write successors share all
   // untouched clusters between the published snapshot and its successor.
+  // Only the writer copies or drops these pointers, so use_count() tells
+  // it exactly whether a cluster is shared.
   std::vector<std::shared_ptr<Cluster>> by_size_;
   size_t count_ = 0;
   size_t cluster_count_ = 0;
+  size_t id_bound_ = 0;
 };
+
+/// The two mutations of a published cluster list, shared by every list a
+/// clustered matcher owns (singleton, table entry, fallback). With a null
+/// `publisher` (serial matcher) the list is edited in place; otherwise a
+/// copy-on-write successor sharing all but the touched per-size cluster is
+/// published through `list` (see EpochPublisher). A missing list is
+/// created; an emptied one is unpublished.
+
+/// Adds `id` with residual `slots`; returns its row.
+ClusterSlot AddToList(EpochPtr<ClusterList>* list, SubscriptionId id,
+                      std::span<const PredicateId> slots,
+                      EpochPublisher* publisher);
+
+/// Removes the row at `slot`; returns the id relocated into it (see
+/// ClusterList::Remove).
+SubscriptionId RemoveFromList(EpochPtr<ClusterList>* list, ClusterSlot slot,
+                              EpochPublisher* publisher);
 
 }  // namespace vfps
 

@@ -27,6 +27,11 @@ size_t MultiAttrHashTable::KeyHash::operator()(
   return static_cast<size_t>(h);
 }
 
+MultiAttrHashTable::MultiAttrHashTable(AttributeSet schema)
+    : schema_(std::move(schema)) {
+  entries_.Publish(new Entries(), nullptr);
+}
+
 bool MultiAttrHashTable::ExtractKey(const Event& event,
                                     std::vector<Value>* key) const {
   key->clear();
@@ -47,50 +52,66 @@ void MultiAttrHashTable::ExtractKey(const Subscription& s,
   }
 }
 
-ClusterList* MultiAttrHashTable::Probe(const std::vector<Value>& key) {
-  auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
 const ClusterList* MultiAttrHashTable::Probe(
     const std::vector<Value>& key) const {
-  auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
+  const Entries* entries = entries_.Load();
+  auto it = entries->find(key);
+  return it == entries->end() ? nullptr : it->second->Load();
 }
 
 ClusterSlot MultiAttrHashTable::Add(const std::vector<Value>& key,
                                     SubscriptionId id,
-                                    std::span<const PredicateId> slots) {
-  ClusterSlot slot = entries_[key].Add(id, slots);
+                                    std::span<const PredicateId> slots,
+                                    EpochPublisher* publisher) {
+  const Entries* entries = WriterView(&entries_, publisher);
+  auto it = entries->find(key);
+  ClusterSlot slot;
+  if (it != entries->end()) {
+    slot = AddToList(it->second.get(), id, slots, publisher);
+  } else {
+    // A new access predicate: fill its list before the directory that
+    // makes it reachable is published.
+    auto entry = std::make_shared<EpochPtr<ClusterList>>();
+    slot = AddToList(entry.get(), id, slots, publisher);
+    EditEntries(publisher,
+                [&](Entries& e) { e.emplace(key, std::move(entry)); });
+  }
   ++subscription_count_;
-  VFPS_DCHECK_INVARIANT(CheckInvariants());
+  VFPS_DCHECK_INVARIANT(CheckInvariants(publisher));
   return slot;
 }
 
 SubscriptionId MultiAttrHashTable::Remove(const std::vector<Value>& key,
-                                          ClusterSlot slot) {
-  auto it = entries_.find(key);
-  VFPS_CHECK(it != entries_.end());
-  SubscriptionId moved = it->second.Remove(slot);
+                                          ClusterSlot slot,
+                                          EpochPublisher* publisher) {
+  const Entries* entries = WriterView(&entries_, publisher);
+  auto it = entries->find(key);
+  VFPS_CHECK(it != entries->end());
+  EpochPtr<ClusterList>* list = it->second.get();
+  const SubscriptionId moved = RemoveFromList(list, slot, publisher);
   --subscription_count_;
-  if (it->second.empty()) entries_.erase(it);
-  VFPS_DCHECK_INVARIANT(CheckInvariants());
+  if (WriterView(list, publisher) == nullptr) {
+    EditEntries(publisher, [&](Entries& e) { e.erase(key); });
+  }
+  VFPS_DCHECK_INVARIANT(CheckInvariants(publisher));
   return moved;
 }
 
-bool MultiAttrHashTable::CheckInvariants() const {
+bool MultiAttrHashTable::CheckInvariants(
+    const EpochPublisher* publisher) const {
   size_t total = 0;
-  for (const auto& [key, list] : entries_) {
+  for (const auto& [key, entry] : *WriterView(&entries_, publisher)) {
+    const ClusterList* list = WriterView(entry.get(), publisher);
     VFPS_INVARIANT(key.size() == schema_.size(),
                    "MultiAttrHashTable: key of arity %zu in a table with "
                    "schema arity %zu",
                    key.size(), schema_.size());
-    VFPS_INVARIANT(!list.empty(),
+    VFPS_INVARIANT(list != nullptr && !list->empty(),
                    "MultiAttrHashTable: empty cluster list retained "
                    "(access-predicate necessity: Remove must drop the "
                    "entry)");
-    if (!list.CheckInvariants()) return false;
-    total += list.subscription_count();
+    if (!list->CheckInvariants()) return false;
+    total += list->subscription_count();
   }
   VFPS_INVARIANT(total == subscription_count_,
                  "MultiAttrHashTable: entries hold %zu subscriptions, "
@@ -100,10 +121,14 @@ bool MultiAttrHashTable::CheckInvariants() const {
 }
 
 size_t MultiAttrHashTable::MemoryUsage() const {
-  size_t total = entries_.bucket_count() * sizeof(void*);
-  for (const auto& [key, list] : entries_) {
-    total += key.capacity() * sizeof(Value) + sizeof(ClusterList) +
-             list.MemoryUsage() + 2 * sizeof(void*);
+  const Entries* entries = entries_.Load();
+  size_t total = entries->bucket_count() * sizeof(void*);
+  for (const auto& [key, entry] : *entries) {
+    total += key.capacity() * sizeof(Value) + sizeof(EpochPtr<ClusterList>) +
+             4 * sizeof(void*);
+    if (const ClusterList* list = entry->Load()) {
+      total += sizeof(ClusterList) + list->MemoryUsage();
+    }
   }
   return total;
 }

@@ -10,7 +10,9 @@
 #ifndef VFPS_CLUSTER_MULTI_ATTR_HASH_H_
 #define VFPS_CLUSTER_MULTI_ATTR_HASH_H_
 
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster_list.h"
@@ -22,10 +24,17 @@
 namespace vfps {
 
 /// One multi-attribute hashing structure <A, h>.
+///
+/// Mutations take the owner's publisher (nullptr for a serial owner, which
+/// edits in place). A concurrent owner publishes every change: an entry's
+/// cluster list through its own slot (copy-on-write, see AddToList), and
+/// the key set — which changes only when an access predicate appears or
+/// vanishes — by republishing the entry directory, whose copies share the
+/// entry slots. Probe is then safe under an epoch pin while one writer
+/// mutates.
 class MultiAttrHashTable {
  public:
-  explicit MultiAttrHashTable(AttributeSet schema)
-      : schema_(std::move(schema)) {}
+  explicit MultiAttrHashTable(AttributeSet schema);
 
   /// The schema A of the structure.
   const AttributeSet& schema() const { return schema_; }
@@ -41,34 +50,35 @@ class MultiAttrHashTable {
 
   /// The cluster list for `key`, or nullptr if no subscription uses this
   /// value tuple as access predicate.
-  ClusterList* Probe(const std::vector<Value>& key);
   const ClusterList* Probe(const std::vector<Value>& key) const;
 
   /// Adds a subscription under `key`; creates the entry if needed.
   ClusterSlot Add(const std::vector<Value>& key, SubscriptionId id,
-                  std::span<const PredicateId> slots);
+                  std::span<const PredicateId> slots,
+                  EpochPublisher* publisher = nullptr);
 
   /// Removes the subscription at `slot` under `key`; drops the entry when
   /// it empties. Returns the id relocated into `slot` (see
   /// ClusterList::Remove), or kInvalidSubscriptionId.
-  SubscriptionId Remove(const std::vector<Value>& key, ClusterSlot slot);
+  SubscriptionId Remove(const std::vector<Value>& key, ClusterSlot slot,
+                        EpochPublisher* publisher = nullptr);
 
-  /// Visits every (key, cluster list) entry. fn(const std::vector<Value>&,
-  /// ClusterList&). Entries must not be added or removed during the visit.
-  template <typename Fn>
-  void ForEachEntry(Fn&& fn) {
-    for (auto& [key, list] : entries_) fn(key, list);
-  }
+  /// Visits every published (key, cluster list) entry.
+  /// fn(const std::vector<Value>&, const ClusterList&). Writer side, with
+  /// no edit staged; entries must not be added or removed during the
+  /// visit.
   template <typename Fn>
   void ForEachEntry(Fn&& fn) const {
-    for (const auto& [key, list] : entries_) fn(key, list);
+    for (const auto& [key, list] : *entries_.Load()) {
+      if (const ClusterList* l = list->Load()) fn(key, *l);
+    }
   }
 
   /// Number of occupied entries (distinct access predicates).
-  size_t entry_count() const { return entries_.size(); }
+  size_t entry_count() const { return entries_.Load()->size(); }
 
   /// |H|: subscriptions stored across all entries (drives the hash table
-  /// benefit metric of Section 4).
+  /// benefit metric of Section 4). Writer side.
   size_t subscription_count() const { return subscription_count_; }
 
   /// Approximate heap footprint in bytes.
@@ -79,17 +89,32 @@ class MultiAttrHashTable {
   /// non-empty (access-predicate necessity — an entry exists only while
   /// some subscription uses that conjunction as its access predicate),
   /// and the per-entry counts sum to subscription_count(). Recurses into
-  /// ClusterList::CheckInvariants. Prints the first violation and returns
-  /// false.
-  bool CheckInvariants() const;
+  /// ClusterList::CheckInvariants. Reads the writer's view through
+  /// `publisher` (see EpochPublisher::Current). Prints the first violation
+  /// and returns false.
+  bool CheckInvariants(const EpochPublisher* publisher = nullptr) const;
 
  private:
   struct KeyHash {
     size_t operator()(const std::vector<Value>& key) const;
   };
+  /// Key -> the entry's published cluster list. Directory versions share
+  /// the slots, so a key-set change copies pointers, never lists.
+  using Entries =
+      std::unordered_map<std::vector<Value>,
+                         std::shared_ptr<EpochPtr<ClusterList>>, KeyHash>;
+
+  /// Applies `edit` to the directory (in place, or on a published copy).
+  template <typename Edit>
+  void EditEntries(EpochPublisher* publisher, Edit&& edit) {
+    ReplaceOrEdit(
+        &entries_, publisher,
+        [](const Entries* cur) { return new Entries(*cur); },
+        std::forward<Edit>(edit));
+  }
 
   AttributeSet schema_;
-  std::unordered_map<std::vector<Value>, ClusterList, KeyHash> entries_;
+  EpochPtr<Entries> entries_;  // never null
   size_t subscription_count_ = 0;
 };
 

@@ -46,16 +46,22 @@ class BatchResultVector {
       dirty_.clear();
       return;
     }
-    if (capacity > capacity_) {
-      capacity_ = capacity;
-      words_.resize(capacity_ * words_per_lane_, 0);
-      touched_.resize(capacity_, 0);
-    }
+    EnsureCapacity(capacity);
     for (PredicateId id : dirty_) {
       simd::ZeroWords(&words_[id * words_per_lane_], words_per_lane_);
       touched_[id] = 0;
     }
     dirty_.clear();
+  }
+
+  /// Grows the block to at least `capacity` predicates mid-chunk: existing
+  /// stripes keep their bits, new ones are clear.
+  void EnsureCapacity(size_t capacity) {
+    if (capacity > capacity_) {
+      capacity_ = capacity;
+      words_.resize(capacity_ * words_per_lane_, 0);
+      touched_.resize(capacity_, 0);
+    }
   }
 
   /// Marks predicate `id` satisfied by event `lane` of the batch.

@@ -53,8 +53,8 @@ std::string Event::ToString() const {
   std::string out = "(";
   for (size_t i = 0; i < pairs_.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "a" + std::to_string(pairs_[i].attribute) + "=" +
-           std::to_string(pairs_[i].value);
+    out.append("a").append(std::to_string(pairs_[i].attribute));
+    out.append("=").append(std::to_string(pairs_[i].value));
   }
   out += ")";
   return out;

@@ -39,11 +39,11 @@ class PredicateTable {
 
   /// Like Release, but on the last drop the id is parked as *detached*
   /// instead of joining the free list, so Intern cannot hand it out again
-  /// yet. The churn matcher releases ids this way and recycles them
-  /// through the epoch limbo list: a concurrent reader may still hold a
-  /// snapshot whose result vector has the old predicate's bit set, and
-  /// reusing the id before that snapshot drains would false-match the new
-  /// predicate. Returns true on the last drop.
+  /// yet. A concurrent clustered matcher releases ids this way and
+  /// recycles them through the epoch limbo list: a concurrent reader may
+  /// still hold a snapshot whose result vector has the old predicate's bit
+  /// set, and reusing the id before that snapshot drains would false-match
+  /// the new predicate. Returns true on the last drop.
   bool ReleaseKeepId(PredicateId id);
 
   /// Moves a detached id (see ReleaseKeepId) onto the free list. Called

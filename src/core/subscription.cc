@@ -48,7 +48,8 @@ bool Subscription::Matches(const Event& event) const {
 }
 
 std::string Subscription::ToString() const {
-  std::string out = "s" + std::to_string(id_) + ":";
+  std::string out = "s";
+  out.append(std::to_string(id_)).append(":");
   for (size_t i = 0; i < predicates_.size(); ++i) {
     out += (i == 0) ? " " : " AND ";
     out += predicates_[i].ToString();

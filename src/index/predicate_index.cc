@@ -7,6 +7,7 @@
 namespace vfps {
 
 bool AttrIndexes::Insert(const Predicate& p, PredicateId id) {
+  if (id >= id_bound) id_bound = size_t{id} + 1;
   switch (p.op) {
     case RelOp::kEq:
       return equality.Insert(p.value, id);
@@ -29,31 +30,36 @@ bool AttrIndexes::Remove(const Predicate& p) {
 }
 
 void AttrIndexes::Probe(Value value, ResultVector* results) const {
+  results->EnsureCapacity(id_bound);
   PredicateId eq = equality.Probe(value);
   if (eq != kInvalidPredicateId) results->Set(eq);
   range.Probe(value, results);
   not_equal.Probe(value, results);
 }
 
-AttrIndexes* PredicateIndex::GetOrCreate(AttributeId a) {
-  if (a >= by_attribute_.size()) by_attribute_.resize(a + 1);
-  if (by_attribute_[a] == nullptr) {
-    by_attribute_[a] = std::make_unique<AttrIndexes>();
-  }
-  return by_attribute_[a].get();
+namespace {
+
+AttrIndexes* CopyIndexes(const AttrIndexes* cur) {
+  return cur == nullptr ? new AttrIndexes() : new AttrIndexes(*cur);
 }
 
+}  // namespace
+
 void PredicateIndex::Insert(const Predicate& p, PredicateId id) {
-  bool inserted = GetOrCreate(p.attribute)->Insert(p, id);
+  if (p.attribute >= attribute_bound_) attribute_bound_ = p.attribute + 1;
+  const bool inserted =
+      ReplaceOrEdit(by_attribute_.Slot(p.attribute), publisher_, CopyIndexes,
+                    [&](AttrIndexes& idx) { return idx.Insert(p, id); });
   VFPS_CHECK(inserted);  // interning guarantees first registration
   ++size_;
 }
 
 void PredicateIndex::Remove(const Predicate& p, PredicateId id) {
   (void)id;
-  VFPS_CHECK(p.attribute < by_attribute_.size() &&
-             by_attribute_[p.attribute] != nullptr);
-  bool removed = by_attribute_[p.attribute]->Remove(p);
+  VFPS_CHECK(by_attribute_.Load(p.attribute) != nullptr);
+  const bool removed =
+      ReplaceOrEdit(by_attribute_.Slot(p.attribute), publisher_, CopyIndexes,
+                    [&](AttrIndexes& idx) { return idx.Remove(p); });
   VFPS_CHECK(removed);
   --size_;
 }
@@ -67,17 +73,15 @@ void PredicateIndex::MatchEvent(const Event& event,
 
 void PredicateIndex::MatchPair(AttributeId attribute, Value value,
                                ResultVector* results) const {
-  if (attribute >= by_attribute_.size()) return;
-  const AttrIndexes* idx = by_attribute_[attribute].get();
-  if (idx == nullptr) return;
-  idx->Probe(value, results);
+  const AttrIndexes* idx = by_attribute_.Load(attribute);
+  if (idx != nullptr) idx->Probe(value, results);
 }
 
 size_t PredicateIndex::MemoryUsage() const {
-  size_t total = by_attribute_.capacity() * sizeof(void*);
-  for (const auto& idx : by_attribute_) {
-    if (idx == nullptr) continue;
-    total += sizeof(AttrIndexes) + idx->MemoryUsage();
+  size_t total = attribute_bound_ * sizeof(EpochPtr<AttrIndexes>);
+  for (size_t a = 0; a < attribute_bound_; ++a) {
+    const AttrIndexes* idx = by_attribute_.Load(a);
+    if (idx != nullptr) total += sizeof(AttrIndexes) + idx->MemoryUsage();
   }
   return total;
 }

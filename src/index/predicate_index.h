@@ -20,16 +20,20 @@
 #include "src/index/equality_index.h"
 #include "src/index/not_equal_index.h"
 #include "src/index/range_index.h"
+#include "src/util/epoch.h"
 
 namespace vfps {
 
-/// Index triple for one attribute. Copyable (deep copy), so the churn
-/// matcher's copy-on-write phase-1 planes can clone just the attribute a
+/// Index triple for one attribute. Copyable (deep copy), so a concurrent
+/// matcher's copy-on-write phase-1 plane clones just the attribute a
 /// mutation touches while sharing the rest.
 struct AttrIndexes {
   EqualityIndex equality;
   RangeIndex range;
   NotEqualIndex not_equal;
+  /// One past the largest id ever registered here; Probe grows the result
+  /// vector to it, so a plane newer than the caller's sizing stays safe.
+  size_t id_bound = 0;
 
   /// Registers `p` in the index matching its operator. Returns false when
   /// an identical predicate is already present.
@@ -39,7 +43,7 @@ struct AttrIndexes {
   bool Remove(const Predicate& p);
 
   /// Marks every registered predicate on this attribute satisfied by
-  /// `value`.
+  /// `value` (growing `results` to id_bound first).
   void Probe(Value value, ResultVector* results) const;
 
   /// Approximate heap footprint in bytes.
@@ -50,8 +54,17 @@ struct AttrIndexes {
 };
 
 /// Per-attribute dispatch over all three predicate index kinds.
+///
+/// The per-attribute triples are published through an EpochSlotArray.
+/// With a null publisher (serial owner) Insert/Remove edit them in place;
+/// otherwise each mutation publishes a copy of the one attribute it
+/// touches, so MatchEvent/MatchPair may run under an epoch pin while one
+/// writer mutates.
 class PredicateIndex {
  public:
+  explicit PredicateIndex(EpochPublisher* publisher = nullptr)
+      : publisher_(publisher) {}
+
   /// Registers an interned predicate. Call exactly once per distinct
   /// predicate (i.e. when PredicateTable::Intern reports `inserted`).
   void Insert(const Predicate& p, PredicateId id);
@@ -71,16 +84,17 @@ class PredicateIndex {
   void MatchPair(AttributeId attribute, Value value,
                  ResultVector* results) const;
 
-  /// Number of registered predicates.
+  /// Number of registered predicates (writer side).
   size_t size() const { return size_; }
 
   /// Approximate heap footprint in bytes (Figure 3(c) accounting).
   size_t MemoryUsage() const;
 
  private:
-  AttrIndexes* GetOrCreate(AttributeId a);
-
-  std::vector<std::unique_ptr<AttrIndexes>> by_attribute_;
+  EpochPublisher* publisher_;
+  EpochSlotArray<AttrIndexes> by_attribute_;
+  /// One past the largest attribute ever indexed (writer-side walks).
+  size_t attribute_bound_ = 0;
   size_t size_ = 0;
 };
 

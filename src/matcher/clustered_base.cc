@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <optional>
+#include <string>
 
 #include "src/util/hash.h"
 #include "src/util/macros.h"
@@ -14,10 +16,177 @@ namespace vfps {
 
 const std::vector<Value> ClusteredMatcherBase::kEmptyKey;
 
+namespace {
+
+/// Open-addressing memo slot mapping an (attribute, value) pair to its
+/// entry in the chunk's distinct-pair list. Deduplicating the chunk's pairs
+/// this way is O(pairs) — a comparison sort of the (attribute, value,
+/// lane) triples costs more than the probes it saves.
+struct PairMemoSlot {
+  AttributeId attribute = 0;
+  Value value = 0;
+  uint32_t index = 0xFFFFFFFFu;
+};
+constexpr uint32_t kEmptyMemoSlot = 0xFFFFFFFFu;
+
+/// One distinct (attribute, value) pair of a chunk with the lanes that
+/// carry it and its memo slot (for O(distinct) cleanup after the chunk).
+struct DistinctPair {
+  AttributeId attribute;
+  Value value;
+  uint32_t slot;
+  uint64_t mask[BatchResultVector::kMaxWordsPerLane];
+};
+
+/// One candidate cluster list of a chunk with the lane mask it applies to
+/// (multi-attribute tables can send different lanes to different entries
+/// of the same table).
+struct BatchCandidate {
+  const ClusterList* list;
+  uint64_t mask[BatchResultVector::kMaxWordsPerLane];
+};
+
+/// A counter with a single writer (the reader holding the context's pin)
+/// and occasional aggregating readers.
+class ReaderCounter {
+ public:
+  void Add(uint64_t delta) {
+    // sync-relaxed-ok: single-writer counter; stats() only sums it and
+    // nothing is published through it.
+    value_.store(value_.load(std::memory_order_relaxed) + delta,
+                 std::memory_order_relaxed);  // sync-relaxed-ok: as above
+  }
+  uint64_t Get() const { return value_.load(); }
+  void Reset() { value_.store(0); }
+
+ private:
+  std::atomic<uint64_t> value_{0};
+};
+
+}  // namespace
+
+struct ClusteredMatcherBase::Work {
+  uint64_t predicates = 0;
+  uint64_t checks = 0;
+  uint64_t clusters = 0;
+  uint64_t matches = 0;
+  int64_t phase1_ns = 0;
+  int64_t phase2_ns = 0;
+};
+
+struct ClusteredMatcherBase::ReaderContext {
+  ResultVector results;
+  // Per-event attribute -> value cache: filled once per Match so that
+  // extracting a table key costs one array load per schema attribute
+  // instead of a binary search over the event pairs. Epoch-stamped to skip
+  // clearing between events.
+  std::vector<Value> event_value;
+  std::vector<uint64_t> event_epoch_of;
+  uint64_t event_epoch = 0;
+  std::vector<Value> key;
+
+  // Batch scratch.
+  BatchResultVector batch_results;
+  std::vector<PairMemoSlot> pair_memo;  // power-of-two open addressing
+  std::vector<DistinctPair> distinct_pairs;
+  std::vector<BatchCandidate> batch_candidates;
+
+  ReaderCounter events, predicates, checks, clusters, matches, phase1_ns,
+      phase2_ns;
+
+  /// ν sampling: events matched by this reader, and (concurrent build) the
+  /// latest sampled event awaiting the writer. The flag hands `sample`
+  /// back and forth: the reader fills it only while clear, the writer
+  /// folds and clears it.
+  uint64_t seen = 0;
+  Event sample;
+  std::atomic<bool> sample_ready{false};
+
+  /// Fills `key` from the cached current event. False if an attribute of
+  /// `schema` is absent from the event.
+  bool ExtractEventKey(const AttributeSet& schema) {
+    key.clear();
+    for (AttributeId a : schema.ids()) {
+      if (a >= event_value.size() || event_epoch_of[a] != event_epoch) {
+        return false;
+      }
+      key.push_back(event_value[a]);
+    }
+    return true;
+  }
+
+  size_t MemoryUsage() const {
+    return results.MemoryUsage() + event_value.capacity() * sizeof(Value) +
+           event_epoch_of.capacity() * sizeof(uint64_t) +
+           batch_results.MemoryUsage() +
+           pair_memo.capacity() * sizeof(PairMemoSlot) +
+           distinct_pairs.capacity() * sizeof(DistinctPair) +
+           batch_candidates.capacity() * sizeof(BatchCandidate);
+  }
+};
+
 ClusteredMatcherBase::ClusteredMatcherBase(bool use_prefetch,
-                                           uint32_t observe_sample_rate)
-    : use_prefetch_(use_prefetch),
+                                           uint32_t observe_sample_rate,
+                                           bool concurrent)
+    : publisher_(concurrent ? std::make_unique<EpochPublisher>() : nullptr),
+      predicate_index_(publisher_.get()),
+      use_prefetch_(use_prefetch),
       observe_sample_rate_(observe_sample_rate) {}
+
+ClusteredMatcherBase::~ClusteredMatcherBase() {
+  // Run the pending deleters while the predicate table they recycle ids
+  // into is still alive (no reader is pinned at destruction).
+  if (publisher_ != nullptr) publisher_->manager()->TryReclaim();
+}
+
+// --- writer side ------------------------------------------------------------
+
+Status ClusteredMatcherBase::AddSubscription(
+    const Subscription& subscription) {
+  MutexLock lock(writer_mu_);
+  if (records_.contains(subscription.id())) {
+    return Status::AlreadyExists("subscription id " +
+                                 std::to_string(subscription.id()));
+  }
+  FoldSampledEvents();
+  SubRecord record;
+  InternPredicates(subscription, &record);
+  auto [it, inserted] = records_.emplace(subscription.id(), std::move(record));
+  (void)inserted;
+  Place(subscription.id(), &it->second, InitialPlacement(it->second));
+  AfterChange(nullptr);
+  if (publisher_ != nullptr) publisher_->manager()->TryReclaim();
+  return Status::OK();
+}
+
+Status ClusteredMatcherBase::RemoveSubscription(SubscriptionId id) {
+  MutexLock lock(writer_mu_);
+  auto it = records_.find(id);
+  if (it == records_.end()) {
+    return Status::NotFound("subscription id " + std::to_string(id));
+  }
+  FoldSampledEvents();
+  BeforeRemove(it->second);
+  const Placement vacated = it->second.placement;
+  // The row goes first, then the predicates it referenced (a reader never
+  // finds a row whose predicate bits can no longer be set).
+  Unplace(it->second, vacated, it->second.slot);
+  ReleasePredicates(it->second);
+  records_.erase(it);
+  AfterChange(&vacated);
+  if (publisher_ != nullptr) publisher_->manager()->TryReclaim();
+  return Status::OK();
+}
+
+void ClusteredMatcherBase::FoldSampledEvents() {
+  if (publisher_ == nullptr) return;
+  contexts_.ForEach([this](ReaderContext* ctx) {
+    if (ctx->sample_ready.load()) {
+      stats_model_.Observe(ctx->sample);
+      ctx->sample_ready.store(false);
+    }
+  });
+}
 
 void ClusteredMatcherBase::InternPredicates(const Subscription& s,
                                             SubRecord* record) {
@@ -25,27 +194,32 @@ void ClusteredMatcherBase::InternPredicates(const Subscription& s,
   // Equality predicates first (canonical order), then the rest: the cluster
   // columns inherit this order, so inequality cells are only consulted when
   // the equalities held (Section 6.2.1).
-  for (const Predicate& p : s.predicates()) {
-    if (!p.IsEquality()) continue;
-    auto [pid, inserted] = predicate_table_.Intern(p);
-    if (inserted) predicate_index_.Insert(p, pid);
-    record->preds.push_back(pid);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Predicate& p : s.predicates()) {
+      if (p.IsEquality() != (pass == 0)) continue;
+      auto [pid, inserted] = predicate_table_.Intern(p);
+      if (inserted) predicate_index_.Insert(p, pid);
+      record->preds.push_back(pid);
+    }
+    if (pass == 0) {
+      record->eq_count = static_cast<uint16_t>(record->preds.size());
+    }
   }
-  record->eq_count = static_cast<uint16_t>(record->preds.size());
-  for (const Predicate& p : s.predicates()) {
-    if (p.IsEquality()) continue;
-    auto [pid, inserted] = predicate_table_.Intern(p);
-    if (inserted) predicate_index_.Insert(p, pid);
-    record->preds.push_back(pid);
-  }
-  results_.EnsureCapacity(predicate_table_.capacity());
 }
 
 void ClusteredMatcherBase::ReleasePredicates(const SubRecord& record) {
   for (PredicateId pid : record.preds) {
     const Predicate predicate = predicate_table_.Get(pid);
-    if (predicate_table_.Release(pid)) {
+    if (publisher_ == nullptr) {
+      if (predicate_table_.Release(pid)) {
+        predicate_index_.Remove(predicate, pid);
+      }
+    } else if (predicate_table_.ReleaseKeepId(pid)) {
+      // A reader on an older plane may still set this id's bit, so the id
+      // is reused only once those readers unpin.
       predicate_index_.Remove(predicate, pid);
+      publisher_->manager()->Retire(
+          [this, pid] { predicate_table_.RecycleId(pid); });
     }
   }
 }
@@ -93,8 +267,12 @@ uint32_t ClusteredMatcherBase::GetOrCreateTable(const AttributeSet& schema) {
   VFPS_DCHECK(schema.size() >= 2);
   auto it = table_lookup_.find(schema);
   if (it != table_lookup_.end()) return it->second;
-  uint32_t index = static_cast<uint32_t>(tables_.size());
-  tables_.push_back(std::make_unique<TableInfo>(schema));
+  const uint32_t index = table_count();
+  auto* table = new MultiAttrHashTable(schema);
+  // Publish the (empty) table before the count that lets readers reach it.
+  published_tables_.Publish(index, table, manager());
+  table_count_.store(index + 1);
+  tables_.push_back(table);
   table_lookup_.emplace(schema, index);
   return index;
 }
@@ -108,9 +286,9 @@ void ClusteredMatcherBase::ExtractKeyFor(const SubRecord& record,
                                          uint32_t table_index,
                                          std::vector<Value>* key) const {
   key->clear();
-  VFPS_DCHECK(table_index < tables_.size() &&
-              tables_[table_index] != nullptr);
-  for (AttributeId a : tables_[table_index]->table.schema().ids()) {
+  const MultiAttrHashTable* table = Table(table_index);
+  VFPS_DCHECK(table != nullptr);
+  for (AttributeId a : table->schema().ids()) {
     key->push_back(EqualityValueOf(record, a));
   }
 }
@@ -129,8 +307,7 @@ void ClusteredMatcherBase::ComputeResidualSlots(
     slots->assign(record.preds.begin(), record.preds.end());
     return;
   }
-  const AttributeSet& schema =
-      tables_[placement.table_index]->table.schema();
+  const AttributeSet& schema = Table(placement.table_index)->schema();
   AttributeId prev_attr = kInvalidAttributeId;
   for (uint16_t i = 0; i < record.eq_count; ++i) {
     const Predicate& p = predicate_table_.Get(record.preds[i]);
@@ -152,16 +329,13 @@ void ClusteredMatcherBase::Place(SubscriptionId id, SubRecord* record,
   ComputeResidualSlots(*record, placement, &scratch_slots_);
   switch (placement.table_index) {
     case kFallbackTable:
-      record->slot = fallback_.Add(id, scratch_slots_);
+      record->slot =
+          AddToList(&fallback_, id, scratch_slots_, publisher_.get());
       return;
     case kSingletonTable: {
       VFPS_DCHECK(placement.access_pred != kInvalidPredicateId);
-      if (placement.access_pred >= eq_lists_.size()) {
-        eq_lists_.resize(placement.access_pred + 1);
-      }
-      auto& list = eq_lists_[placement.access_pred];
-      if (list == nullptr) list = std::make_unique<ClusterList>();
-      record->slot = list->Add(id, scratch_slots_);
+      record->slot = AddToList(eq_lists_.Slot(placement.access_pred), id,
+                               scratch_slots_, publisher_.get());
       ++singleton_count_;
       const AttributeId attr =
           predicate_table_.Get(placement.access_pred).attribute;
@@ -173,59 +347,134 @@ void ClusteredMatcherBase::Place(SubscriptionId id, SubRecord* record,
       return;
     }
     default: {
-      TableInfo* info = tables_[placement.table_index].get();
       ExtractKeyFor(*record, placement.table_index, &scratch_key_);
-      record->slot = info->table.Add(scratch_key_, id, scratch_slots_);
+      record->slot =
+          Table(placement.table_index)
+              ->Add(scratch_key_, id, scratch_slots_, publisher_.get());
       OnPlaced(placement, scratch_key_);
       return;
     }
   }
 }
 
-void ClusteredMatcherBase::Unplace(SubscriptionId id, SubRecord* record) {
-  (void)id;
+void ClusteredMatcherBase::Unplace(const SubRecord& record,
+                                   const Placement& placement,
+                                   ClusterSlot slot) {
   SubscriptionId moved;
-  switch (record->placement.table_index) {
+  switch (placement.table_index) {
     case kFallbackTable:
-      moved = fallback_.Remove(record->slot);
+      moved = RemoveFromList(&fallback_, slot, publisher_.get());
       break;
     case kSingletonTable: {
-      ClusterList* list = SingletonList(record->placement.access_pred);
-      VFPS_CHECK(list != nullptr);
-      moved = list->Remove(record->slot);
+      moved = RemoveFromList(eq_lists_.Slot(placement.access_pred), slot,
+                             publisher_.get());
       --singleton_count_;
       const AttributeId attr =
-          predicate_table_.Get(record->placement.access_pred).attribute;
+          predicate_table_.Get(placement.access_pred).attribute;
       VFPS_DCHECK(attr < singleton_attr_count_.size() &&
                   singleton_attr_count_[attr] > 0);
       --singleton_attr_count_[attr];
-      if (list->empty()) eq_lists_[record->placement.access_pred].reset();
       break;
     }
     default: {
-      TableInfo* info = tables_[record->placement.table_index].get();
-      VFPS_CHECK(info != nullptr);
-      ExtractKeyFor(*record, record->placement.table_index, &scratch_key_);
-      moved = info->table.Remove(scratch_key_, record->slot);
+      MultiAttrHashTable* table = Table(placement.table_index);
+      VFPS_CHECK(table != nullptr);
+      ExtractKeyFor(record, placement.table_index, &scratch_key_);
+      moved = table->Remove(scratch_key_, slot, publisher_.get());
       break;
     }
   }
   if (moved != kInvalidSubscriptionId) {
     auto it = records_.find(moved);
     VFPS_CHECK(it != records_.end());
-    it->second.slot = record->slot;
+    it->second.slot = slot;
   }
 }
 
-Status ClusteredMatcherBase::RemoveSubscriptionImpl(SubscriptionId id) {
-  auto it = records_.find(id);
-  if (it == records_.end()) {
-    return Status::NotFound("subscription id " + std::to_string(id));
+void ClusteredMatcherBase::MoveAll(const std::vector<MoveTo>& moves) {
+  if (moves.empty()) return;
+  struct Source {
+    Placement placement;
+    ClusterSlot slot;
+    SubscriptionId id;
+  };
+  std::vector<Source> sources;
+  sources.reserve(moves.size());
+  move_seq_.fetch_add(1);
+  {
+    EpochPublisher::Batch batch(publisher_.get());
+    for (const MoveTo& move : moves) {
+      SubRecord& record = records_.find(move.id)->second;
+      sources.push_back(Source{record.placement, record.slot, move.id});
+      Place(move.id, &record, move.to);
+    }
   }
-  Unplace(id, &it->second);
-  ReleasePredicates(it->second);
-  records_.erase(it);
-  return Status::OK();
+  // Every reader pinned before this point may have loaded a source list
+  // before its target gained the row; once they drain, all readers see
+  // the targets, and the source rows can go.
+  if (publisher_ != nullptr) publisher_->manager()->SynchronizeReaders();
+  // Removing in descending row order means the row swapped into a vacated
+  // slot is never a source row still to be removed: it is a placed row,
+  // whose record Unplace patches.
+  std::sort(sources.begin(), sources.end(),
+            [](const Source& a, const Source& b) {
+              return a.slot.row > b.slot.row;
+            });
+  {
+    EpochPublisher::Batch batch(publisher_.get());
+    for (const Source& source : sources) {
+      Unplace(records_.find(source.id)->second, source.placement,
+              source.slot);
+    }
+  }
+  move_seq_.fetch_add(1);
+}
+
+size_t ClusteredMatcherBase::DropTable(uint32_t t) {
+  MultiAttrHashTable* table = Table(t);
+  VFPS_CHECK(table != nullptr);
+  // Detached from the writer's view (ChooseBestPlacement skips it) while
+  // readers still reach it.
+  tables_[t] = nullptr;
+  table_lookup_.erase(table->schema());
+  std::vector<SubscriptionId> ids;
+  ids.reserve(table->subscription_count());
+  table->ForEachEntry([&](const std::vector<Value>& key,
+                          const ClusterList& list) {
+    (void)key;
+    list.ForEachId([&](SubscriptionId id) { ids.push_back(id); });
+  });
+  // Re-place everything elsewhere while the table stays published, drain
+  // the readers that might not see the new rows, then drop the table (its
+  // rows die with it, so nothing is unplaced).
+  move_seq_.fetch_add(1);
+  {
+    EpochPublisher::Batch batch(publisher_.get());
+    for (SubscriptionId id : ids) {
+      SubRecord& record = records_.find(id)->second;
+      Place(id, &record, ChooseBestPlacement(record));
+    }
+  }
+  if (publisher_ != nullptr) publisher_->manager()->SynchronizeReaders();
+  published_tables_.Publish(t, nullptr, manager());
+  move_seq_.fetch_add(1);
+  return ids.size();
+}
+
+void ClusteredMatcherBase::ClearPlacements() {
+  VFPS_CHECK(!concurrent());
+  for (uint32_t t = 0; t < table_count(); ++t) {
+    published_tables_.Publish(t, nullptr, nullptr);
+  }
+  table_count_.store(0);
+  tables_.clear();
+  table_lookup_.clear();
+  for (PredicateId pid = 0; pid < predicate_table_.capacity(); ++pid) {
+    if (eq_lists_.Load(pid) != nullptr) eq_lists_.Publish(pid, nullptr, nullptr);
+  }
+  singleton_count_ = 0;
+  singleton_attr_count_.clear();
+  fallback_.Publish(nullptr, nullptr);
 }
 
 double ClusteredMatcherBase::PlacementCost(const SubRecord& record,
@@ -239,8 +488,7 @@ double ClusteredMatcherBase::PlacementCost(const SubRecord& record,
              CheckingCost(record.preds.size() - 1, cost_params_);
     }
     default: {
-      const AttributeSet& schema =
-          tables_[placement.table_index]->table.schema();
+      const AttributeSet& schema = Table(placement.table_index)->schema();
       return NuUnderSchema(record, schema) *
              CheckingCost(record.preds.size() - schema.size(), cost_params_);
     }
@@ -266,9 +514,10 @@ ClusteredMatcherBase::Placement ClusteredMatcherBase::ChooseBestPlacement(
   }
   // Multi-attribute tables whose schema applies.
   const AttributeSet eq_attrs = EqualityAttributesOf(record);
-  for (uint32_t t = 0; t < tables_.size(); ++t) {
-    if (tables_[t] == nullptr) continue;
-    const AttributeSet& schema = tables_[t]->table.schema();
+  for (uint32_t t = 0; t < table_count(); ++t) {
+    const MultiAttrHashTable* table = tables_[t];
+    if (table == nullptr) continue;
+    const AttributeSet& schema = table->schema();
     if (!schema.IsSubsetOf(eq_attrs)) continue;
     const double cost =
         NuUnderSchema(record, schema) *
@@ -281,69 +530,129 @@ ClusteredMatcherBase::Placement ClusteredMatcherBase::ChooseBestPlacement(
   return best;
 }
 
+// --- reader side ------------------------------------------------------------
+
+ClusteredMatcherBase::ReaderContext* ClusteredMatcherBase::Context(
+    std::optional<EpochManager::PinGuard>* pin) {
+  size_t slot = 0;
+  if (publisher_ != nullptr) {
+    pin->emplace(publisher_->manager());
+    slot = (*pin)->slot();
+  }
+  return contexts_.GetOrCreate(slot, [] { return new ReaderContext; });
+}
+
+void ClusteredMatcherBase::ObserveSampled(const Event& event,
+                                          ReaderContext* ctx) {
+  if (observe_sample_rate_ == 0 || ++ctx->seen % observe_sample_rate_ != 0) {
+    return;
+  }
+  if (publisher_ == nullptr) {
+    stats_model_.Observe(event);
+  } else if (!ctx->sample_ready.load()) {
+    // Readers never touch the statistics: hand the event to the writer,
+    // which folds it at its next mutation (when placement reads ν).
+    ctx->sample = event;
+    ctx->sample_ready.store(true);
+  }
+}
+
+void ClusteredMatcherBase::Record(ReaderContext* ctx, const Work& work,
+                                  size_t events) {
+  ctx->events.Add(events);
+  ctx->predicates.Add(work.predicates);
+  ctx->checks.Add(work.checks);
+  ctx->clusters.Add(work.clusters);
+  ctx->matches.Add(work.matches);
+  ctx->phase1_ns.Add(static_cast<uint64_t>(work.phase1_ns));
+  ctx->phase2_ns.Add(static_cast<uint64_t>(work.phase2_ns));
+}
+
+namespace {
+
+/// Scans one candidate list for the current event, growing the result
+/// vector first when the list is newer than the phase-1 view.
+inline void ScanList(const ClusterList& list, ResultVector* results,
+                     bool use_prefetch, std::vector<SubscriptionId>* out,
+                     uint64_t* checks, uint64_t* clusters) {
+  results->EnsureCapacity(list.id_bound());
+  *checks += list.CheckedRowsPerMatch();
+  *clusters += list.cluster_count();
+  list.Match(results->data(), use_prefetch, out);
+}
+
+/// Sort + unique: a reader overlapping a placement move may see one
+/// subscription in both its source and target lists.
+inline void Dedup(std::vector<SubscriptionId>* ids) {
+  std::sort(ids->begin(), ids->end());
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
+
+}  // namespace
+
 void ClusteredMatcherBase::Match(const Event& event,
                                  std::vector<SubscriptionId>* out) {
   out->clear();
-#if VFPS_TELEMETRY
-  const MatcherStats before = stats_;
-#endif
+  std::optional<EpochManager::PinGuard> pin;
+  ReaderContext* ctx = Context(&pin);
+  const uint64_t moves_before = move_seq_.load();
+  Work work;
   Timer timer;
-  results_.Reset();
-  results_.EnsureCapacity(predicate_table_.capacity());
-  predicate_index_.MatchEvent(event, &results_);
-  stats_.phase1_seconds += timer.ElapsedSeconds();
-  stats_.predicates_satisfied += results_.set_count();
+  ResultVector& results = ctx->results;
+  results.Reset();
+  predicate_index_.MatchEvent(event, &results);
+  work.phase1_ns = timer.ElapsedNanos();
+  work.predicates = results.set_count();
 
   timer.Reset();
   // Refresh the per-event attribute value cache.
-  ++event_epoch_;
+  ++ctx->event_epoch;
   for (const EventPair& pair : event.pairs()) {
-    if (pair.attribute >= event_value_.size()) {
-      event_value_.resize(pair.attribute + 1, 0);
-      event_value_epoch_.resize(pair.attribute + 1, 0);
+    if (pair.attribute >= ctx->event_value.size()) {
+      ctx->event_value.resize(pair.attribute + 1, 0);
+      ctx->event_epoch_of.resize(pair.attribute + 1, 0);
     }
-    event_value_[pair.attribute] = pair.value;
-    event_value_epoch_[pair.attribute] = event_epoch_;
+    ctx->event_value[pair.attribute] = pair.value;
+    ctx->event_epoch_of[pair.attribute] = ctx->event_epoch;
   }
-  const uint8_t* cells = results_.data();
   // Singleton access predicates: phase 1 already identified the satisfied
   // equality predicates; any of them carrying a cluster list is a candidate
   // (Figure 2: "if p is an access predicate for a clusters list lc then
-  // candidate_C = candidate_C ∪ lc").
-  for (PredicateId pid : results_.set_ids()) {
-    const ClusterList* list = SingletonList(pid);
+  // candidate_C = candidate_C ∪ lc"). set_ids() is stable while lists grow
+  // the cell array.
+  for (PredicateId pid : results.set_ids()) {
+    const ClusterList* list = eq_lists_.Load(pid);
     if (list == nullptr) continue;
-    stats_.subscription_checks += list->CheckedRowsPerMatch();
-    stats_.clusters_scanned += list->cluster_count();
-    list->Match(cells, use_prefetch_, out);
+    ScanList(*list, &results, use_prefetch_, out, &work.checks,
+             &work.clusters);
   }
   // Multi-attribute hashing structures: one key extraction + probe each.
-  for (const auto& info : tables_) {
-    if (info == nullptr) continue;
-    if (!ExtractEventKey(info->table.schema(), &scratch_key_)) continue;
-    const ClusterList* list = info->table.Probe(scratch_key_);
+  const uint32_t tables = table_count_.load();
+  for (uint32_t t = 0; t < tables; ++t) {
+    const MultiAttrHashTable* table = published_tables_.Load(t);
+    if (table == nullptr || !ctx->ExtractEventKey(table->schema())) continue;
+    const ClusterList* list = table->Probe(ctx->key);
     if (list == nullptr) continue;
-    stats_.subscription_checks += list->CheckedRowsPerMatch();
-    stats_.clusters_scanned += list->cluster_count();
-    list->Match(cells, use_prefetch_, out);
+    ScanList(*list, &results, use_prefetch_, out, &work.checks,
+             &work.clusters);
   }
-  stats_.subscription_checks += fallback_.CheckedRowsPerMatch();
-  stats_.clusters_scanned += fallback_.cluster_count();
-  fallback_.Match(cells, use_prefetch_, out);
-  stats_.phase2_seconds += timer.ElapsedSeconds();
+  if (const ClusterList* fallback = fallback_.Load()) {
+    ScanList(*fallback, &results, use_prefetch_, out, &work.checks,
+             &work.clusters);
+  }
+  const uint64_t moves_after = move_seq_.load();
+  if (moves_after != moves_before || (moves_before & 1) != 0) Dedup(out);
+  work.phase2_ns = timer.ElapsedNanos();
+  work.matches = out->size();
 
-  ++stats_.events;
-  stats_.matches += out->size();
+  Record(ctx, work, 1);
 #if VFPS_TELEMETRY
-  if (telemetry_ != nullptr) RecordEventTelemetry(before);
-#endif
-
-  ++events_seen_;
-  if (observe_sample_rate_ != 0 &&
-      events_seen_ % observe_sample_rate_ == 0) {
-    stats_model_.Observe(event);
+  if (telemetry_ != nullptr) {
+    telemetry_->RecordEvent(work.phase1_ns, work.phase2_ns, work.predicates,
+                            work.clusters, work.checks, work.matches);
   }
-  OnEventMatched();
+#endif
+  ObserveSampled(event, ctx);
 }
 
 namespace {
@@ -377,46 +686,43 @@ void ClusteredMatcherBase::MatchBatch(std::span<const Event> events,
                                       BatchResult* out) {
   out->Reset(events.size());
   if (events.empty()) return;
-#if VFPS_TELEMETRY
-  const MatcherStats before = stats_;
+  std::optional<EpochManager::PinGuard> pin;
+  ReaderContext* ctx = Context(&pin);
+  const uint64_t moves_before = move_seq_.load();
   Timer batch_timer;
-#endif
+  Work work;
   for (size_t base = 0; base < events.size();
        base += BatchResultVector::kMaxLanes) {
     const size_t chunk =
         std::min(BatchResultVector::kMaxLanes, events.size() - base);
-    MatchChunk(events.subspan(base, chunk), base, out);
+    MatchChunk(ctx, events.subspan(base, chunk), base, out, &work);
   }
-  stats_.events += events.size();
-  stats_.matches += out->total_matches();
+  const uint64_t moves_after = move_seq_.load();
+  if (moves_after != moves_before || (moves_before & 1) != 0) {
+    for (size_t e = 0; e < events.size(); ++e) Dedup(out->mutable_matches(e));
+  }
+  work.matches = out->total_matches();
+  Record(ctx, work, events.size());
 #if VFPS_TELEMETRY
   if (telemetry_ != nullptr) {
-    telemetry_->RecordBatchWork(
-        events.size(),
-        stats_.predicates_satisfied - before.predicates_satisfied,
-        stats_.clusters_scanned - before.clusters_scanned,
-        stats_.subscription_checks - before.subscription_checks,
-        stats_.matches - before.matches);
+    telemetry_->RecordBatchWork(events.size(), work.predicates,
+                                work.clusters, work.checks, work.matches);
     RecordBatchTelemetry(events.size(), batch_timer.ElapsedNanos());
   }
 #endif
-  for (const Event& event : events) {
-    ++events_seen_;
-    if (observe_sample_rate_ != 0 &&
-        events_seen_ % observe_sample_rate_ == 0) {
-      stats_model_.Observe(event);
-    }
-    OnEventMatched();
-  }
+  for (const Event& event : events) ObserveSampled(event, ctx);
 }
 
-void ClusteredMatcherBase::MatchChunk(std::span<const Event> events,
-                                      size_t lane_base, BatchResult* out) {
+void ClusteredMatcherBase::MatchChunk(ReaderContext* ctx,
+                                      std::span<const Event> events,
+                                      size_t lane_base, BatchResult* out,
+                                      Work* work) const {
   const size_t lanes = events.size();
   Timer timer;
-  batch_results_.Reset(lanes, predicate_table_.capacity());
-  results_.EnsureCapacity(predicate_table_.capacity());
-  const size_t words = batch_results_.words_per_lane();
+  ResultVector& results = ctx->results;
+  BatchResultVector& block = ctx->batch_results;
+  block.Reset(lanes, results.capacity());
+  const size_t words = block.words_per_lane();
 
   // Phase 1, batched: deduplicate the chunk's (attribute, value) pairs
   // through the open-addressing memo so every distinct pair is probed
@@ -426,11 +732,11 @@ void ClusteredMatcherBase::MatchChunk(std::span<const Event> events,
   for (size_t e = 0; e < lanes; ++e) total_pairs += events[e].pairs().size();
   size_t memo_size = 64;
   while (memo_size < total_pairs * 2) memo_size *= 2;
-  if (pair_memo_.size() < memo_size) {
-    pair_memo_.assign(memo_size, PairMemoSlot{});
-  }
-  const size_t memo_mask = pair_memo_.size() - 1;
-  distinct_pairs_.clear();
+  std::vector<PairMemoSlot>& memo = ctx->pair_memo;
+  if (memo.size() < memo_size) memo.assign(memo_size, PairMemoSlot{});
+  const size_t memo_mask = memo.size() - 1;
+  std::vector<DistinctPair>& distinct = ctx->distinct_pairs;
+  distinct.clear();
   for (size_t e = 0; e < lanes; ++e) {
     const uint64_t lane_bit = uint64_t{1} << (e % 64);
     const size_t lane_word = e / 64;
@@ -440,126 +746,191 @@ void ClusteredMatcherBase::MatchChunk(std::span<const Event> events,
                        static_cast<uint64_t>(pair.value)) &
                  memo_mask;
       while (true) {
-        PairMemoSlot& slot = pair_memo_[s];
+        PairMemoSlot& slot = memo[s];
         if (slot.index == kEmptyMemoSlot) {
           slot.attribute = pair.attribute;
           slot.value = pair.value;
-          slot.index = static_cast<uint32_t>(distinct_pairs_.size());
+          slot.index = static_cast<uint32_t>(distinct.size());
           DistinctPair dp{pair.attribute, pair.value,
                           static_cast<uint32_t>(s), {}};
           dp.mask[lane_word] = lane_bit;
-          distinct_pairs_.push_back(dp);
+          distinct.push_back(dp);
           break;
         }
         if (slot.attribute == pair.attribute && slot.value == pair.value) {
-          distinct_pairs_[slot.index].mask[lane_word] |= lane_bit;
+          distinct[slot.index].mask[lane_word] |= lane_bit;
           break;
         }
         s = (s + 1) & memo_mask;
       }
     }
   }
-  for (const DistinctPair& dp : distinct_pairs_) {
-    results_.Reset();
-    predicate_index_.MatchPair(dp.attribute, dp.value, &results_);
-    for (PredicateId pid : results_.set_ids()) {
-      batch_results_.SetMask(pid, dp.mask);
-    }
-    pair_memo_[dp.slot].index = kEmptyMemoSlot;
+  for (const DistinctPair& dp : distinct) {
+    results.Reset();
+    predicate_index_.MatchPair(dp.attribute, dp.value, &results);
+    block.EnsureCapacity(results.capacity());
+    for (PredicateId pid : results.set_ids()) block.SetMask(pid, dp.mask);
+    memo[dp.slot].index = kEmptyMemoSlot;
   }
-  results_.Reset();
-  stats_.phase1_seconds += timer.ElapsedSeconds();
-  for (PredicateId pid : batch_results_.set_ids()) {
-    stats_.predicates_satisfied +=
-        PopcountMask(batch_results_.stripe(pid), words);
+  results.Reset();
+  work->phase1_ns += timer.ElapsedNanos();
+  for (PredicateId pid : block.set_ids()) {
+    work->predicates += PopcountMask(block.stripe(pid), words);
   }
 
   timer.Reset();
   // Phase 2, batched: for each candidate cluster list, scan its columns
   // once while testing every alive lane (loop order inverted vs Match).
+  auto scan = [&](const ClusterList& list, const uint64_t* alive) {
+    block.EnsureCapacity(list.id_bound());
+    work->checks += list.CheckedRowsPerMatch() * PopcountMask(alive, words);
+    work->clusters += list.cluster_count();
+    list.MatchBatch(block, alive, use_prefetch_, lane_base, out);
+  };
   // Singleton access predicates: the predicate's own stripe is the alive
-  // mask of the lanes it admits.
-  for (PredicateId pid : batch_results_.set_ids()) {
-    const ClusterList* list = SingletonList(pid);
+  // mask of the lanes it admits (copied: growing the block moves stripes).
+  uint64_t alive[BatchResultVector::kMaxWordsPerLane];
+  for (PredicateId pid : block.set_ids()) {
+    const ClusterList* list = eq_lists_.Load(pid);
     if (list == nullptr) continue;
-    const uint64_t* alive = batch_results_.stripe(pid);
-    stats_.subscription_checks +=
-        list->CheckedRowsPerMatch() * PopcountMask(alive, words);
-    stats_.clusters_scanned += list->cluster_count();
-    list->MatchBatch(batch_results_, alive, use_prefetch_, lane_base, out);
+    std::copy_n(block.stripe(pid), words, alive);
+    scan(*list, alive);
   }
   // Multi-attribute hashing structures: probe per lane (keys differ per
   // event), then group lanes by the cluster list they landed on so each
   // list is still scanned only once.
-  for (const auto& info : tables_) {
-    if (info == nullptr) continue;
-    batch_candidates_.clear();
+  std::vector<BatchCandidate>& candidates = ctx->batch_candidates;
+  const uint32_t tables = table_count_.load();
+  for (uint32_t t = 0; t < tables; ++t) {
+    const MultiAttrHashTable* table = published_tables_.Load(t);
+    if (table == nullptr) continue;
+    candidates.clear();
     for (size_t e = 0; e < lanes; ++e) {
-      if (!ExtractKeyFromEvent(events[e], info->table.schema(),
-                               &scratch_key_)) {
+      if (!ExtractKeyFromEvent(events[e], table->schema(), &ctx->key)) {
         continue;
       }
-      const ClusterList* list = info->table.Probe(scratch_key_);
+      const ClusterList* list = table->Probe(ctx->key);
       if (list == nullptr) continue;
       BatchCandidate* group = nullptr;
-      for (BatchCandidate& c : batch_candidates_) {
+      for (BatchCandidate& c : candidates) {
         if (c.list == list) {
           group = &c;
           break;
         }
       }
       if (group == nullptr) {
-        batch_candidates_.push_back(BatchCandidate{list, {}});
-        group = &batch_candidates_.back();
+        candidates.push_back(BatchCandidate{list, {}});
+        group = &candidates.back();
       }
       group->mask[e / 64] |= uint64_t{1} << (e % 64);
     }
-    for (const BatchCandidate& c : batch_candidates_) {
-      stats_.subscription_checks +=
-          c.list->CheckedRowsPerMatch() * PopcountMask(c.mask, words);
-      stats_.clusters_scanned += c.list->cluster_count();
-      c.list->MatchBatch(batch_results_, c.mask, use_prefetch_, lane_base,
-                         out);
-    }
+    for (const BatchCandidate& c : candidates) scan(*c.list, c.mask);
   }
   // Fallback list: every lane is alive.
-  uint64_t full_mask[BatchResultVector::kMaxWordsPerLane];
-  for (size_t w = 0; w < words; ++w) full_mask[w] = ~uint64_t{0};
-  if (lanes % 64 != 0) {
-    full_mask[words - 1] = (uint64_t{1} << (lanes % 64)) - 1;
-  }
-  stats_.subscription_checks += fallback_.CheckedRowsPerMatch() * lanes;
-  stats_.clusters_scanned += fallback_.cluster_count();
-  fallback_.MatchBatch(batch_results_, full_mask, use_prefetch_, lane_base,
-                       out);
-  stats_.phase2_seconds += timer.ElapsedSeconds();
+  for (size_t w = 0; w < words; ++w) alive[w] = ~uint64_t{0};
+  if (lanes % 64 != 0) alive[words - 1] = (uint64_t{1} << (lanes % 64)) - 1;
+  if (const ClusterList* fallback = fallback_.Load()) scan(*fallback, alive);
+  work->phase2_ns += timer.ElapsedNanos();
+}
+
+// --- introspection ----------------------------------------------------------
+
+const MatcherStats& ClusteredMatcherBase::stats() const {
+  MatcherStats sum;
+  uint64_t phase1_ns = 0, phase2_ns = 0;
+  contexts_.ForEach([&](const ReaderContext* ctx) {
+    sum.events += ctx->events.Get();
+    sum.predicates_satisfied += ctx->predicates.Get();
+    sum.subscription_checks += ctx->checks.Get();
+    sum.clusters_scanned += ctx->clusters.Get();
+    sum.matches += ctx->matches.Get();
+    phase1_ns += ctx->phase1_ns.Get();
+    phase2_ns += ctx->phase2_ns.Get();
+  });
+  sum.phase1_seconds = static_cast<double>(phase1_ns) * 1e-9;
+  sum.phase2_seconds = static_cast<double>(phase2_ns) * 1e-9;
+  stats_snapshot_ = sum;
+  return stats_snapshot_;
+}
+
+void ClusteredMatcherBase::ResetStats() {
+  contexts_.ForEach([](ReaderContext* ctx) {
+    for (ReaderCounter* c :
+         {&ctx->events, &ctx->predicates, &ctx->checks, &ctx->clusters,
+          &ctx->matches, &ctx->phase1_ns, &ctx->phase2_ns}) {
+      c->Reset();
+    }
+  });
+}
+
+void ClusteredMatcherBase::AttachTelemetry(MetricsRegistry* registry) {
+  Matcher::AttachTelemetry(registry);
+  if (registry == nullptr || publisher_ == nullptr) return;
+  // Epoch-domain health gauges (docs/OBSERVABILITY.md). Sampled with the
+  // registry lock released, so limbo_depth's brief lock is rank-legal.
+  const EpochManager* epoch = publisher_->manager();
+  registry->RegisterGauge("vfps_epoch_pinned_readers", [epoch] {
+    return static_cast<int64_t>(epoch->pinned_readers());
+  });
+  registry->RegisterGauge("vfps_epoch_limbo_depth", [epoch] {
+    return static_cast<int64_t>(epoch->limbo_depth());
+  });
+  registry->RegisterGauge("vfps_epoch_reclaimed_total", [epoch] {
+    return static_cast<int64_t>(epoch->reclaimed_total());
+  });
+}
+
+size_t ClusteredMatcherBase::subscription_count() const {
+  MutexLock lock(writer_mu_);
+  return records_.size();
+}
+
+size_t ClusteredMatcherBase::fallback_count() const {
+  MutexLock lock(writer_mu_);
+  const ClusterList* fallback = fallback_.Load();
+  return fallback == nullptr ? 0 : fallback->subscription_count();
+}
+
+size_t ClusteredMatcherBase::singleton_placed_count() const {
+  MutexLock lock(writer_mu_);
+  return singleton_count_;
 }
 
 std::vector<AttributeSet> ClusteredMatcherBase::TableSchemas() const {
+  MutexLock lock(writer_mu_);
   std::vector<AttributeSet> schemas;
-  for (const auto& info : tables_) {
-    if (info != nullptr) schemas.push_back(info->table.schema());
+  for (uint32_t t = 0; t < table_count(); ++t) {
+    if (const MultiAttrHashTable* table = Table(t)) {
+      schemas.push_back(table->schema());
+    }
   }
   return schemas;
 }
 
 size_t ClusteredMatcherBase::MemoryUsage() const {
+  MutexLock lock(writer_mu_);
   size_t total = predicate_table_.MemoryUsage() +
-                 predicate_index_.MemoryUsage() + results_.MemoryUsage() +
-                 stats_model_.MemoryUsage() + fallback_.MemoryUsage() +
-                 event_value_.capacity() * sizeof(Value) +
-                 event_value_epoch_.capacity() * sizeof(uint64_t) +
-                 batch_results_.MemoryUsage() +
-                 pair_memo_.capacity() * sizeof(PairMemoSlot) +
-                 distinct_pairs_.capacity() * sizeof(DistinctPair) +
-                 batch_candidates_.capacity() * sizeof(BatchCandidate);
-  total += eq_lists_.capacity() * sizeof(void*);
-  for (const auto& list : eq_lists_) {
+                 predicate_index_.MemoryUsage() + stats_model_.MemoryUsage();
+  if (const ClusterList* fallback = fallback_.Load()) {
+    total += sizeof(ClusterList) + fallback->MemoryUsage();
+  }
+  // Reader scratch is private to its pinned reader; only a serial
+  // matcher's single context can be measured without a race.
+  if (publisher_ == nullptr) {
+    contexts_.ForEach([&](const ReaderContext* ctx) {
+      total += sizeof(ReaderContext) + ctx->MemoryUsage();
+    });
+  }
+  total += predicate_table_.capacity() * sizeof(EpochPtr<ClusterList>);
+  for (PredicateId pid = 0; pid < predicate_table_.capacity(); ++pid) {
+    const ClusterList* list = eq_lists_.Load(pid);
     if (list != nullptr) total += sizeof(ClusterList) + list->MemoryUsage();
   }
-  total += tables_.capacity() * sizeof(void*);
-  for (const auto& info : tables_) {
-    if (info != nullptr) total += sizeof(TableInfo) + info->table.MemoryUsage();
+  total += table_count() * sizeof(EpochPtr<MultiAttrHashTable>);
+  for (uint32_t t = 0; t < table_count(); ++t) {
+    if (const MultiAttrHashTable* table = Table(t)) {
+      total += sizeof(MultiAttrHashTable) + table->MemoryUsage();
+    }
   }
   total += table_lookup_.bucket_count() * sizeof(void*) +
            table_lookup_.size() *

@@ -18,11 +18,33 @@
 //     event.
 // Subclasses differ only in how they pick the access predicate and whether
 // they reorganize placement over time.
+//
+// Serial and concurrent builds. Everything Match reads — the phase-1
+// index plane, the singleton cluster lists, the multi-attribute tables and
+// the fallback list — is reached through epoch-published slots
+// (src/util/epoch.h), and all per-event scratch and counters live in
+// per-reader contexts. The two builds differ only where a mutation is
+// applied:
+//   * serial (the default): mutators edit the published objects in place,
+//     and callers serialize Match against mutation (the paper's single
+//     matching process; dynamic maintenance runs between events);
+//   * concurrent (constructor flag): every mutation is a copy-on-write of
+//     the one object it touches, published by pointer swap, with superseded
+//     versions reclaimed once the readers that might hold them unpin.
+//     Match and MatchBatch may then run on any number of threads while
+//     one writer at a time (mutators serialize on writer_mu_) changes the
+//     subscription set. A subscription stable across a Match call is
+//     always matched exactly; one added or removed during the call may or
+//     may not be reported. Placement moves (dynamic maintenance) go add →
+//     SynchronizeReaders → remove, and readers overlapping a move drop the
+//     transient duplicate.
 
 #ifndef VFPS_MATCHER_CLUSTERED_BASE_H_
 #define VFPS_MATCHER_CLUSTERED_BASE_H_
 
+#include <atomic>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -35,24 +57,50 @@
 #include "src/cost/event_statistics.h"
 #include "src/index/predicate_index.h"
 #include "src/matcher/matcher.h"
+#include "src/util/epoch.h"
+#include "src/util/sync.h"
 
 namespace vfps {
 
 /// Base class of the clustered two-phase matchers.
 class ClusteredMatcherBase : public Matcher {
  public:
-  void Match(const Event& event, std::vector<SubscriptionId>* out) override;
+  ~ClusteredMatcherBase() override;
+
+  /// Interns the subscription and places it where InitialPlacement says.
+  /// Fails with AlreadyExists on a duplicate id.
+  Status AddSubscription(const Subscription& subscription) final;
+  Status RemoveSubscription(SubscriptionId id) final;
+
+  void Match(const Event& event, std::vector<SubscriptionId>* out) final;
 
   /// Native batch kernels (docs/BATCHING.md): phase 1 probes each
   /// predicate index once per *distinct* (attribute, value) pair across
   /// the batch and fills a lane-stripe result block; phase 2 scans each
   /// candidate cluster's columns once, testing all batch lanes per row.
-  void MatchBatch(std::span<const Event> events, BatchResult* out) override;
-  size_t subscription_count() const override { return records_.size(); }
+  void MatchBatch(std::span<const Event> events, BatchResult* out) final;
+
+  size_t subscription_count() const override;
   size_t MemoryUsage() const override;
 
+  /// True for a matcher built concurrent (see the file comment).
+  bool supports_concurrent_churn() const override {
+    return publisher_ != nullptr;
+  }
+
+  /// Sums the per-reader counters. Match may run concurrently (the
+  /// counters are atomic), but callers of stats() itself serialize: the
+  /// sum lands in one member snapshot.
+  const MatcherStats& stats() const override;
+  void ResetStats() override;
+
+  /// Attaches the vfps_matcher_* instruments (recorded per event in both
+  /// builds); a concurrent matcher also registers the vfps_epoch_* gauges.
+  void AttachTelemetry(MetricsRegistry* registry) override;
+
   /// The event statistics the matcher maintains (ν and μ estimates). Can be
-  /// seeded before loading subscriptions to describe the expected workload.
+  /// seeded before loading subscriptions to describe the expected workload
+  /// (not synchronized: seed before any concurrent activity).
   EventStatistics* mutable_statistics() { return &stats_model_; }
   const EventStatistics& statistics() const { return stats_model_; }
 
@@ -61,10 +109,16 @@ class ClusteredMatcherBase : public Matcher {
   std::vector<AttributeSet> TableSchemas() const;
 
   /// Subscriptions stored in the fallback (no access predicate) list.
-  size_t fallback_count() const { return fallback_.subscription_count(); }
+  size_t fallback_count() const;
 
   /// Subscriptions whose access predicate is a single equality predicate.
-  size_t singleton_placed_count() const { return singleton_count_; }
+  size_t singleton_placed_count() const;
+
+  /// The epoch domain of a concurrent matcher (benches and tests print its
+  /// reclaim counters); nullptr for a serial one.
+  const EpochManager* epoch() const {
+    return publisher_ != nullptr ? publisher_->manager() : nullptr;
+  }
 
  protected:
   /// Placement targets beyond real table indexes.
@@ -73,15 +127,10 @@ class ClusteredMatcherBase : public Matcher {
 
   /// Where a subscription is (or would be) stored.
   struct Placement {
-    /// kSingletonTable, kFallbackTable, or an index into tables_.
+    /// kSingletonTable, kFallbackTable, or a table index.
     uint32_t table_index = kFallbackTable;
     /// The access equality predicate when table_index == kSingletonTable.
     PredicateId access_pred = kInvalidPredicateId;
-  };
-
-  struct TableInfo {
-    explicit TableInfo(AttributeSet schema) : table(std::move(schema)) {}
-    MultiAttrHashTable table;
   };
 
   /// Placement record of one stored subscription. Predicates are kept as
@@ -98,18 +147,39 @@ class ClusteredMatcherBase : public Matcher {
 
   /// `use_prefetch` selects the prefetching cluster kernels;
   /// `observe_sample_rate` folds every k-th matched event into the ν/μ
-  /// statistics (0 disables observation).
-  ClusteredMatcherBase(bool use_prefetch, uint32_t observe_sample_rate);
+  /// statistics (0 disables observation); `concurrent` selects the
+  /// copy-on-write build (see the file comment).
+  ClusteredMatcherBase(bool use_prefetch, uint32_t observe_sample_rate,
+                       bool concurrent);
+
+  bool concurrent() const { return publisher_ != nullptr; }
+
+  // --- subclass hooks (all run under writer_mu_) ------------------------------
+
+  /// Placement of a newly added subscription. Default: the cheapest of
+  /// every singleton and live-table option (ChooseBestPlacement).
+  virtual Placement InitialPlacement(const SubRecord& record) const {
+    return ChooseBestPlacement(record);
+  }
+
+  /// Called before a subscription is removed (its record still intact).
+  virtual void BeforeRemove(const SubRecord& record) { (void)record; }
+
+  /// Called after every subscription change: `vacated` is the placement a
+  /// removed subscription left, nullptr after an addition.
+  virtual void AfterChange(const Placement* vacated) { (void)vacated; }
+
+  /// Called after a subscription lands in a cluster list. For singleton
+  /// placements `key` is empty and placement.access_pred set; for table
+  /// placements `key` is the entry key (aliasing a scratch buffer — copy
+  /// before mutating placement state).
+  virtual void OnPlaced(const Placement& placement,
+                        const std::vector<Value>& key) {
+    (void)placement;
+    (void)key;
+  }
 
   // --- subscription plumbing ----------------------------------------------
-
-  /// Interns all predicates of `s` into `record` (equality-first order) and
-  /// registers new ones with the predicate index.
-  void InternPredicates(const Subscription& s, SubRecord* record);
-
-  /// Releases the record's predicate references, unregistering predicates
-  /// whose last reference died.
-  void ReleasePredicates(const SubRecord& record);
 
   /// Rebuilds the Subscription value object from a record (for
   /// reorganization decisions).
@@ -135,16 +205,41 @@ class ClusteredMatcherBase : public Matcher {
   /// Index of the multi-attribute table for `schema`, or kFallbackTable.
   uint32_t FindTable(const AttributeSet& schema) const;
 
+  /// Table `t`, or nullptr once deleted (writer side).
+  MultiAttrHashTable* Table(uint32_t t) const { return tables_[t]; }
+
+  /// Table indexes ever created; live ones are those Table() returns.
+  uint32_t table_count() const { return static_cast<uint32_t>(tables_.size()); }
+
+  /// The cluster list hanging off equality predicate `pid`, or nullptr.
+  const ClusterList* SingletonList(PredicateId pid) const {
+    return eq_lists_.Load(pid);
+  }
+
   /// Puts the subscription at `placement`, filling record->placement and
   /// record->slot.
   void Place(SubscriptionId id, SubRecord* record, const Placement& placement);
 
-  /// Removes the subscription from its current placement, patching the
-  /// record of the row swapped into its place.
-  void Unplace(SubscriptionId id, SubRecord* record);
+  /// One placement move (see MoveAll).
+  struct MoveTo {
+    SubscriptionId id;
+    Placement to;
+  };
 
-  /// Standard removal path shared by all subclasses.
-  Status RemoveSubscriptionImpl(SubscriptionId id);
+  /// Relocates placed subscriptions. A concurrent matcher publishes every
+  /// target row, waits out the readers that might see only the sources,
+  /// then unpublishes the source rows, so no reader misses one; each list
+  /// it touches is copied once per phase.
+  void MoveAll(const std::vector<MoveTo>& moves);
+
+  /// Deletes table `t`: re-places its subscriptions (cheapest option
+  /// elsewhere), then unpublishes the table. Returns the subscriptions
+  /// moved. The OnPlaced hook fires for each re-placement.
+  size_t DropTable(uint32_t t);
+
+  /// Drops every placement structure (tables, lists), keeping records and
+  /// interned predicates. Serial matchers only.
+  void ClearPlacements();
 
   /// Computes the table key of `record` under the schema of table `t`.
   void ExtractKeyFor(const SubRecord& record, uint32_t table_index,
@@ -167,35 +262,20 @@ class ClusteredMatcherBase : public Matcher {
   double PlacementCost(const SubRecord& record,
                        const Placement& placement) const;
 
-  /// Hook for subclasses: called after an event is matched.
-  virtual void OnEventMatched() {}
-
-  /// Hook: called after a subscription lands in a cluster list. For
-  /// singleton placements `key` is empty and placement.access_pred set; for
-  /// table placements `key` is the entry key (aliasing a scratch buffer —
-  /// copy before mutating placement state).
-  virtual void OnPlaced(const Placement& placement,
-                        const std::vector<Value>& key) {
-    (void)placement;
-    (void)key;
-  }
-
-  /// The cluster list hanging off equality predicate `pid`, or nullptr.
-  ClusterList* SingletonList(PredicateId pid) {
-    return pid < eq_lists_.size() ? eq_lists_[pid].get() : nullptr;
-  }
-  const ClusterList* SingletonList(PredicateId pid) const {
-    return pid < eq_lists_.size() ? eq_lists_[pid].get() : nullptr;
-  }
-
   // --- state ------------------------------------------------------------------
+
+  /// The concurrent build's writer and epoch domain; nullptr in a serial
+  /// matcher. Declared first: the published containers below take its
+  /// address.
+  std::unique_ptr<EpochPublisher> publisher_;
+
+  /// Serializes the mutators (both builds; uncontended in the serial one).
+  /// Guards all writer-side state below; Match never takes it.
+  mutable Mutex writer_mu_{LockRank::kMatcherWriter, "matcher_writer"};
 
   PredicateTable predicate_table_;
   PredicateIndex predicate_index_;
-  ResultVector results_;
 
-  /// Cluster lists of singleton access predicates, indexed by PredicateId.
-  std::vector<std::unique_ptr<ClusterList>> eq_lists_;
   size_t singleton_count_ = 0;
   /// Subscriptions placed under a singleton access predicate, per
   /// attribute. The dynamic matcher's table-level margin for the natural
@@ -203,10 +283,7 @@ class ClusteredMatcherBase : public Matcher {
   /// one singleton "table").
   std::vector<size_t> singleton_attr_count_;
 
-  /// Multi-attribute tables; null slots are deleted tables.
-  std::vector<std::unique_ptr<TableInfo>> tables_;
   std::unordered_map<AttributeSet, uint32_t, AttributeSetHash> table_lookup_;
-  ClusterList fallback_;
 
   std::unordered_map<SubscriptionId, SubRecord> records_;
 
@@ -214,75 +291,79 @@ class ClusteredMatcherBase : public Matcher {
   CostParams cost_params_;
 
   bool use_prefetch_;
-  uint32_t observe_sample_rate_;
-  uint64_t events_seen_ = 0;
 
-  // Per-event attribute -> value cache: filled once per Match so that
-  // extracting a table key costs one array load per schema attribute
-  // instead of a binary search over the event pairs. Epoch-stamped to skip
-  // clearing between events.
-  std::vector<Value> event_value_;
-  std::vector<uint64_t> event_value_epoch_;
-  uint64_t event_epoch_ = 0;
+ private:
+  /// Per-reader scratch and counters: one per epoch reader slot in a
+  /// concurrent matcher (slot 0 serves a serial one), so Match and
+  /// MatchBatch write nothing shared.
+  struct ReaderContext;
+  /// One event's (or batch's) phase work, accumulated locally and then
+  /// added to the reader's counters.
+  struct Work;
 
-  /// Fills `key` from the cached current event. False if an attribute of
-  /// `schema` is absent from the event.
-  bool ExtractEventKey(const AttributeSet& schema,
-                       std::vector<Value>* key) const {
-    key->clear();
-    for (AttributeId a : schema.ids()) {
-      if (a >= event_value_.size() || event_value_epoch_[a] != event_epoch_) {
-        return false;
-      }
-      key->push_back(event_value_[a]);
-    }
-    return true;
+  /// Pins (concurrent build) and returns the calling reader's context.
+  ReaderContext* Context(std::optional<EpochManager::PinGuard>* pin);
+
+  /// Interns all predicates of `s` into `record` (equality-first order) and
+  /// registers new ones with the predicate index.
+  void InternPredicates(const Subscription& s, SubRecord* record);
+
+  /// Releases the record's predicate references, unregistering predicates
+  /// whose last reference died (a concurrent matcher recycles their ids
+  /// only after the readers drain).
+  void ReleasePredicates(const SubRecord& record);
+
+  /// The epoch manager a concurrent matcher retires through (nullptr in a
+  /// serial one).
+  EpochManager* manager() const {
+    return publisher_ != nullptr ? publisher_->manager() : nullptr;
   }
 
-  // Scratch buffers reused across calls (single-threaded).
-  std::vector<Value> scratch_key_;
-  std::vector<PredicateId> scratch_slots_;
-  static const std::vector<Value> kEmptyKey;
+  /// Removes the row of `record` at (`placement`, `slot`), patching the
+  /// record of the row swapped into its place.
+  void Unplace(const SubRecord& record, const Placement& placement,
+               ClusterSlot slot);
 
-  // --- batch state --------------------------------------------------------
+  /// Folds the events readers sampled for the ν statistics (concurrent
+  /// build: readers never touch the statistics themselves).
+  void FoldSampledEvents();
 
-  /// Open-addressing memo slot mapping an (attribute, value) pair to its
-  /// entry in `distinct_pairs_`. Deduplicating the chunk's pairs this way
-  /// is O(pairs) — a comparison sort of the (attribute, value, lane)
-  /// triples costs more than the probes it saves.
-  struct PairMemoSlot {
-    AttributeId attribute = 0;
-    Value value = 0;
-    uint32_t index = kEmptyMemoSlot;
-  };
-  static constexpr uint32_t kEmptyMemoSlot = 0xFFFFFFFFu;
-
-  /// One distinct (attribute, value) pair of a chunk with the lanes that
-  /// carry it and its memo slot (for O(distinct) cleanup after the chunk).
-  struct DistinctPair {
-    AttributeId attribute;
-    Value value;
-    uint32_t slot;
-    uint64_t mask[BatchResultVector::kMaxWordsPerLane];
-  };
-
-  /// One candidate cluster list of a chunk with the lane mask it applies
-  /// to (multi-attribute tables can send different lanes to different
-  /// entries of the same table).
-  struct BatchCandidate {
-    const ClusterList* list;
-    uint64_t mask[BatchResultVector::kMaxWordsPerLane];
-  };
+  /// Counts one matched event toward ν sampling.
+  void ObserveSampled(const Event& event, ReaderContext* ctx);
 
   /// Matches one chunk of <= BatchResultVector::kMaxLanes events whose
   /// lanes start at `lane_base` of `out`.
-  void MatchChunk(std::span<const Event> events, size_t lane_base,
-                  BatchResult* out);
+  void MatchChunk(ReaderContext* ctx, std::span<const Event> events,
+                  size_t lane_base, BatchResult* out, Work* work) const;
 
-  BatchResultVector batch_results_;
-  std::vector<PairMemoSlot> pair_memo_;  // power-of-two open addressing
-  std::vector<DistinctPair> distinct_pairs_;
-  std::vector<BatchCandidate> batch_candidates_;
+  /// Adds one phase's work to the reader's counters and the per-event
+  /// histograms.
+  void Record(ReaderContext* ctx, const Work& work, size_t events);
+
+  /// Cluster lists of singleton access predicates, indexed by PredicateId.
+  EpochSlotArray<ClusterList> eq_lists_;
+  /// Multi-attribute tables by index, as readers reach them (a null slot
+  /// is a deleted table; indexes below table_count_ are published) and as
+  /// the writer does (tables_: null once the table is deleted or dying).
+  EpochSlotArray<MultiAttrHashTable> published_tables_;
+  std::atomic<uint32_t> table_count_{0};
+  std::vector<MultiAttrHashTable*> tables_;
+  EpochPtr<ClusterList> fallback_;
+
+  /// Odd while a MoveAll or DropTable has a subscription in two lists; a
+  /// reader that saw it change deduplicates its result.
+  std::atomic<uint64_t> move_seq_{0};
+
+  uint32_t observe_sample_rate_;
+
+  ReaderLocal<ReaderContext> contexts_;
+  /// What stats() last summed (see stats()).
+  mutable MatcherStats stats_snapshot_;
+
+  // Writer scratch buffers.
+  std::vector<Value> scratch_key_;
+  std::vector<PredicateId> scratch_slots_;
+  static const std::vector<Value> kEmptyKey;
 };
 
 }  // namespace vfps

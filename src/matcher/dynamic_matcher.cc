@@ -11,38 +11,20 @@
 namespace vfps {
 
 DynamicMatcher::DynamicMatcher(DynamicOptions options, bool use_prefetch,
-                               uint32_t observe_sample_rate)
-    : ClusteredMatcherBase(use_prefetch, observe_sample_rate),
+                               uint32_t observe_sample_rate, bool concurrent)
+    : ClusteredMatcherBase(use_prefetch, observe_sample_rate, concurrent),
       options_(options) {}
 
-Status DynamicMatcher::AddSubscription(const Subscription& subscription) {
-  if (records_.contains(subscription.id())) {
-    return Status::AlreadyExists("subscription id " +
-                                 std::to_string(subscription.id()));
-  }
-  SubRecord record;
-  InternPredicates(subscription, &record);
-  auto [it, inserted] = records_.emplace(subscription.id(), std::move(record));
-  (void)inserted;
-  Place(subscription.id(), &it->second, ChooseBestPlacement(it->second));
-  CountChangeAndMaybeSweep();
-  return Status::OK();
+void DynamicMatcher::BeforeRemove(const SubRecord& record) {
+  if (record.marked) WithdrawVotes(record);
 }
 
-Status DynamicMatcher::RemoveSubscription(SubscriptionId id) {
-  auto it = records_.find(id);
-  if (it == records_.end()) {
-    return Status::NotFound("subscription id " + std::to_string(id));
-  }
-  if (it->second.marked) WithdrawVotes(it->second);
-  const Placement placement = it->second.placement;
-  VFPS_RETURN_NOT_OK(RemoveSubscriptionImpl(id));
-  if (placement.table_index != kFallbackTable &&
-      placement.table_index != kSingletonTable) {
-    MaybeDeleteTable(placement.table_index);
+void DynamicMatcher::AfterChange(const Placement* vacated) {
+  if (vacated != nullptr && vacated->table_index != kFallbackTable &&
+      vacated->table_index != kSingletonTable) {
+    MaybeDeleteTable(vacated->table_index);
   }
   CountChangeAndMaybeSweep();
-  return Status::OK();
 }
 
 void DynamicMatcher::CountChangeAndMaybeSweep() {
@@ -58,7 +40,7 @@ void DynamicMatcher::CountChangeAndMaybeSweep() {
   sweep_moved_base_ = maintenance_stats_.subscriptions_moved;
   sweep_created_base_ = maintenance_stats_.tables_created;
   sweep_deleted_base_ = maintenance_stats_.tables_deleted;
-  if (options_.sweep_chunk == 0) {
+  if (!concurrent()) {
     MaintenanceSweep();
     FinishSweepAccounting();
   } else {
@@ -84,36 +66,54 @@ void DynamicMatcher::FinishSweepAccounting() {
   }
 }
 
-void DynamicMatcher::BeginIncrementalSweep() {
-  ++maintenance_stats_.sweeps;
-  // Same fresh census as MaintenanceSweep, but the redistribution work is
-  // deferred: snapshot the refs and let IncrementalSweepStep pay them off
-  // a chunk per subscription change.
+void DynamicMatcher::ResetCensus() {
   potential_.clear();
   for (auto& [id, record] : records_) {
     (void)id;
     record.marked = false;
   }
   last_distributed_size_.clear();
-  sweep_refs_.clear();
-  for (PredicateId pid = 0; pid < eq_lists_.size(); ++pid) {
-    if (eq_lists_[pid] == nullptr) continue;
+}
+
+std::vector<DynamicMatcher::ClusterRef> DynamicMatcher::SingletonRefs()
+    const {
+  std::vector<ClusterRef> refs;
+  for (PredicateId pid = 0; pid < predicate_table_.capacity(); ++pid) {
+    if (SingletonList(pid) == nullptr) continue;
     ClusterRef ref;
     ref.table_index = kSingletonTable;
     ref.access_pred = pid;
-    sweep_refs_.push_back(std::move(ref));
+    refs.push_back(std::move(ref));
   }
-  for (uint32_t t = 0; t < tables_.size(); ++t) {
-    if (tables_[t] == nullptr) continue;
-    tables_[t]->table.ForEachEntry(
-        [&](const std::vector<Value>& key, const ClusterList& list) {
-          (void)list;
-          ClusterRef ref;
-          ref.table_index = t;
-          ref.access_pred = kInvalidPredicateId;
-          ref.key = key;
-          sweep_refs_.push_back(std::move(ref));
-        });
+  return refs;
+}
+
+std::vector<DynamicMatcher::ClusterRef> DynamicMatcher::TableRefs(
+    uint32_t table_index) const {
+  std::vector<ClusterRef> refs;
+  const MultiAttrHashTable* table = Table(table_index);
+  if (table == nullptr) return refs;
+  table->ForEachEntry(
+      [&](const std::vector<Value>& key, const ClusterList& list) {
+        (void)list;
+        ClusterRef ref;
+        ref.table_index = table_index;
+        ref.access_pred = kInvalidPredicateId;
+        ref.key = key;
+        refs.push_back(std::move(ref));
+      });
+  return refs;
+}
+
+void DynamicMatcher::BeginIncrementalSweep() {
+  ++maintenance_stats_.sweeps;
+  // Same fresh census as MaintenanceSweep, but the redistribution work is
+  // deferred: snapshot the refs and let IncrementalSweepStep pay them off
+  // a chunk per subscription change.
+  ResetCensus();
+  sweep_refs_ = SingletonRefs();
+  for (uint32_t t = 0; t < table_count(); ++t) {
+    for (ClusterRef& ref : TableRefs(t)) sweep_refs_.push_back(std::move(ref));
   }
   sweep_pos_ = 0;
   sweep_active_ = true;
@@ -124,16 +124,14 @@ void DynamicMatcher::IncrementalSweepStep() {
   // Refs may have gone stale since the snapshot (clusters emptied, tables
   // deleted, predicate ids recycled); ClusterDistribute resolves each ref
   // afresh and skips the vanished ones.
-  uint64_t done = 0;
-  while (sweep_pos_ < sweep_refs_.size() && done < options_.sweep_chunk) {
+  size_t done = 0;
+  while (sweep_pos_ < sweep_refs_.size() && done < kIncrementalSweepChunk) {
     ClusterDistribute(sweep_refs_[sweep_pos_++], /*census=*/true);
     ++done;
   }
   CreateReadyTables();
   if (sweep_pos_ >= sweep_refs_.size()) {
-    for (uint32_t t = 0; t < tables_.size(); ++t) {
-      if (tables_[t] != nullptr) MaybeDeleteTable(t);
-    }
+    for (uint32_t t = 0; t < table_count(); ++t) MaybeDeleteTable(t);
     sweep_refs_.clear();
     sweep_pos_ = 0;
     sweep_active_ = false;
@@ -145,18 +143,10 @@ void DynamicMatcher::IncrementalSweepStep() {
 void DynamicMatcher::MaintenanceSweep() {
   ++maintenance_stats_.sweeps;
   in_maintenance_ = true;
-  // Fresh census: forget stale votes, marks, and growth-guard entries so
-  // every subscription can be counted again under current statistics.
-  potential_.clear();
-  for (auto& [id, record] : records_) {
-    (void)id;
-    record.marked = false;
-  }
-  last_distributed_size_.clear();
-
-  // Every singleton cluster list...
-  for (PredicateId pid = 0; pid < eq_lists_.size(); ++pid) {
-    if (eq_lists_[pid] == nullptr) continue;
+  ResetCensus();
+  // Every singleton cluster list (including lists the moves create)...
+  for (PredicateId pid = 0; pid < predicate_table_.capacity(); ++pid) {
+    if (SingletonList(pid) == nullptr) continue;
     ClusterRef ref;
     ref.table_index = kSingletonTable;
     ref.access_pred = pid;
@@ -165,29 +155,14 @@ void DynamicMatcher::MaintenanceSweep() {
   CreateReadyTables();
   // ...and every multi-attribute table entry (tables created mid-sweep are
   // appended and visited too; their clusters are already well placed).
-  std::vector<std::vector<Value>> keys;
-  for (uint32_t t = 0; t < tables_.size(); ++t) {
-    if (tables_[t] == nullptr) continue;
-    MultiAttrHashTable& table = tables_[t]->table;
-    keys.clear();
-    table.ForEachEntry(
-        [&](const std::vector<Value>& key, const ClusterList& list) {
-          (void)list;
-          keys.push_back(key);
-        });
-    for (std::vector<Value>& key : keys) {
-      ClusterRef ref;
-      ref.table_index = t;
-      ref.access_pred = kInvalidPredicateId;
-      ref.key = std::move(key);
+  for (uint32_t t = 0; t < table_count(); ++t) {
+    for (const ClusterRef& ref : TableRefs(t)) {
       ClusterDistribute(ref, /*census=*/true);
     }
     CreateReadyTables();
   }
   // Reclaim starved multi-attribute tables.
-  for (uint32_t t = 0; t < tables_.size(); ++t) {
-    if (tables_[t] != nullptr) MaybeDeleteTable(t);
-  }
+  for (uint32_t t = 0; t < table_count(); ++t) MaybeDeleteTable(t);
   in_maintenance_ = false;
 }
 
@@ -211,11 +186,11 @@ uint64_t DynamicMatcher::CooldownKey(const ClusterRef& ref) const {
   return h;
 }
 
-ClusterList* DynamicMatcher::ResolveCluster(const ClusterRef& ref, double* nu,
-                                            size_t* structure_population,
-                                            size_t* absorbed_preds) {
+const ClusterList* DynamicMatcher::ResolveCluster(
+    const ClusterRef& ref, double* nu, size_t* structure_population,
+    size_t* absorbed_preds) const {
   if (ref.table_index == kSingletonTable) {
-    ClusterList* list = SingletonList(ref.access_pred);
+    const ClusterList* list = SingletonList(ref.access_pred);
     if (list == nullptr) return nullptr;
     const Predicate& p = predicate_table_.Get(ref.access_pred);
     *nu = stats_model_.ValueProbability(p.attribute, p.value);
@@ -225,13 +200,13 @@ ClusterList* DynamicMatcher::ResolveCluster(const ClusterRef& ref, double* nu,
     *absorbed_preds = 1;
     return list;
   }
-  TableInfo* info = tables_[ref.table_index].get();
-  if (info == nullptr) return nullptr;
-  ClusterList* list = info->table.Probe(ref.key);
+  const MultiAttrHashTable* table = Table(ref.table_index);
+  if (table == nullptr) return nullptr;
+  const ClusterList* list = table->Probe(ref.key);
   if (list == nullptr) return nullptr;
-  *nu = stats_model_.NuConjunction(info->table.schema(), ref.key);
-  *structure_population = info->table.subscription_count();
-  *absorbed_preds = info->table.schema().size();
+  *nu = stats_model_.NuConjunction(table->schema(), ref.key);
+  *structure_population = table->subscription_count();
+  *absorbed_preds = table->schema().size();
   return list;
 }
 
@@ -247,7 +222,7 @@ void DynamicMatcher::OnPlaced(const Placement& placement,
 
   double nu;
   size_t structure_population, absorbed;
-  ClusterList* list =
+  const ClusterList* list =
       ResolveCluster(ref, &nu, &structure_population, &absorbed);
   if (list == nullptr) return;
   // Event-driven trigger: the per-cluster margin only (the paper's
@@ -293,22 +268,17 @@ void DynamicMatcher::WithdrawVotes(const SubRecord& record) {
 void DynamicMatcher::ClusterDistribute(const ClusterRef& ref, bool census) {
   double nu;
   size_t structure_population, absorbed;
-  ClusterList* list =
+  const ClusterList* list =
       ResolveCluster(ref, &nu, &structure_population, &absorbed);
   if (list == nullptr) return;
 
   // Snapshot ids first: moving subscriptions mutates the cluster rows.
   std::vector<SubscriptionId> ids;
   ids.reserve(list->subscription_count());
-  for (uint32_t size = 0; size < list->max_size(); ++size) {
-    const Cluster* cluster = list->cluster_for(size);
-    if (cluster == nullptr) continue;
-    for (size_t row = 0; row < cluster->count(); ++row) {
-      ids.push_back(cluster->id_at(row));
-    }
-  }
+  list->ForEachId([&](SubscriptionId id) { ids.push_back(id); });
 
   ++maintenance_stats_.clusters_distributed;
+  std::vector<MoveTo> moves;
   for (SubscriptionId id : ids) {
     auto it = records_.find(id);
     VFPS_DCHECK(it != records_.end());
@@ -324,14 +294,14 @@ void DynamicMatcher::ClusterDistribute(const ClusterRef& ref, bool census) {
     const double cur_cost = PlacementCost(*record, record->placement);
     const double best_cost = PlacementCost(*record, best);
     if (best_cost >= options_.move_hysteresis * cur_cost) continue;
-    Unplace(id, record);
-    Place(id, record, best);
-    ++maintenance_stats_.subscriptions_moved;
+    moves.push_back(MoveTo{id, best});
     if (record->marked) {
       WithdrawVotes(*record);
       record->marked = false;
     }
   }
+  MoveAll(moves);
+  maintenance_stats_.subscriptions_moved += moves.size();
 
   // Whatever redistribution could not fix now votes for potential tables.
   // Votes carry the expected per-event saving, so cheap clusters naturally
@@ -352,76 +322,72 @@ void DynamicMatcher::ClusterDistribute(const ClusterRef& ref, bool census) {
 
   std::vector<AttributeId> eq_attrs;
   std::vector<double> eq_probs;
-  for (uint32_t size = 0; size < list->max_size(); ++size) {
-    const Cluster* cluster = list->cluster_for(size);
-    if (cluster == nullptr) continue;
-    for (size_t row = 0; row < cluster->count(); ++row) {
-      auto it = records_.find(cluster->id_at(row));
-      VFPS_DCHECK(it != records_.end());
-      SubRecord* record = &it->second;
-      if (record->marked) continue;
-      // Cache ν(a = v_s(a)) per equality attribute once; subset ν values
-      // are then products of cached factors instead of fresh hash lookups.
-      eq_attrs.clear();
-      eq_probs.clear();
-      AttributeId prev_attr = kInvalidAttributeId;
-      for (uint16_t i = 0; i < record->eq_count; ++i) {
-        const Predicate& p = predicate_table_.Get(record->preds[i]);
-        if (p.attribute == prev_attr) continue;
-        prev_attr = p.attribute;
-        eq_attrs.push_back(p.attribute);
-        eq_probs.push_back(
-            stats_model_.ValueProbability(p.attribute, p.value));
-      }
-      // Expected checks per event this subscription costs where it is now.
-      const double cur_cost =
-          nu * CheckingCost(record->preds.size() - absorbed, cost_params_);
-      // Cheap pruning: the most selective subset possible is the full
-      // equality set; if even it cannot beat the current placement, no
-      // subset can.
-      double full_nu = 1.0;
-      for (double p : eq_probs) full_nu *= p;
-      if (full_nu * CheckingCost(record->preds.size() - eq_attrs.size(),
-                                 cost_params_) >=
-          cur_cost) {
-        continue;
-      }
-      bool voted = false;
-      EnumerateMultiAttrSubsets(
-          eq_attrs, std::min(options_.max_schema_size, eq_attrs.size()),
-          options_.max_subsets_per_subscription,
-          [&](const std::vector<AttributeId>& ids_subset) {
-            double subset_nu = 1.0;
-            for (AttributeId a : ids_subset) {
-              for (size_t k = 0; k < eq_attrs.size(); ++k) {
-                if (eq_attrs[k] == a) {
-                  subset_nu *= eq_probs[k];
-                  break;
-                }
+  list->ForEachId([&](SubscriptionId id) {
+    auto it = records_.find(id);
+    VFPS_DCHECK(it != records_.end());
+    SubRecord* record = &it->second;
+    if (record->marked) return;
+    // Cache ν(a = v_s(a)) per equality attribute once; subset ν values
+    // are then products of cached factors instead of fresh hash lookups.
+    eq_attrs.clear();
+    eq_probs.clear();
+    AttributeId prev_attr = kInvalidAttributeId;
+    for (uint16_t i = 0; i < record->eq_count; ++i) {
+      const Predicate& p = predicate_table_.Get(record->preds[i]);
+      if (p.attribute == prev_attr) continue;
+      prev_attr = p.attribute;
+      eq_attrs.push_back(p.attribute);
+      eq_probs.push_back(
+          stats_model_.ValueProbability(p.attribute, p.value));
+    }
+    // Expected checks per event this subscription costs where it is now.
+    const double cur_cost =
+        nu * CheckingCost(record->preds.size() - absorbed, cost_params_);
+    // Cheap pruning: the most selective subset possible is the full
+    // equality set; if even it cannot beat the current placement, no
+    // subset can.
+    double full_nu = 1.0;
+    for (double p : eq_probs) full_nu *= p;
+    if (full_nu * CheckingCost(record->preds.size() - eq_attrs.size(),
+                               cost_params_) >=
+        cur_cost) {
+      return;
+    }
+    bool voted = false;
+    EnumerateMultiAttrSubsets(
+        eq_attrs, std::min(options_.max_schema_size, eq_attrs.size()),
+        options_.max_subsets_per_subscription,
+        [&](const std::vector<AttributeId>& ids_subset) {
+          double subset_nu = 1.0;
+          for (AttributeId a : ids_subset) {
+            for (size_t k = 0; k < eq_attrs.size(); ++k) {
+              if (eq_attrs[k] == a) {
+                subset_nu *= eq_probs[k];
+                break;
               }
             }
-            const double alt_cost =
-                subset_nu * CheckingCost(
-                                record->preds.size() - ids_subset.size(),
-                                cost_params_);
-            if (alt_cost >= cur_cost) return;  // no saving: no vote
-            AttributeSet schema(ids_subset);
-            if (FindTable(schema) != kFallbackTable) return;  // exists
-            PotentialTable& pot = potential_[schema];
-            pot.benefit += cur_cost - alt_cost;
-            ++pot.votes;
-            voted = true;
-            // Register this cluster as a candidate source (deduplicated by
-            // hash, bounded in size).
-            constexpr size_t kMaxCandidates = 8192;
-            if (pot.candidates.size() < kMaxCandidates &&
-                pot.candidate_keys.insert(CooldownKey(ref)).second) {
-              pot.candidates.push_back(ref);
-            }
-          });
-      if (voted) record->marked = true;
-    }
-  }
+          }
+          const double alt_cost =
+              subset_nu * CheckingCost(
+                              record->preds.size() - ids_subset.size(),
+                              cost_params_);
+          if (alt_cost >= cur_cost) return;  // no saving: no vote
+          AttributeSet schema(ids_subset);
+          if (FindTable(schema) != kFallbackTable) return;  // exists
+          PotentialTable& pot = potential_[schema];
+          pot.benefit += cur_cost - alt_cost;
+          ++pot.votes;
+          voted = true;
+          // Register this cluster as a candidate source (deduplicated by
+          // hash, bounded in size).
+          constexpr size_t kMaxCandidates = 8192;
+          if (pot.candidates.size() < kMaxCandidates &&
+              pot.candidate_keys.insert(CooldownKey(ref)).second) {
+            pot.candidates.push_back(ref);
+          }
+        });
+    if (voted) record->marked = true;
+  });
 }
 
 void DynamicMatcher::CreateReadyTables() {
@@ -452,36 +418,16 @@ void DynamicMatcher::CreateReadyTables() {
 }
 
 void DynamicMatcher::MaybeDeleteTable(uint32_t table_index) {
-  TableInfo* info = tables_[table_index].get();
-  if (info == nullptr) return;
-  if (static_cast<double>(info->table.subscription_count()) >=
-      options_.b_delete) {
+  const MultiAttrHashTable* table = Table(table_index);
+  if (table == nullptr ||
+      static_cast<double>(table->subscription_count()) >=
+          options_.b_delete) {
     return;
   }
-  // Detach the table first so ChooseBestPlacement cannot pick it again,
-  // then re-place its subscriptions. Their old rows die with the table, so
-  // no Unplace is needed.
-  std::unique_ptr<TableInfo> dying = std::move(tables_[table_index]);
-  table_lookup_.erase(dying->table.schema());
   ++maintenance_stats_.tables_deleted;
-
   const bool was_in_maintenance = in_maintenance_;
   in_maintenance_ = true;
-  dying->table.ForEachEntry([&](const std::vector<Value>& key,
-                                ClusterList& list) {
-    (void)key;
-    for (uint32_t size = 0; size < list.max_size(); ++size) {
-      const Cluster* cluster = list.cluster_for(size);
-      if (cluster == nullptr) continue;
-      for (size_t row = 0; row < cluster->count(); ++row) {
-        const SubscriptionId id = cluster->id_at(row);
-        auto it = records_.find(id);
-        VFPS_DCHECK(it != records_.end());
-        Place(id, &it->second, ChooseBestPlacement(it->second));
-        ++maintenance_stats_.subscriptions_moved;
-      }
-    }
-  });
+  maintenance_stats_.subscriptions_moved += DropTable(table_index);
   in_maintenance_ = was_in_maintenance;
 }
 

@@ -72,29 +72,31 @@ struct DynamicOptions {
   /// Converged systems thus stop paying for sweeps.
   double sweep_backoff_fraction = 0.01;
   uint64_t sweep_backoff_max = 16;
-  /// When nonzero, the periodic sweep runs incrementally instead of
-  /// stop-the-world: the vote census is reset once when the sweep becomes
-  /// due, then each subsequent subscription change redistributes at most
-  /// this many cluster lists until the pass completes (the same
-  /// background-pass idiom the epoch-based churn matcher uses for its
-  /// reorganizer). Clusters that appear mid-pass are caught by the next
-  /// sweep. 0 keeps the classic full sweep.
-  uint64_t sweep_chunk = 0;
 };
 
 /// Adaptive clustered matcher.
+///
+/// A serial matcher runs each due sweep in full, between two subscription
+/// changes. A concurrent one (see ClusteredMatcherBase) spreads it over
+/// the following changes instead: the vote census is reset once when the
+/// sweep becomes due, then each change redistributes at most
+/// kIncrementalSweepChunk cluster lists until the pass completes, so no
+/// single writer call stalls for a whole pass. Clusters that appear
+/// mid-pass are caught by the next sweep.
 class DynamicMatcher : public ClusteredMatcherBase {
  public:
   explicit DynamicMatcher(DynamicOptions options = {},
                           bool use_prefetch = true,
-                          uint32_t observe_sample_rate = 16);
+                          uint32_t observe_sample_rate = 16,
+                          bool concurrent = false);
 
   const char* name() const override { return "dynamic"; }
 
-  Status AddSubscription(const Subscription& subscription) override;
-  Status RemoveSubscription(SubscriptionId id) override;
+  /// Cluster lists an incremental sweep redistributes per change.
+  static constexpr size_t kIncrementalSweepChunk = 16;
 
-  /// Maintenance counters (for the Figure 4 benches and tests).
+  /// Maintenance counters (for the Figure 4 benches and tests). Writer
+  /// side: read while no mutation is in flight.
   struct MaintenanceStats {
     uint64_t clusters_distributed = 0;
     uint64_t subscriptions_moved = 0;
@@ -116,6 +118,8 @@ class DynamicMatcher : public ClusteredMatcherBase {
   std::vector<PotentialSnapshot> PotentialTables() const;
 
  protected:
+  void BeforeRemove(const SubRecord& record) override;
+  void AfterChange(const Placement* vacated) override;
   void OnPlaced(const Placement& placement,
                 const std::vector<Value>& key) override;
 
@@ -144,9 +148,9 @@ class DynamicMatcher : public ClusteredMatcherBase {
   /// reports ν of its access predicate and the structure-level population
   /// (the table's subscription count, or the attribute-wide singleton
   /// count) used by the table margin.
-  ClusterList* ResolveCluster(const ClusterRef& ref, double* nu,
-                              size_t* structure_population,
-                              size_t* absorbed_preds);
+  const ClusterList* ResolveCluster(const ClusterRef& ref, double* nu,
+                                    size_t* structure_population,
+                                    size_t* absorbed_preds) const;
 
   /// Redistributes the subscriptions of one cluster list into better
   /// placements; votes for potential tables. In the event-driven path
@@ -166,17 +170,26 @@ class DynamicMatcher : public ClusteredMatcherBase {
   /// every cluster, table creation and deletion.
   void MaintenanceSweep();
 
-  /// Bumps the change counter and runs MaintenanceSweep when due (or, with
-  /// sweep_chunk set, advances the in-progress incremental sweep).
+  /// Bumps the change counter and runs MaintenanceSweep when due (or, in a
+  /// concurrent matcher, advances the in-progress incremental sweep).
   void CountChangeAndMaybeSweep();
 
   /// Starts an incremental sweep: resets the census and snapshots the
-  /// cluster refs to visit (sweep_chunk mode only).
+  /// cluster refs to visit.
   void BeginIncrementalSweep();
 
-  /// Redistributes up to sweep_chunk pending refs; finishes the sweep
-  /// (table deletion, backoff accounting) when the list drains.
+  /// Redistributes up to kIncrementalSweepChunk pending refs; finishes the
+  /// sweep (table deletion, backoff accounting) when the list drains.
   void IncrementalSweepStep();
+
+  /// Fresh census: forgets votes, marks and growth-guard entries so every
+  /// subscription can be counted again under current statistics.
+  void ResetCensus();
+
+  /// Refs of every singleton cluster list (incremental sweeps), and of
+  /// every entry of table `table_index`.
+  std::vector<ClusterRef> SingletonRefs() const;
+  std::vector<ClusterRef> TableRefs(uint32_t table_index) const;
 
   /// Applies the productive/backoff rule against the sweep-start baseline.
   void FinishSweepAccounting();
@@ -196,7 +209,7 @@ class DynamicMatcher : public ClusteredMatcherBase {
   uint64_t changes_since_sweep_ = 0;
   uint64_t sweep_backoff_ = 1;  // multiplier on sweep_period
   bool in_maintenance_ = false;
-  /// Incremental-sweep state (sweep_chunk mode): pending cluster refs,
+  /// Incremental-sweep state (concurrent matcher): pending cluster refs,
   /// progress cursor, and the maintenance-stat baselines the backoff rule
   /// compares against once the pass completes.
   bool sweep_active_ = false;

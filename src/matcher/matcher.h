@@ -82,9 +82,9 @@ class Matcher {
 
   /// True when AddSubscription / RemoveSubscription may run concurrently
   /// with Match() without external locking. Default matchers are
-  /// single-threaded; the epoch-based churn matcher opts in (and further
-  /// allows concurrent Match calls), as does a ShardedMatcher composed
-  /// purely of churn-capable shards (whose own Match still wants a single
+  /// single-threaded; a clustered matcher built concurrent opts in (and
+  /// further allows concurrent Match calls), as does a ShardedMatcher
+  /// composed purely of such shards (whose own Match still wants a single
   /// driver — see sharded_matcher.h).
   virtual bool supports_concurrent_churn() const { return false; }
 

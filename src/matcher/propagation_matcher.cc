@@ -7,42 +7,29 @@
 namespace vfps {
 
 PropagationMatcher::PropagationMatcher(bool use_prefetch,
-                                       uint32_t observe_sample_rate)
-    : ClusteredMatcherBase(use_prefetch, observe_sample_rate) {}
+                                       uint32_t observe_sample_rate,
+                                       bool concurrent)
+    : ClusteredMatcherBase(use_prefetch, observe_sample_rate, concurrent) {}
 
-Status PropagationMatcher::AddSubscription(const Subscription& subscription) {
-  if (records_.contains(subscription.id())) {
-    return Status::AlreadyExists("subscription id " +
-                                 std::to_string(subscription.id()));
-  }
-  SubRecord record;
-  InternPredicates(subscription, &record);
-  auto [it, inserted] = records_.emplace(subscription.id(), std::move(record));
-  (void)inserted;
-
+ClusteredMatcherBase::Placement PropagationMatcher::InitialPlacement(
+    const SubRecord& record) const {
   // Access predicate: the most selective single equality predicate. With no
   // statistics yet, all ν estimates tie and the first equality predicate in
   // canonical order wins, which keeps placement deterministic. The
   // propagation algorithm never uses multi-attribute tables, so
   // ChooseBestPlacement (which would consider them) is intentionally not
   // used here.
-  SubRecord* rec = &it->second;
   Placement placement;  // fallback by default
   double best_nu = std::numeric_limits<double>::infinity();
-  for (uint16_t i = 0; i < rec->eq_count; ++i) {
-    const Predicate& p = predicate_table_.Get(rec->preds[i]);
+  for (uint16_t i = 0; i < record.eq_count; ++i) {
+    const Predicate& p = predicate_table_.Get(record.preds[i]);
     const double nu = stats_model_.ValueProbability(p.attribute, p.value);
     if (nu < best_nu) {
       best_nu = nu;
-      placement = Placement{kSingletonTable, rec->preds[i]};
+      placement = Placement{kSingletonTable, record.preds[i]};
     }
   }
-  Place(subscription.id(), rec, placement);
-  return Status::OK();
-}
-
-Status PropagationMatcher::RemoveSubscription(SubscriptionId id) {
-  return RemoveSubscriptionImpl(id);
+  return placement;
 }
 
 }  // namespace vfps

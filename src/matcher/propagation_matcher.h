@@ -21,15 +21,18 @@ class PropagationMatcher : public ClusteredMatcherBase {
   /// (propagation-wp) or the plain ones (propagation).
   /// `observe_sample_rate`: every k-th event updates the ν statistics used
   /// to pick access predicates for later insertions (0 disables).
+  /// `concurrent`: see ClusteredMatcherBase.
   explicit PropagationMatcher(bool use_prefetch = true,
-                              uint32_t observe_sample_rate = 16);
+                              uint32_t observe_sample_rate = 16,
+                              bool concurrent = false);
 
   const char* name() const override {
     return use_prefetch_ ? "propagation-wp" : "propagation";
   }
 
-  Status AddSubscription(const Subscription& subscription) override;
-  Status RemoveSubscription(SubscriptionId id) override;
+ protected:
+  /// The most selective single equality predicate (never a table).
+  Placement InitialPlacement(const SubRecord& record) const override;
 };
 
 }  // namespace vfps

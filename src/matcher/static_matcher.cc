@@ -7,8 +7,8 @@
 namespace vfps {
 
 StaticMatcher::StaticMatcher(GreedyOptions greedy_options, bool use_prefetch,
-                             uint32_t observe_sample_rate)
-    : ClusteredMatcherBase(use_prefetch, observe_sample_rate),
+                             uint32_t observe_sample_rate, bool concurrent)
+    : ClusteredMatcherBase(use_prefetch, observe_sample_rate, concurrent),
       greedy_options_(greedy_options) {}
 
 void StaticMatcher::MaterializeConfiguration(
@@ -23,8 +23,11 @@ void StaticMatcher::MaterializeConfiguration(
 }
 
 Status StaticMatcher::Build(std::span<const Subscription> subs) {
-  GreedyOptimizer optimizer(&stats_model_, cost_params_, greedy_options_);
-  MaterializeConfiguration(optimizer.Compute(subs));
+  {
+    MutexLock lock(writer_mu_);
+    GreedyOptimizer optimizer(&stats_model_, cost_params_, greedy_options_);
+    MaterializeConfiguration(optimizer.Compute(subs));
+  }
   for (const Subscription& s : subs) {
     VFPS_RETURN_NOT_OK(AddSubscription(s));
   }
@@ -32,6 +35,7 @@ Status StaticMatcher::Build(std::span<const Subscription> subs) {
 }
 
 void StaticMatcher::Rebuild() {
+  MutexLock lock(writer_mu_);
   // Reconstruct the stored subscriptions, tear down placement (but not the
   // interned predicates), recompute the configuration and re-place.
   std::vector<Subscription> subs;
@@ -39,12 +43,7 @@ void StaticMatcher::Rebuild() {
   for (const auto& [id, record] : records_) {
     subs.push_back(ReconstructSubscription(id, record));
   }
-  tables_.clear();
-  table_lookup_.clear();
-  eq_lists_.clear();
-  singleton_count_ = 0;
-  singleton_attr_count_.clear();
-  fallback_ = ClusterList();
+  ClearPlacements();
 
   GreedyOptimizer optimizer(&stats_model_, cost_params_, greedy_options_);
   MaterializeConfiguration(optimizer.Compute(subs));
@@ -53,25 +52,6 @@ void StaticMatcher::Rebuild() {
     VFPS_DCHECK(it != records_.end());
     Place(s.id(), &it->second, ChooseBestPlacement(it->second));
   }
-}
-
-Status StaticMatcher::AddSubscription(const Subscription& subscription) {
-  if (records_.contains(subscription.id())) {
-    return Status::AlreadyExists("subscription id " +
-                                 std::to_string(subscription.id()));
-  }
-  SubRecord record;
-  InternPredicates(subscription, &record);
-  auto [it, inserted] = records_.emplace(subscription.id(), std::move(record));
-  (void)inserted;
-  // Best placement under the *fixed* configuration: an existing table or a
-  // singleton access predicate (always available via the equality index).
-  Place(subscription.id(), &it->second, ChooseBestPlacement(it->second));
-  return Status::OK();
-}
-
-Status StaticMatcher::RemoveSubscription(SubscriptionId id) {
-  return RemoveSubscriptionImpl(id);
 }
 
 }  // namespace vfps

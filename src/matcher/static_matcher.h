@@ -4,8 +4,10 @@
 // the matcher materializes the multi-attribute tables, and every
 // subscription is assigned to its best access predicate under that fixed
 // configuration. Later insertions are placed under the best *existing*
-// schema (the configuration itself never changes unless Rebuild() is
-// called — this is also the "no change" strategy of Figure 4).
+// schema — an existing multi-attribute table, or a singleton access
+// predicate (always available via the equality predicate index). The
+// configuration itself never changes unless Rebuild() is called — this is
+// also the "no change" strategy of Figure 4.
 
 #ifndef VFPS_MATCHER_STATIC_MATCHER_H_
 #define VFPS_MATCHER_STATIC_MATCHER_H_
@@ -25,7 +27,8 @@ class StaticMatcher : public ClusteredMatcherBase {
   /// estimates come from there.
   explicit StaticMatcher(GreedyOptions greedy_options = {},
                          bool use_prefetch = true,
-                         uint32_t observe_sample_rate = 16);
+                         uint32_t observe_sample_rate = 16,
+                         bool concurrent = false);
 
   const char* name() const override { return "static"; }
 
@@ -36,14 +39,8 @@ class StaticMatcher : public ClusteredMatcherBase {
   /// Recomputes the configuration from the currently stored subscriptions
   /// and the current statistics, then re-places everything. This is the
   /// paper's "periodically recomputing from scratch" alternative to the
-  /// dynamic algorithm.
+  /// dynamic algorithm. Serial matchers only.
   void Rebuild();
-
-  /// Adds under the best placement available in the fixed configuration:
-  /// an existing multi-attribute table, or a singleton access predicate
-  /// (always available via the equality predicate index).
-  Status AddSubscription(const Subscription& subscription) override;
-  Status RemoveSubscription(SubscriptionId id) override;
 
   /// Cost estimated by the optimizer at the last Build()/Rebuild().
   double estimated_cost() const { return estimated_cost_; }

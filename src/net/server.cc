@@ -806,8 +806,6 @@ PubSubServer::WorkerConn* PubSubServer::WorkerConnFor(uint64_t id) {
 void PubSubServer::RunLinesJob(uint64_t id,
                                std::vector<std::string> lines) {
   VFPS_SERIAL_SCOPE(worker_serial_);
-  payload_cache_.clear();
-  last_payload_.reset();
   ++job_epoch_;
   JobResult result;
   result.origin = id;
@@ -879,16 +877,17 @@ void PubSubServer::EmitErr(WorkerConn* wc, std::string_view message) {
   EmitLine(wc, FormatErr(message));
 }
 
+void PubSubServer::ResetPayloadCache() {
+  last_event_ = nullptr;
+  last_payload_.reset();
+}
+
 void PubSubServer::EmitEvent(WorkerConn* wc, const Notification& n) {
-  if (!last_payload_ || n.event_id != last_event_id_) {
-    std::shared_ptr<const std::string>& payload = payload_cache_[n.event_id];
-    if (!payload) {
-      payload = std::make_shared<const std::string>(
-          FormatEventText(*n.event, broker_.schema()) + "\n");
-      telemetry_.payloads_formatted->Inc();
-    }
-    last_event_id_ = n.event_id;
-    last_payload_ = payload;
+  if (!last_payload_ || n.event != last_event_) {
+    last_payload_ = std::make_shared<const std::string>(
+        FormatEventText(*n.event, broker_.schema()) + "\n");
+    last_event_ = n.event;
+    telemetry_.payloads_formatted->Inc();
   }
   const std::string& body = *last_payload_;
   ++pending_payload_refs_;
@@ -1025,6 +1024,7 @@ int PubSubServer::FinishPublishBatch(WorkerConn* wc) {
   wc->batch_lines.clear();
   // Publish before emitting the reply: EVENT pushes onto this connection
   // land before "OK <n>", keeping the payload lines contiguous.
+  ResetPayloadCache();
   const std::vector<PublishResult> results = broker_.PublishBatch(events);
   for (size_t i = 0; i < results.size(); ++i) {
     item_lines[event_slot[i]] = std::to_string(results[i].event_id) + " " +
@@ -1046,6 +1046,7 @@ void PubSubServer::DispatchRequest(WorkerConn* wc, const Request& request) {
       // keeps at a stable address. It cannot dangle: handlers only fire
       // during publishes on this same worker thread, and RunCloseJob
       // unsubscribes every handler before erasing the node.
+      ResetPayloadCache();  // a subscription may match stored events
       Result<SubscriptionId> sub = broker_.SubscribeExpression(
           request.body,
           [this, wc](const Notification& n) { EmitEvent(wc, n); },
@@ -1096,6 +1097,7 @@ void PubSubServer::DispatchRequest(WorkerConn* wc, const Request& request) {
       const Timestamp deadline = request.number == Request::kNoDeadline
                                      ? kNeverExpires
                                      : request.number;
+      ResetPayloadCache();
       Result<PublishResult> result =
           broker_.PublishExpression(request.body, deadline);
       if (!result.ok()) {

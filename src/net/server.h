@@ -306,6 +306,9 @@ class PubSubServer {
   /// refcounted chunk shared across all recipients. `wc` is the stable
   /// worker_conns_ node captured by the subscription handler.
   void EmitEvent(WorkerConn* wc, const Notification& n);
+  /// Forgets the cached payload; called before every broker call that can
+  /// notify (an address may be reused by a later call's event).
+  void ResetPayloadCache();
   /// Executes the FAILPOINT admin verb (or reports it compiled out).
   void HandleFailPoint(WorkerConn* wc, const std::string& args);
   /// Whether PUB/PUBBATCH should currently be shed with ERR BUSY. Reads
@@ -376,12 +379,13 @@ class PubSubServer {
   // --- worker-owned state (only touched under worker_serial_) ----------------
 
   std::unordered_map<uint64_t, WorkerConn> worker_conns_;
-  /// Per-job fan-out payload dedup: event id -> shared rendered body.
-  std::unordered_map<EventId, std::shared_ptr<const std::string>>
-      payload_cache_;
-  /// Broker fan-out notifies subscriber-by-subscriber for one event before
-  /// moving to the next: a one-entry cache in front of payload_cache_.
-  EventId last_event_id_ = 0;
+  /// Fan-out payload dedup. The broker notifies every recipient of one
+  /// event before moving to the next, so a one-entry cache shares the
+  /// rendered body across them. It is keyed by the event's address, which
+  /// is unique among the events of one broker call, and cleared before
+  /// each such call (ResetPayloadCache). Event ids are no key: without an
+  /// event store every id is 0.
+  const Event* last_event_ = nullptr;
   std::shared_ptr<const std::string> last_payload_;
   /// Monotone job counter validating WorkerConn::op_epoch (starts at 1 so
   /// a fresh WorkerConn's epoch 0 never matches).

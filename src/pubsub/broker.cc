@@ -4,7 +4,6 @@
 
 #include "src/core/normalize.h"
 #include "src/lang/parser.h"
-#include "src/matcher/churn_matcher.h"
 #include "src/matcher/counting_matcher.h"
 #include "src/matcher/dynamic_matcher.h"
 #include "src/matcher/naive_matcher.h"
@@ -23,39 +22,48 @@ Result<Algorithm> AlgorithmFromString(const std::string& name) {
   if (name == "static") return Algorithm::kStatic;
   if (name == "dynamic") return Algorithm::kDynamic;
   if (name == "tree") return Algorithm::kTree;
-  if (name == "churn") return Algorithm::kChurn;
   return Status::InvalidArgument("unknown algorithm: " + name);
 }
 
-std::unique_ptr<Matcher> MakeMatcher(Algorithm algorithm) {
+bool IsClustered(Algorithm algorithm) {
+  return algorithm == Algorithm::kPropagation ||
+         algorithm == Algorithm::kPropagationPrefetch ||
+         algorithm == Algorithm::kStatic || algorithm == Algorithm::kDynamic;
+}
+
+std::unique_ptr<Matcher> MakeMatcher(Algorithm algorithm, bool concurrent) {
+  VFPS_CHECK(!concurrent || IsClustered(algorithm));
+  constexpr uint32_t kObserveRate = 16;
   switch (algorithm) {
     case Algorithm::kNaive:
       return std::make_unique<NaiveMatcher>();
     case Algorithm::kCounting:
       return std::make_unique<CountingMatcher>();
     case Algorithm::kPropagation:
-      return std::make_unique<PropagationMatcher>(/*use_prefetch=*/false);
+      return std::make_unique<PropagationMatcher>(/*use_prefetch=*/false,
+                                                  kObserveRate, concurrent);
     case Algorithm::kPropagationPrefetch:
-      return std::make_unique<PropagationMatcher>(/*use_prefetch=*/true);
+      return std::make_unique<PropagationMatcher>(/*use_prefetch=*/true,
+                                                  kObserveRate, concurrent);
     case Algorithm::kStatic:
-      return std::make_unique<StaticMatcher>();
+      return std::make_unique<StaticMatcher>(GreedyOptions{},
+                                             /*use_prefetch=*/true,
+                                             kObserveRate, concurrent);
     case Algorithm::kDynamic:
-      return std::make_unique<DynamicMatcher>();
+      return std::make_unique<DynamicMatcher>(DynamicOptions{},
+                                              /*use_prefetch=*/true,
+                                              kObserveRate, concurrent);
     case Algorithm::kTree:
       return std::make_unique<TreeMatcher>();
-    case Algorithm::kChurn:
-      return std::make_unique<ChurnMatcher>();
   }
   VFPS_CHECK(false);
   return nullptr;
 }
 
 Broker::Broker(BrokerOptions options)
-    : options_(options), matcher_(MakeMatcher(options.algorithm)) {
-  if (options_.concurrent_churn) {
-    VFPS_CHECK(matcher_->supports_concurrent_churn());
-    VFPS_CHECK(!options_.store_events);
-  }
+    : options_(options),
+      matcher_(MakeMatcher(options.algorithm, options.concurrent_churn)) {
+  if (options_.concurrent_churn) VFPS_CHECK(!options_.store_events);
 }
 
 void Broker::AttachTelemetry(MetricsRegistry* registry) {
@@ -306,14 +314,7 @@ Result<PublishResult> Broker::Publish(const Event& event,
 
 std::vector<PublishResult> Broker::PublishBatch(std::span<const Event> events,
                                                 Timestamp expires_at) {
-  batch_deadline_scratch_.assign(events.size(), expires_at);
-  return PublishBatchInternal(events, batch_deadline_scratch_);
-}
-
-std::vector<PublishResult> Broker::PublishBatchInternal(
-    std::span<const Event> events, std::span<const Timestamp> deadlines) {
   VFPS_SERIAL_SCOPE_IF(serial_, !options_.concurrent_churn);
-  VFPS_DCHECK(events.size() == deadlines.size());
   std::vector<PublishResult> results(events.size());
   if (events.empty()) return results;
   Timer timer;
@@ -351,7 +352,7 @@ std::vector<PublishResult> Broker::PublishBatchInternal(
   for (size_t e = 0; e < events.size(); ++e) {
     PublishResult& result = results[e];
     if (options_.store_events) {
-      result.event_id = store_.Insert(events[e], deadlines[e]);
+      result.event_id = store_.Insert(events[e], expires_at);
     }
     const Event* stored =
         options_.store_events ? store_.Find(result.event_id) : &events[e];
@@ -371,28 +372,6 @@ std::vector<PublishResult> Broker::PublishBatchInternal(
     telemetry_->publish_batch_ns->Record(timer.ElapsedNanos());
   }
   return results;
-}
-
-void Broker::EnqueuePublish(Event event, Timestamp expires_at) {
-  VFPS_SERIAL_SCOPE(serial_);
-  if (pending_events_.empty()) queue_age_.Reset();
-  pending_events_.push_back(std::move(event));
-  pending_deadlines_.push_back(expires_at);
-  if (pending_events_.size() >= options_.batch_max) Flush();
-}
-
-void Broker::Flush() {
-  VFPS_SERIAL_SCOPE(serial_);
-  if (pending_events_.empty()) return;
-  (void)PublishBatchInternal(pending_events_, pending_deadlines_);
-  pending_events_.clear();
-  pending_deadlines_.clear();
-}
-
-void Broker::MaybeFlush() {
-  VFPS_SERIAL_SCOPE(serial_);
-  if (pending_events_.empty()) return;
-  if (queue_age_.ElapsedMillis() >= options_.batch_linger_ms) Flush();
 }
 
 Result<PublishResult> Broker::Publish(std::vector<EventPair> pairs,

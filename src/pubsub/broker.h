@@ -15,17 +15,17 @@
 // abort with both entry points named. Same-thread re-entrancy
 // (Publish -> notification handler -> Publish) stays legal.
 //
-// Opt-in concurrent churn (BrokerOptions::concurrent_churn, requires a
-// matcher with supports_concurrent_churn() and store_events=false):
-// Subscribe, SubscribeDnf, SubscribeExpression, Unsubscribe, Publish, and
+// Opt-in concurrent churn (BrokerOptions::concurrent_churn, with a
+// clustered algorithm and store_events=false): the broker builds its
+// matcher concurrent (see ClusteredMatcherBase), and Subscribe,
+// SubscribeDnf, SubscribeExpression, Unsubscribe, Publish, and
 // PublishBatch may then be called from any threads concurrently. The
 // subscription bookkeeping is guarded by an internal mutex held only for
 // map operations — never across matcher calls or notification handlers —
 // and handler records are shared_ptr-held so a handler already resolved
 // for dispatch survives a concurrent Unsubscribe (it may fire once more
-// after Unsubscribe returns). The publish queue (EnqueuePublish / Flush /
-// MaybeFlush) and AdvanceTime stay single-driver even in this mode. See
-// docs/CONCURRENCY.md.
+// after Unsubscribe returns). AdvanceTime stays single-driver even in this
+// mode. See docs/CONCURRENCY.md.
 
 #ifndef VFPS_PUBSUB_BROKER_H_
 #define VFPS_PUBSUB_BROKER_H_
@@ -60,16 +60,21 @@ enum class Algorithm {
   kStatic,
   kDynamic,
   kTree,                   // Gryphon-style matching tree (Section 5 baseline)
-  kChurn,                  // epoch-based concurrent-churn matcher
 };
 
 /// Parses "naive"/"counting"/"propagation"/"propagation-wp"/"static"/
-/// "dynamic"/"tree"/"churn"; InvalidArgument otherwise.
+/// "dynamic"/"tree"; InvalidArgument otherwise.
 Result<Algorithm> AlgorithmFromString(const std::string& name);
 
+/// True for the clustered algorithms (propagation, propagation-wp, static,
+/// dynamic): the ones that can be built concurrent.
+bool IsClustered(Algorithm algorithm);
+
 /// Constructs a standalone matcher for `algorithm` (also usable without a
-/// Broker).
-std::unique_ptr<Matcher> MakeMatcher(Algorithm algorithm);
+/// Broker). `concurrent` builds a clustered matcher whose Match may run
+/// alongside subscription changes; it requires IsClustered(algorithm).
+std::unique_ptr<Matcher> MakeMatcher(Algorithm algorithm,
+                                     bool concurrent = false);
 
 /// A delivered match: which subscription fired for which published event.
 struct Notification {
@@ -91,19 +96,10 @@ struct BrokerOptions {
   /// reasoning per attribute): redundant predicates are dropped and
   /// provably unsatisfiable conjunctions are never handed to the matcher.
   bool normalize_subscriptions = true;
-  /// Publish-queue auto-flush threshold: EnqueuePublish flushes through
-  /// MatchBatch once this many events are pending (the paper's n_E_b = 100
-  /// event batches; see docs/BATCHING.md).
-  size_t batch_max = 64;
-  /// How long MaybeFlush lets a partial batch age (milliseconds) before
-  /// flushing it anyway. 0 = no lingering: MaybeFlush flushes any pending
-  /// events immediately.
-  double batch_linger_ms = 0;
   /// Allow Subscribe/Unsubscribe/Publish/PublishBatch from concurrent
-  /// threads (see the file comment). Requires a matcher whose
-  /// supports_concurrent_churn() is true and store_events = false (reverse
-  /// matching against the store is inherently serial); the constructor
-  /// CHECKs both.
+  /// threads (see the file comment). Requires a clustered algorithm and
+  /// store_events = false (reverse matching against the store is
+  /// inherently serial); the constructor CHECKs both.
   bool concurrent_churn = false;
 };
 
@@ -183,24 +179,6 @@ class Broker {
   std::vector<PublishResult> PublishBatch(
       std::span<const Event> events, Timestamp expires_at = kNeverExpires);
 
-  // --- publish queue ----------------------------------------------------------
-
-  /// Queues an event for batched publication. The queue auto-flushes
-  /// through PublishBatch when it reaches options.batch_max; per-event
-  /// results are discarded (notification handlers still fire on flush).
-  void EnqueuePublish(Event event, Timestamp expires_at = kNeverExpires);
-
-  /// Publishes everything pending now.
-  void Flush();
-
-  /// Flushes if the oldest pending event has waited at least
-  /// options.batch_linger_ms (immediately when lingering is disabled).
-  /// Event-loop owners call this between poll rounds.
-  void MaybeFlush();
-
-  /// Events waiting in the publish queue.
-  size_t pending_publishes() const { return pending_events_.size(); }
-
   // --- time -------------------------------------------------------------------
 
   /// Advances the logical clock: expires events and subscriptions whose
@@ -267,11 +245,6 @@ class Broker {
       std::vector<std::vector<Predicate>> disjuncts,
       NotificationHandler handler, Timestamp expires_at);
 
-  /// Shared core of PublishBatch and Flush: deadlines[i] is event i's
-  /// validity deadline.
-  std::vector<PublishResult> PublishBatchInternal(
-      std::span<const Event> events, std::span<const Timestamp> deadlines);
-
   /// Debug-build guard for the single-threaded contract above; mutating
   /// entry points open scopes on it.
   SerialChecker serial_;
@@ -308,12 +281,8 @@ class Broker {
   /// scratch instead (driver-owned, so unguarded by design).
   std::vector<SubscriptionId> scratch_matches_;
 
-  // Publish queue + batch scratch (single-threaded, like the matcher).
-  std::vector<Event> pending_events_;
-  std::vector<Timestamp> pending_deadlines_;
-  Timer queue_age_;  // reset when the first event of a batch is queued
+  /// Serial-mode batch scratch (see scratch_matches_).
   BatchResult batch_scratch_;
-  std::vector<Timestamp> batch_deadline_scratch_;
 };
 
 }  // namespace vfps

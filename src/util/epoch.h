@@ -26,8 +26,8 @@
 //
 // Lock ranking: the limbo list is guarded by a Mutex at
 // LockRank::kEpochReclaim; deleters always run with it released (they may
-// touch writer-side state such as the predicate table, whose lock-free
-// callers run under LockRank::kChurnWriter < kEpochReclaim).
+// touch writer-side state such as the predicate table, whose callers run
+// under LockRank::kMatcherWriter < kEpochReclaim).
 
 #ifndef VFPS_UTIL_EPOCH_H_
 #define VFPS_UTIL_EPOCH_H_
@@ -38,7 +38,9 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "src/util/macros.h"
 #include "src/util/sync.h"
@@ -46,7 +48,8 @@
 namespace vfps {
 
 /// Epoch clock, reader slots, and the limbo list of one churn domain
-/// (typically one per ChurnMatcher; shards have independent managers).
+/// (one per concurrent clustered matcher; shards have independent
+/// managers).
 class EpochManager {
  public:
   /// Concurrent reader limit. Pins beyond this spin-wait for a slot to
@@ -161,6 +164,11 @@ class EpochManager {
 /// Publish() a replacement and the superseded snapshot is retired to the
 /// manager's limbo list. This and EpochSlotArray are the only places an
 /// atomic pointer swap may live (lint rule: sync-epoch-ok).
+///
+/// A serial owner (no concurrent readers) passes a null manager: the
+/// superseded snapshot is then destroyed at once, and the owner may also
+/// edit the current snapshot in place. The clustered matchers use one
+/// layout for both builds this way (see ReplaceOrEdit below).
 template <typename T>
 class EpochPtr {
  public:
@@ -171,14 +179,18 @@ class EpochPtr {
   EpochPtr& operator=(const EpochPtr&) = delete;
 
   /// Current snapshot (may be nullptr before the first Publish). Caller
-  /// must hold an epoch pin on the owning manager.
+  /// must hold an epoch pin on the owning manager, or be its writer.
   T* Load() const { return ptr_.load(); }
 
   /// Swaps in `next` (ownership transfers to this slot) and retires the
-  /// superseded snapshot via `manager`.
+  /// superseded snapshot via `manager`, or deletes it when `manager` is
+  /// nullptr (serial owner).
   void Publish(T* next, EpochManager* manager) {
     T* old = ptr_.exchange(next);
-    if (old != nullptr) {
+    if (old == nullptr) return;
+    if (manager == nullptr) {
+      delete old;
+    } else {
       manager->Retire([old] { delete old; });
     }
   }
@@ -187,10 +199,168 @@ class EpochPtr {
   std::atomic<T*> ptr_{nullptr};
 };
 
+/// The writer side of one epoch domain: applies copy-on-write edits to
+/// published slots and owns the domain's EpochManager.
+///
+/// Outside a Batch every edit copies the slot's snapshot, edits the copy
+/// and publishes it at once. Inside a Batch the first edit of a slot copies
+/// it and later edits of the same slot reuse that private copy; the copies
+/// are published together, in first-edit order, when the outermost Batch
+/// closes. A pass that moves many subscriptions through one list thus
+/// copies the list once, not once per move. The writer reads its own
+/// staged state through Current (readers only ever see published state).
+/// Writers serialize externally.
+class EpochPublisher {
+ public:
+  EpochPublisher() = default;
+  ~EpochPublisher() { VFPS_CHECK(depth_ == 0 && staged_.empty()); }
+
+  EpochPublisher(const EpochPublisher&) = delete;
+  EpochPublisher& operator=(const EpochPublisher&) = delete;
+
+  EpochManager* manager() { return &manager_; }
+  const EpochManager* manager() const { return &manager_; }
+
+  /// The writer's view of `slot`: its staged successor, or the published
+  /// snapshot.
+  template <typename T>
+  T* Current(const EpochPtr<T>* slot) const {
+    auto it = index_.find(slot);
+    return it == index_.end() ? slot->Load()
+                              : static_cast<T*>(staged_[it->second].next);
+  }
+
+  /// Applies `edit` to a private copy of `slot` (made by `copy`, which gets
+  /// the current snapshot or nullptr and returns a fresh object) and
+  /// publishes it — at once, or when the enclosing Batch closes. Returns
+  /// whatever `edit` returns.
+  template <typename T, typename Copy, typename Edit>
+  auto EditSlot(EpochPtr<T>* slot, Copy&& copy, Edit&& edit) {
+    T* next = nullptr;
+    auto it = index_.find(slot);
+    if (it == index_.end()) {
+      next = copy(slot->Load());
+      Stage(slot, next);
+    } else {
+      Staged& staged = staged_[it->second];
+      if (staged.next == nullptr) staged.next = copy(nullptr);
+      next = static_cast<T*>(staged.next);
+    }
+    CommitUnlessBatched commit{this};
+    return edit(*next);
+  }
+
+  /// Stages `next` (nullptr to clear the slot) as the slot's successor,
+  /// discarding a staged private copy.
+  template <typename T>
+  void Replace(EpochPtr<T>* slot, T* next) {
+    auto it = index_.find(slot);
+    if (it == index_.end()) {
+      Stage(slot, next);
+    } else {
+      Staged& staged = staged_[it->second];
+      staged.discard(staged.next);
+      staged.next = next;
+    }
+    CommitUnlessBatched commit{this};
+  }
+
+  /// Defers publication of every edit made while it is open (nestable).
+  class Batch {
+   public:
+    explicit Batch(EpochPublisher* publisher) : publisher_(publisher) {
+      if (publisher_ != nullptr) ++publisher_->depth_;
+    }
+    ~Batch() {
+      if (publisher_ != nullptr && --publisher_->depth_ == 0) {
+        publisher_->Commit();
+      }
+    }
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+
+   private:
+    EpochPublisher* publisher_;
+  };
+
+ private:
+  struct Staged {
+    void* slot;
+    void* next;
+    void (*publish)(void* slot, void* next, EpochManager* manager);
+    void (*discard)(void* next);
+  };
+  struct CommitUnlessBatched {
+    EpochPublisher* publisher;
+    ~CommitUnlessBatched() {
+      if (publisher->depth_ == 0) publisher->Commit();
+    }
+  };
+
+  template <typename T>
+  void Stage(EpochPtr<T>* slot, T* next) {
+    index_.emplace(slot, staged_.size());
+    staged_.push_back(Staged{
+        slot, next,
+        [](void* s, void* n, EpochManager* m) {
+          static_cast<EpochPtr<T>*>(s)->Publish(static_cast<T*>(n), m);
+        },
+        [](void* n) { delete static_cast<T*>(n); }});
+  }
+
+  void Commit() {
+    for (const Staged& staged : staged_) {
+      staged.publish(staged.slot, staged.next, &manager_);
+    }
+    staged_.clear();
+    index_.clear();
+  }
+
+  EpochManager manager_;
+  int depth_ = 0;
+  std::vector<Staged> staged_;  // first-edit order
+  std::unordered_map<const void*, size_t> index_;
+};
+
+/// The one mutation step of published state. A serial owner (`publisher`
+/// nullptr: no concurrent readers) edits the current snapshot in place,
+/// creating it with `copy(nullptr)` if the slot is empty; a concurrent
+/// owner goes through EpochPublisher::EditSlot. Returns whatever `edit`
+/// returns.
+template <typename T, typename Copy, typename Edit>
+auto ReplaceOrEdit(EpochPtr<T>* slot, EpochPublisher* publisher, Copy&& copy,
+                   Edit&& edit) {
+  if (publisher != nullptr) return publisher->EditSlot(slot, copy, edit);
+  T* cur = slot->Load();
+  if (cur == nullptr) {
+    cur = copy(nullptr);
+    slot->Publish(cur, nullptr);
+  }
+  return edit(*cur);
+}
+
+/// The writer's view of `slot` (see EpochPublisher::Current).
+template <typename T>
+T* WriterView(const EpochPtr<T>* slot, const EpochPublisher* publisher) {
+  return publisher != nullptr ? publisher->Current(slot) : slot->Load();
+}
+
+/// Replaces the slot's snapshot: at once for a serial owner (destroying
+/// the old one), staged through `publisher` otherwise.
+template <typename T>
+void ReplaceSlot(EpochPtr<T>* slot, T* next, EpochPublisher* publisher) {
+  if (publisher != nullptr) {
+    publisher->Replace(slot, next);
+  } else {
+    slot->Publish(next, nullptr);
+  }
+}
+
 /// A grow-only array of published-snapshot slots indexed by a dense id
-/// (PredicateId for the per-access-predicate cluster lists). Two-level:
-/// a fixed directory of lazily allocated chunks, so readers never observe
-/// a directory relocation and writers touch exactly one slot per publish.
+/// (PredicateId for the per-access-predicate cluster lists, AttributeId
+/// for the phase-1 index plane). Two-level: a fixed directory of lazily
+/// allocated chunks of EpochPtr, so readers never observe a directory
+/// relocation and writers touch exactly one slot per publish.
 template <typename T>
 class EpochSlotArray {
  public:
@@ -199,32 +369,38 @@ class EpochSlotArray {
   }
 
   ~EpochSlotArray() {
-    for (size_t c = 0; c < kMaxChunks; ++c) {
-      Chunk* chunk = dir_[c].load();
-      if (chunk == nullptr) continue;
-      for (size_t s = 0; s < kChunkSize; ++s) delete chunk->slots[s].load();
-      delete chunk;
-    }
+    for (size_t c = 0; c < kMaxChunks; ++c) delete dir_[c].load();
   }
 
   EpochSlotArray(const EpochSlotArray&) = delete;
   EpochSlotArray& operator=(const EpochSlotArray&) = delete;
 
-  /// Snapshot at `index`, or nullptr. Caller must hold an epoch pin.
+  /// Snapshot at `index`, or nullptr (also for indexes never published).
+  /// Caller must hold an epoch pin, or be the writer.
   T* Load(size_t index) const {
+    if (index >= max_slots()) return nullptr;
     const Chunk* chunk = dir_[index >> kChunkBits].load();
     if (chunk == nullptr) return nullptr;
-    return chunk->slots[index & (kChunkSize - 1)].load();
+    return chunk->slots[index & (kChunkSize - 1)].Load();
   }
 
-  /// Swaps `next` (may be nullptr to clear) into slot `index` and retires
-  /// the superseded snapshot. Writer-side only (callers serialize).
-  void Publish(size_t index, T* next, EpochManager* manager) {
-    T* old = EnsureChunk(index)->slots[index & (kChunkSize - 1)].exchange(
-        next);
-    if (old != nullptr) {
-      manager->Retire([old] { delete old; });
+  /// The slot at `index`, allocating its chunk. Writer-side only (callers
+  /// serialize).
+  EpochPtr<T>* Slot(size_t index) {
+    const size_t c = index >> kChunkBits;
+    VFPS_CHECK(c < kMaxChunks);
+    Chunk* chunk = dir_[c].load();
+    if (chunk == nullptr) {
+      chunk = new Chunk();
+      dir_[c].store(chunk);  // single writer: no CAS needed
     }
+    return &chunk->slots[index & (kChunkSize - 1)];
+  }
+
+  /// Swaps `next` (may be nullptr to clear) into slot `index`; see
+  /// EpochPtr::Publish.
+  void Publish(size_t index, T* next, EpochManager* manager) {
+    Slot(index)->Publish(next, manager);
   }
 
   /// Largest publishable index + 1.
@@ -238,19 +414,8 @@ class EpochSlotArray {
   static constexpr size_t kMaxChunks = 4096;
 
   struct Chunk {
-    std::atomic<T*> slots[kChunkSize] = {};
+    EpochPtr<T> slots[kChunkSize];
   };
-
-  Chunk* EnsureChunk(size_t index) {
-    const size_t c = index >> kChunkBits;
-    VFPS_CHECK(c < kMaxChunks);
-    Chunk* chunk = dir_[c].load();
-    if (chunk == nullptr) {
-      chunk = new Chunk();
-      dir_[c].store(chunk);  // single writer: no CAS needed
-    }
-    return chunk;
-  }
 
   std::unique_ptr<std::atomic<Chunk*>[]> dir_;
 };

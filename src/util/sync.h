@@ -110,12 +110,13 @@ enum class LockRank : uint32_t {
   kVerifyHarness = 100,
   /// Broker subscription-bookkeeping lock (user-subscription maps and the
   /// expiry heap under concurrent churn). Never held across matcher calls,
-  /// but ranked below the churn writer so a future nesting stays ordered.
+  /// but ranked below the matcher writer so a future nesting stays ordered.
   kBrokerSubs = 120,
-  /// ChurnMatcher writer lock: serializes subscribe/unsubscribe/reorganize
-  /// against each other (readers never take it). Held while retiring
-  /// superseded snapshots, so it ranks below kEpochReclaim.
-  kChurnWriter = 150,
+  /// Clustered-matcher writer lock (ClusteredMatcherBase): serializes
+  /// subscribe/unsubscribe/maintenance against each other (Match never
+  /// takes it). Held while retiring superseded snapshots, so it ranks below
+  /// kEpochReclaim.
+  kMatcherWriter = 150,
   /// ThreadPool queue/lifecycle lock (sharded matcher fan-out).
   kThreadPool = 200,
   /// Net-server worker→loop handoff (src/net/server.cc): the completed

@@ -79,12 +79,17 @@ std::vector<DiffVariant> DefaultDiffVariants() {
       {"static", Algorithm::kStatic},
       {"dynamic", Algorithm::kDynamic},
       {"tree", Algorithm::kTree},
-      {"churn", Algorithm::kChurn},
   };
   for (const auto& [name, algorithm] : algorithms) {
     Algorithm a = algorithm;
     variants.push_back({name, [a] { return MakeMatcher(a); }});
   }
+  // The copy-on-write build of the same engine (epoch-published snapshots,
+  // two-phase moves, incremental sweeps).
+  variants.push_back({"dynamic-concurrent", [] {
+                        return MakeMatcher(Algorithm::kDynamic,
+                                           /*concurrent=*/true);
+                      }});
   variants.push_back({"sharded", [] {
                         return std::make_unique<ShardedMatcher>(4, [] {
                           return MakeMatcher(Algorithm::kDynamic);

@@ -30,7 +30,8 @@ struct DiffVariant {
 };
 
 /// The full verification matrix: counting, propagation (with and without
-/// prefetch), static, dynamic, tree, and the sharded wrapper.
+/// prefetch), static, dynamic, tree, the concurrent build of dynamic, and
+/// the sharded wrapper.
 std::vector<DiffVariant> DefaultDiffVariants();
 
 /// Workload shape for one differential run. All randomness derives from

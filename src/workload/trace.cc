@@ -82,8 +82,8 @@ std::string FormatTraceLine(const Subscription& subscription) {
 std::string FormatTraceLine(const Event& event) {
   std::string out = "E";
   for (const EventPair& pair : event.pairs()) {
-    out += " " + std::to_string(pair.attribute) + "=" +
-           std::to_string(pair.value);
+    out.append(" ").append(std::to_string(pair.attribute));
+    out.append("=").append(std::to_string(pair.value));
   }
   return out;
 }

@@ -229,7 +229,7 @@ TEST(MultiAttrHashTest, ManyEntriesNoCrosstalk) {
   }
   std::vector<uint8_t> rv = PaddedRv(2, 1);
   for (Value v = 0; v < 500; ++v) {
-    ClusterList* list = table.Probe({v});
+    const ClusterList* list = table.Probe({v});
     ASSERT_NE(list, nullptr);
     std::vector<SubscriptionId> out;
     list->Match(rv.data(), true, &out);
@@ -292,11 +292,10 @@ TEST(MultiAttrHashTest, ForEachEntryVisitsAll) {
   table.Add({1, 2}, 10, slots);
   table.Add({3, 4}, 11, slots);
   std::set<SubscriptionId> seen;
-  table.ForEachEntry([&](const std::vector<Value>& key, ClusterList& list) {
+  table.ForEachEntry([&](const std::vector<Value>& key,
+                         const ClusterList& list) {
     EXPECT_EQ(key.size(), 2u);
-    const Cluster* c = list.cluster_for(1);
-    ASSERT_NE(c, nullptr);
-    for (size_t r = 0; r < c->count(); ++r) seen.insert(c->id_at(r));
+    list.ForEachId([&](SubscriptionId id) { seen.insert(id); });
   });
   EXPECT_EQ(seen, (std::set<SubscriptionId>{10, 11}));
 }

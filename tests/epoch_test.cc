@@ -371,12 +371,12 @@ TEST(EpochDeathTest, WriterLockAfterReclaimLockAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        // The documented order is writer (kChurnWriter=150) before limbo
+        // The documented order is writer (kMatcherWriter=150) before limbo
         // (kEpochReclaim=250); taking a writer-ranked lock under a
         // reclaim-ranked one — a deleter grabbing the matcher lock while
         // the limbo lock is still held — must abort.
         Mutex reclaim(LockRank::kEpochReclaim, "epoch_limbo_like");
-        Mutex writer(LockRank::kChurnWriter, "churn_writer_like");
+        Mutex writer(LockRank::kMatcherWriter, "matcher_writer_like");
         MutexLock l1(reclaim);
         MutexLock l2(writer);
       },
@@ -390,7 +390,7 @@ TEST(EpochDeathTest, BrokerLockAfterWriterLockAborts) {
         // Broker bookkeeping (kBrokerSubs=120) sits above the churn writer:
         // a matcher path calling back into broker maps would invert the
         // hierarchy.
-        Mutex writer(LockRank::kChurnWriter, "churn_writer_like");
+        Mutex writer(LockRank::kMatcherWriter, "matcher_writer_like");
         Mutex subs(LockRank::kBrokerSubs, "broker_subs_like");
         MutexLock l1(writer);
         MutexLock l2(subs);

@@ -208,10 +208,11 @@ RandomExpr GenExpr(Rng* rng, int depth, SchemaRegistry* schema) {
     AttributeId attr = static_cast<AttributeId>(rng->Below(4));
     RelOp op = static_cast<RelOp>(rng->Below(6));
     Value v = rng->Range(1, 6);
-    Predicate p(schema->InternAttribute("a" + std::to_string(attr)), op, v);
-    std::string text = "a" + std::to_string(attr) +
-                       std::string(" ") + RelOpToString(p.op) + " " +
-                       std::to_string(v);
+    const std::string name = std::string("a").append(std::to_string(attr));
+    Predicate p(schema->InternAttribute(name), op, v);
+    std::string text = name;
+    text.append(" ").append(RelOpToString(p.op)).append(" ");
+    text.append(std::to_string(v));
     return RandomExpr{text, [p](const Event& e) {
                         auto val = e.Find(p.attribute);
                         return val.has_value() && p.Matches(*val);
@@ -263,7 +264,8 @@ TEST(ParseConditionTest, DifferentialAgainstDirectEvaluation) {
       // Full-schema events (see the NOT note above).
       std::vector<EventPair> pairs;
       for (AttributeId a = 0; a < 4; ++a) {
-        AttributeId id = schema.FindAttribute("a" + std::to_string(a));
+        AttributeId id =
+            schema.FindAttribute(std::string("a").append(std::to_string(a)));
         if (id == kInvalidAttributeId) continue;
         pairs.push_back({id, rng.Range(1, 6)});
       }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/matcher/counting_matcher.h"
@@ -25,10 +26,19 @@ std::vector<SubscriptionId> Sorted(std::vector<SubscriptionId> v) {
   return v;
 }
 
-// Parameterized over every algorithm via the Broker factory.
-class AnyMatcherTest : public ::testing::TestWithParam<Algorithm> {
+// One matcher under test: an algorithm, and for the clustered ones
+// whether it is the concurrent (copy-on-write) build.
+struct MatcherParam {
+  Algorithm algorithm;
+  bool concurrent = false;
+};
+
+// Parameterized over every algorithm and build via the Broker factory.
+class AnyMatcherTest : public ::testing::TestWithParam<MatcherParam> {
  protected:
-  void SetUp() override { matcher_ = MakeMatcher(GetParam()); }
+  void SetUp() override {
+    matcher_ = MakeMatcher(GetParam().algorithm, GetParam().concurrent);
+  }
 
   std::vector<SubscriptionId> Match(const Event& e) {
     std::vector<SubscriptionId> out;
@@ -287,31 +297,22 @@ TEST_P(AnyMatcherTest, ManyEventsInterleavedWithChurnKeepStatsSane) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, AnyMatcherTest,
-    ::testing::Values(Algorithm::kNaive, Algorithm::kCounting,
-                      Algorithm::kPropagation,
-                      Algorithm::kPropagationPrefetch, Algorithm::kStatic,
-                      Algorithm::kDynamic, Algorithm::kTree,
-                      Algorithm::kChurn),
-    [](const ::testing::TestParamInfo<Algorithm>& info) {
-      switch (info.param) {
-        case Algorithm::kNaive:
-          return "naive";
-        case Algorithm::kCounting:
-          return "counting";
-        case Algorithm::kPropagation:
-          return "propagation";
-        case Algorithm::kPropagationPrefetch:
-          return "propagation_wp";
-        case Algorithm::kStatic:
-          return "static";
-        case Algorithm::kDynamic:
-          return "dynamic";
-        case Algorithm::kTree:
-          return "tree";
-        case Algorithm::kChurn:
-          return "churn";
-      }
-      return "unknown";
+    ::testing::Values(MatcherParam{Algorithm::kNaive},
+                      MatcherParam{Algorithm::kCounting},
+                      MatcherParam{Algorithm::kPropagation},
+                      MatcherParam{Algorithm::kPropagationPrefetch},
+                      MatcherParam{Algorithm::kStatic},
+                      MatcherParam{Algorithm::kDynamic},
+                      MatcherParam{Algorithm::kTree},
+                      MatcherParam{Algorithm::kPropagation, true},
+                      MatcherParam{Algorithm::kPropagationPrefetch, true},
+                      MatcherParam{Algorithm::kStatic, true},
+                      MatcherParam{Algorithm::kDynamic, true}),
+    [](const ::testing::TestParamInfo<MatcherParam>& info) {
+      std::string name = MakeMatcher(info.param.algorithm)->name();
+      std::replace(name.begin(), name.end(), '-', '_');
+      if (info.param.concurrent) name += "_concurrent";
+      return name;
     });
 
 // --- Algorithm-specific tests ------------------------------------------------------

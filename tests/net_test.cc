@@ -547,6 +547,24 @@ TEST_F(ServerClientTest, TornFramesReassembleAcrossVerbs) {
   EXPECT_EQ(stats->rfind("OK subscriptions=", 0), 0u);
 }
 
+// Without an event store every event id is 0; a fan-out payload cache
+// keyed by event id once handed every push of a job the first matched
+// event's text.
+TEST_F(ServerClientTest, StorelessBatchPushesCarryTheirOwnEventText) {
+  ServerOptions options;
+  options.store_events = false;
+  RestartServer(options);
+  RawConn raw(server_->port());
+  ASSERT_TRUE(raw.connected());
+  raw.WriteAll("SUB x >= 1\nPUBBATCH 2\nx = 5\nx = 6\n");
+  EXPECT_EQ(raw.ReadLine(), "OK 1");
+  EXPECT_EQ(raw.ReadLine(), "EVENT 1 0 x = 5");
+  EXPECT_EQ(raw.ReadLine(), "EVENT 1 0 x = 6");
+  EXPECT_EQ(raw.ReadLine(), "OK 2");
+  EXPECT_EQ(raw.ReadLine(), "0 1");
+  EXPECT_EQ(raw.ReadLine(), "0 1");
+}
+
 TEST_F(ServerClientTest, TruncatedBatchThenCloseLeavesServerAlive) {
   // Abandon a PUBBATCH mid-payload at each interesting boundary; the
   // server must drop the connection's half-frame without corrupting state.

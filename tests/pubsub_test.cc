@@ -416,72 +416,6 @@ TEST(BrokerBatchTest, PublishBatchDedupsDnfPerEvent) {
   EXPECT_EQ(hits, 3);
 }
 
-TEST(BrokerBatchTest, EnqueueAutoFlushesAtBatchMax) {
-  BrokerOptions options;
-  options.batch_max = 4;
-  Broker broker(options);
-  int hits = 0;
-  auto p = broker.Pred("x", "=", 1);
-  ASSERT_TRUE(p.ok());
-  ASSERT_TRUE(
-      broker.Subscribe({p.value()}, [&](const Notification&) { ++hits; })
-          .ok());
-  for (int i = 0; i < 3; ++i) {
-    broker.EnqueuePublish(Event::CreateUnchecked({{0, 1}}));
-  }
-  EXPECT_EQ(broker.pending_publishes(), 3u);
-  EXPECT_EQ(hits, 0);  // nothing delivered while the batch is filling
-  broker.EnqueuePublish(Event::CreateUnchecked({{0, 1}}));  // hits batch_max
-  EXPECT_EQ(broker.pending_publishes(), 0u);
-  EXPECT_EQ(hits, 4);
-  EXPECT_EQ(broker.stored_event_count(), 4u);
-}
-
-TEST(BrokerBatchTest, FlushPublishesPartialBatch) {
-  Broker broker;  // default batch_max = 64, far above what we enqueue
-  int hits = 0;
-  auto p = broker.Pred("x", "=", 1);
-  ASSERT_TRUE(p.ok());
-  ASSERT_TRUE(
-      broker.Subscribe({p.value()}, [&](const Notification&) { ++hits; })
-          .ok());
-  broker.Flush();  // empty queue: a no-op
-  broker.EnqueuePublish(Event::CreateUnchecked({{0, 1}}));
-  broker.EnqueuePublish(Event::CreateUnchecked({{0, 2}}));
-  EXPECT_EQ(broker.pending_publishes(), 2u);
-  broker.Flush();
-  EXPECT_EQ(broker.pending_publishes(), 0u);
-  EXPECT_EQ(hits, 1);  // only the x = 1 event matched
-}
-
-TEST(BrokerBatchTest, MaybeFlushHonorsLinger) {
-  BrokerOptions lingering;
-  lingering.batch_linger_ms = 1e9;  // effectively forever
-  Broker broker(lingering);
-  broker.EnqueuePublish(Event::CreateUnchecked({{0, 1}}));
-  broker.MaybeFlush();
-  EXPECT_EQ(broker.pending_publishes(), 1u);  // still younger than linger
-  broker.Flush();
-  EXPECT_EQ(broker.pending_publishes(), 0u);
-
-  BrokerOptions eager;  // batch_linger_ms = 0: MaybeFlush never waits
-  Broker eager_broker(eager);
-  eager_broker.EnqueuePublish(Event::CreateUnchecked({{0, 1}}));
-  eager_broker.MaybeFlush();
-  EXPECT_EQ(eager_broker.pending_publishes(), 0u);
-}
-
-// Queued events carry their own validity deadline through the flush.
-TEST(BrokerBatchTest, EnqueuedEventsKeepTheirDeadlines) {
-  Broker broker;
-  broker.EnqueuePublish(Event::CreateUnchecked({{0, 1}}), /*expires_at=*/10);
-  broker.EnqueuePublish(Event::CreateUnchecked({{0, 2}}), kNeverExpires);
-  broker.Flush();
-  EXPECT_EQ(broker.stored_event_count(), 2u);
-  broker.AdvanceTime(10);
-  EXPECT_EQ(broker.stored_event_count(), 1u);
-}
-
 TEST(BrokerTest, ExpressionSharesSchemaWithTypedApi) {
   Broker broker;
   int hits = 0;

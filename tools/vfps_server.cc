@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
         "            [--idle-timeout-ms=N] [--max-write-queue=BYTES]\n"
         "            [--busy-high-water=BYTES]\n"
         "algorithms: naive counting propagation propagation-wp static "
-        "dynamic tree churn\n"
+        "dynamic tree\n"
         "idle-timeout-ms > 0 reaps connections idle that long;\n"
         "max-write-queue bounds one connection's outbound backlog (slow\n"
         "consumers are disconnected; 0 = unlimited); busy-high-water > 0\n"

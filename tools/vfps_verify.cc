@@ -9,8 +9,8 @@
 //   vfps_verify --seeds=20 --events=1000
 //   vfps_verify --seed=42 --variant=tree --churn   # replay one config
 //   vfps_verify --concurrent            # TSan target: threaded churn over
-//                                       # the dynamic, sharded, and churn
-//                                       # variants
+//                                       # the dynamic, dynamic-concurrent
+//                                       # and sharded variants
 //   vfps_verify --batch=64              # batched pipeline (MatchBatch)
 
 #include <cinttypes>
@@ -131,10 +131,12 @@ int RunConcurrent(const tools::Flags& flags,
   config.p_present = flags.GetDouble("p-present", 0.7);
   for (const DiffVariant& v : variants) {
     // Only the mutable-under-load variants matter here: dynamic (the
-    // paper's adaptive algorithm), sharded (the thread-pool path), and
-    // churn (the epoch-based snapshot path; its truly lock-free overlap —
-    // Match with no harness lock — is soaked by tests/churn_test.cc).
-    if (v.name != "dynamic" && v.name != "sharded" && v.name != "churn") {
+    // paper's adaptive algorithm), its concurrent build (epoch-published
+    // snapshots; its truly lock-free overlap — Match with no harness lock —
+    // is soaked by tests/churn_test.cc), and sharded (the thread-pool
+    // path).
+    if (v.name != "dynamic" && v.name != "dynamic-concurrent" &&
+        v.name != "sharded") {
       continue;
     }
     auto divergence = RunConcurrentDifferential(
@@ -174,8 +176,8 @@ int Main(int argc, char** argv) {
         "  --attrs=N --domain=N --p-present=F   workload shape overrides\n"
         "  --churn[=false]    interleave unsubscribes (default: odd seeds)\n"
         "  --variant=name     verify one variant only\n"
-        "  --concurrent       threaded churn over dynamic + sharded + "
-        "churn\n"
+        "  --concurrent       threaded churn over dynamic, "
+        "dynamic-concurrent and sharded\n"
         "  --mutations=N      mutations in --concurrent mode (default "
         "2000)\n"
         "  --batch=N          verify MatchBatch with batches of N events\n"

@@ -27,8 +27,9 @@ std::string ConditionText(const vfps::Subscription& s) {
   for (size_t i = 0; i < s.predicates().size(); ++i) {
     const vfps::Predicate& p = s.predicates()[i];
     if (i > 0) text += " AND ";
-    text += "a" + std::to_string(p.attribute) + " " +
-            vfps::RelOpToString(p.op) + " " + std::to_string(p.value);
+    text.append("a").append(std::to_string(p.attribute)).append(" ");
+    text.append(vfps::RelOpToString(p.op)).append(" ");
+    text.append(std::to_string(p.value));
   }
   return text;
 }
@@ -37,8 +38,8 @@ std::string EventText(const vfps::Event& e) {
   std::string text;
   for (size_t i = 0; i < e.pairs().size(); ++i) {
     if (i > 0) text += ", ";
-    text += "a" + std::to_string(e.pairs()[i].attribute) + " = " +
-            std::to_string(e.pairs()[i].value);
+    text.append("a").append(std::to_string(e.pairs()[i].attribute));
+    text.append(" = ").append(std::to_string(e.pairs()[i].value));
   }
   return text;
 }

@@ -77,12 +77,20 @@ bool Cluster::CheckInvariants() const {
                  "Cluster(size=%u): columnar storage holds %zu cells, "
                  "expected capacity * size = %zu",
                  size_, columns_.size(), capacity_ * size_);
+  // Invariant builds check after every mutation: small clusters (most of
+  // them) look for duplicates without allocating.
+  constexpr size_t kScanLimit = 32;
   std::unordered_set<SubscriptionId> seen;
-  seen.reserve(count_);
+  if (count_ > kScanLimit) seen.reserve(count_);
   for (size_t j = 0; j < count_; ++j) {
     VFPS_INVARIANT(ids_[j] != kInvalidSubscriptionId,
                    "Cluster(size=%u): invalid id at row %zu", size_, j);
-    VFPS_INVARIANT(seen.insert(ids_[j]).second,
+    const bool fresh =
+        count_ > kScanLimit
+            ? seen.insert(ids_[j]).second
+            : std::find(ids_.begin(), ids_.begin() + j, ids_[j]) ==
+                  ids_.begin() + j;
+    VFPS_INVARIANT(fresh,
                    "Cluster(size=%u): duplicate subscription %llu at "
                    "row %zu",
                    size_, static_cast<unsigned long long>(ids_[j]), j);

@@ -20,11 +20,14 @@ namespace vfps {
 
 /// The model constants. The unit is one cluster-row check (a single
 /// result-vector load in the unrolled kernel, ~1ns). Defaults were
-/// calibrated against this implementation: a hash-table probe (key
-/// extraction + hash + bucket walk) costs on the order of a hundred row
-/// checks, which is what makes additional tables a real tradeoff — with an
-/// underpriced C_h the greedy algorithm buys dozens of tables whose probe
-/// overhead exceeds the checks they save.
+/// calibrated against an earlier node-based table directory whose probe
+/// cost on the order of a hundred row checks, which is what makes
+/// additional tables a real tradeoff — with an underpriced C_h the greedy
+/// algorithm buys dozens of tables whose probe overhead exceeds the checks
+/// they save. The flat directory probed from the per-lane value cache now
+/// measures ~35-50 ns per (table, event) (W0, 50k subscriptions, 147
+/// tables); the constants are deliberately not recalibrated to it, because
+/// cheaper tables change placement (DESIGN.md, "Cost calibration").
 struct CostParams {
   /// K_r: per-event cost of considering one hashing structure.
   double k_index_retrieve = 2.0;

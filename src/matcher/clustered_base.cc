@@ -76,13 +76,9 @@ struct ClusteredMatcherBase::Work {
 
 struct ClusteredMatcherBase::ReaderContext {
   ResultVector results;
-  // Per-event attribute -> value cache: filled once per Match so that
-  // extracting a table key costs one array load per schema attribute
-  // instead of a binary search over the event pairs. Epoch-stamped to skip
-  // clearing between events.
-  std::vector<Value> event_value;
-  std::vector<uint64_t> event_epoch_of;
-  uint64_t event_epoch = 0;
+  // The current event's (Match) or chunk's (MatchBatch) values, from which
+  // every table key is extracted into `key`.
+  LaneValueCache lane_values;
   std::vector<Value> key;
 
   // Batch scratch.
@@ -102,23 +98,16 @@ struct ClusteredMatcherBase::ReaderContext {
   Event sample;
   std::atomic<bool> sample_ready{false};
 
-  /// Fills `key` from the cached current event. False if an attribute of
-  /// `schema` is absent from the event.
-  bool ExtractEventKey(const AttributeSet& schema) {
-    key.clear();
-    for (AttributeId a : schema.ids()) {
-      if (a >= event_value.size() || event_epoch_of[a] != event_epoch) {
-        return false;
-      }
-      key.push_back(event_value[a]);
-    }
-    return true;
+  /// The cluster list `table` holds for the cached lane's key, or nullptr
+  /// (also when the lane lacks a schema attribute).
+  const ClusterList* ProbeLane(const MultiAttrHashTable& table, size_t lane) {
+    if (!lane_values.ExtractKey(table.schema(), lane, &key)) return nullptr;
+    return table.Probe(key);
   }
 
   size_t MemoryUsage() const {
-    return results.MemoryUsage() + event_value.capacity() * sizeof(Value) +
-           event_epoch_of.capacity() * sizeof(uint64_t) +
-           batch_results.MemoryUsage() +
+    return results.MemoryUsage() + lane_values.MemoryUsage() +
+           key.capacity() * sizeof(Value) + batch_results.MemoryUsage() +
            pair_memo.capacity() * sizeof(PairMemoSlot) +
            distinct_pairs.capacity() * sizeof(DistinctPair) +
            batch_candidates.capacity() * sizeof(BatchCandidate);
@@ -439,9 +428,7 @@ size_t ClusteredMatcherBase::DropTable(uint32_t t) {
   table_lookup_.erase(table->schema());
   std::vector<SubscriptionId> ids;
   ids.reserve(table->subscription_count());
-  table->ForEachEntry([&](const std::vector<Value>& key,
-                          const ClusterList& list) {
-    (void)key;
+  table->ForEachEntry([&](std::span<const Value>, const ClusterList& list) {
     list.ForEachId([&](SubscriptionId id) { ids.push_back(id); });
   });
   // Re-place everything elsewhere while the table stays published, drain
@@ -605,16 +592,8 @@ void ClusteredMatcherBase::Match(const Event& event,
   work.predicates = results.set_count();
 
   timer.Reset();
-  // Refresh the per-event attribute value cache.
-  ++ctx->event_epoch;
-  for (const EventPair& pair : event.pairs()) {
-    if (pair.attribute >= ctx->event_value.size()) {
-      ctx->event_value.resize(pair.attribute + 1, 0);
-      ctx->event_epoch_of.resize(pair.attribute + 1, 0);
-    }
-    ctx->event_value[pair.attribute] = pair.value;
-    ctx->event_epoch_of[pair.attribute] = ctx->event_epoch;
-  }
+  const uint32_t tables = table_count_.load();
+  if (tables != 0) ctx->lane_values.Fill({&event, 1});
   // Singleton access predicates: phase 1 already identified the satisfied
   // equality predicates; any of them carrying a cluster list is a candidate
   // (Figure 2: "if p is an access predicate for a clusters list lc then
@@ -627,11 +606,10 @@ void ClusteredMatcherBase::Match(const Event& event,
              &work.clusters);
   }
   // Multi-attribute hashing structures: one key extraction + probe each.
-  const uint32_t tables = table_count_.load();
   for (uint32_t t = 0; t < tables; ++t) {
     const MultiAttrHashTable* table = published_tables_.Load(t);
-    if (table == nullptr || !ctx->ExtractEventKey(table->schema())) continue;
-    const ClusterList* list = table->Probe(ctx->key);
+    if (table == nullptr) continue;
+    const ClusterList* list = ctx->ProbeLane(*table, 0);
     if (list == nullptr) continue;
     ScanList(*list, &results, use_prefetch_, out, &work.checks,
              &work.clusters);
@@ -664,20 +642,6 @@ inline size_t PopcountMask(const uint64_t* mask, size_t words) {
     total += static_cast<size_t>(std::popcount(mask[w]));
   }
   return total;
-}
-
-/// Fills `key` with the event's values for `schema`'s attributes straight
-/// from the event (the per-event epoch cache is useless across a batch).
-/// False if an attribute is absent.
-bool ExtractKeyFromEvent(const Event& event, const AttributeSet& schema,
-                         std::vector<Value>* key) {
-  key->clear();
-  for (AttributeId a : schema.ids()) {
-    std::optional<Value> v = event.Find(a);
-    if (!v.has_value()) return false;
-    key->push_back(*v);
-  }
-  return true;
 }
 
 }  // namespace
@@ -797,19 +761,17 @@ void ClusteredMatcherBase::MatchChunk(ReaderContext* ctx,
     scan(*list, alive);
   }
   // Multi-attribute hashing structures: probe per lane (keys differ per
-  // event), then group lanes by the cluster list they landed on so each
-  // list is still scanned only once.
+  // event) from the chunk's value cache, then group lanes by the cluster
+  // list they landed on so each list is still scanned only once.
   std::vector<BatchCandidate>& candidates = ctx->batch_candidates;
   const uint32_t tables = table_count_.load();
+  if (tables != 0) ctx->lane_values.Fill(events);
   for (uint32_t t = 0; t < tables; ++t) {
     const MultiAttrHashTable* table = published_tables_.Load(t);
     if (table == nullptr) continue;
     candidates.clear();
     for (size_t e = 0; e < lanes; ++e) {
-      if (!ExtractKeyFromEvent(events[e], table->schema(), &ctx->key)) {
-        continue;
-      }
-      const ClusterList* list = table->Probe(ctx->key);
+      const ClusterList* list = ctx->ProbeLane(*table, e);
       if (list == nullptr) continue;
       BatchCandidate* group = nullptr;
       for (BatchCandidate& c : candidates) {

@@ -93,15 +93,13 @@ std::vector<DynamicMatcher::ClusterRef> DynamicMatcher::TableRefs(
   std::vector<ClusterRef> refs;
   const MultiAttrHashTable* table = Table(table_index);
   if (table == nullptr) return refs;
-  table->ForEachEntry(
-      [&](const std::vector<Value>& key, const ClusterList& list) {
-        (void)list;
-        ClusterRef ref;
-        ref.table_index = table_index;
-        ref.access_pred = kInvalidPredicateId;
-        ref.key = key;
-        refs.push_back(std::move(ref));
-      });
+  table->ForEachEntry([&](std::span<const Value> key, const ClusterList&) {
+    ClusterRef ref;
+    ref.table_index = table_index;
+    ref.access_pred = kInvalidPredicateId;
+    ref.key.assign(key.begin(), key.end());
+    refs.push_back(std::move(ref));
+  });
   return refs;
 }
 

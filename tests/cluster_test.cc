@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <map>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -183,14 +186,33 @@ TEST(ClusterListTest, RemovePatchesMovedRow) {
 
 // --- MultiAttrHashTable --------------------------------------------------------------
 
-TEST(MultiAttrHashTest, ExtractKeyFromEvent) {
-  MultiAttrHashTable table(AttributeSet{1, 3});
+TEST(LaneValueCacheTest, ExtractsSchemaOrderedKeysPerLane) {
+  const AttributeSet schema{1, 3};
+  const std::vector<Event> events{
+      Event::CreateUnchecked({{1, 10}, {2, 20}, {3, 30}}),
+      Event::CreateUnchecked({{1, 11}, {2, 21}}),  // lacks attribute 3
+      Event::CreateUnchecked({{3, 32}, {7, 72}, {1, 12}}),
+      Event::CreateUnchecked({})};
+  LaneValueCache cache;
+  cache.Fill(events);
   std::vector<Value> key;
-  EXPECT_TRUE(table.ExtractKey(
-      Event::CreateUnchecked({{1, 10}, {2, 20}, {3, 30}}), &key));
+  EXPECT_TRUE(cache.ExtractKey(schema, 0, &key));
   EXPECT_EQ(key, (std::vector<Value>{10, 30}));
-  EXPECT_FALSE(
-      table.ExtractKey(Event::CreateUnchecked({{1, 10}, {2, 20}}), &key));
+  EXPECT_FALSE(cache.ExtractKey(schema, 1, &key));
+  EXPECT_TRUE(cache.ExtractKey(schema, 2, &key));
+  EXPECT_EQ(key, (std::vector<Value>{12, 32}));
+  EXPECT_FALSE(cache.ExtractKey(schema, 3, &key));
+  // Attributes no lane carries, including ones past every cached id.
+  EXPECT_FALSE(cache.ExtractKey(AttributeSet{1, 9}, 0, &key));
+  EXPECT_FALSE(cache.ExtractKey(AttributeSet{1, 1000}, 0, &key));
+
+  // A refill forgets the previous events: the single lane (the Match
+  // case) lacks attribute 3 even though the old lane 0 carried it.
+  const Event single = Event::CreateUnchecked({{1, 40}, {7, 70}});
+  cache.Fill({&single, 1});
+  EXPECT_FALSE(cache.ExtractKey(schema, 0, &key));
+  EXPECT_TRUE(cache.ExtractKey(AttributeSet{1, 7}, 0, &key));
+  EXPECT_EQ(key, (std::vector<Value>{40, 70}));
 }
 
 TEST(MultiAttrHashTest, ExtractKeyFromSubscription) {
@@ -292,12 +314,277 @@ TEST(MultiAttrHashTest, ForEachEntryVisitsAll) {
   table.Add({1, 2}, 10, slots);
   table.Add({3, 4}, 11, slots);
   std::set<SubscriptionId> seen;
-  table.ForEachEntry([&](const std::vector<Value>& key,
+  table.ForEachEntry([&](std::span<const Value> key,
                          const ClusterList& list) {
     EXPECT_EQ(key.size(), 2u);
     list.ForEachId([&](SubscriptionId id) { seen.insert(id); });
   });
   EXPECT_EQ(seen, (std::set<SubscriptionId>{10, 11}));
+}
+
+// --- Entry directory ---------------------------------------------------------
+
+/// `count` distinct keys of `arity` values whose tags end in `low_byte`:
+/// in a directory of at most 256 slots they all share one home slot, and
+/// low_byte 0xff makes that home the last slot, so their run wraps around
+/// to the start of the slot array. `next` numbers the candidates tried.
+std::vector<std::vector<Value>> KeysWithHome(size_t arity, uint32_t low_byte,
+                                             size_t count, Value* next) {
+  std::vector<std::vector<Value>> keys;
+  std::vector<Value> key(arity);
+  while (keys.size() < count) {
+    const Value v = (*next)++;
+    for (size_t k = 0; k < arity; ++k) key[k] = v * 8 + static_cast<Value>(k);
+    if ((MultiAttrKeyTag(key.data(), arity) & 0xffu) == low_byte) {
+      keys.push_back(key);
+    }
+  }
+  return keys;
+}
+
+AttributeSet SchemaOfArity(size_t arity) {
+  std::vector<AttributeId> ids;
+  for (size_t k = 0; k < arity; ++k) {
+    ids.push_back(static_cast<AttributeId>(3 * k + 1));
+  }
+  return AttributeSet(std::move(ids));
+}
+
+/// Random Add/Remove against a std::map model; after every step the table
+/// must agree with the model through Probe, entry_count, ForEachEntry and
+/// CheckInvariants.
+void RunDirectoryModel(size_t arity, uint64_t seed, int steps) {
+  MultiAttrHashTable table(SchemaOfArity(arity));
+  Value next = 1;
+  std::vector<std::vector<Value>> pool;
+  // Colliding runs at the end of the slot array (wrapping to its start)
+  // and at its start, where wrapped keys interleave with native ones.
+  const std::pair<uint32_t, size_t> homes[] = {
+      {0xff, 24}, {0xfe, 8}, {0x00, 16}, {0x01, 8}};
+  for (const auto& [low_byte, count] : homes) {
+    for (auto& key : KeysWithHome(arity, low_byte, count, &next)) {
+      pool.push_back(std::move(key));
+    }
+  }
+  const size_t wrap_keys = 24;  // pool[0, 24): home = last slot
+  Rng rng(seed);
+  while (pool.size() < 140) {  // plus unstructured keys, some negative
+    std::vector<Value> key(arity);
+    for (Value& v : key) v = static_cast<Value>(rng.Below(2001)) - 1000;
+    if (std::find(pool.begin(), pool.end(), key) == pool.end()) {
+      pool.push_back(std::move(key));
+    }
+  }
+
+  struct Row {
+    SubscriptionId id;
+    ClusterSlot slot;
+  };
+  std::map<std::vector<Value>, std::vector<Row>> model;
+  std::vector<size_t> rows_of(pool.size(), 0);  // model sizes by pool index
+  std::vector<Value> scratch;
+  size_t rows = 0;
+  SubscriptionId next_id = 1;
+  size_t wrapped_steps = 0;
+  size_t peak_entries = 0;
+  size_t shrunk_to = 256;
+  for (int step = 0; step < steps; ++step) {
+    // Alternate filling and draining phases so the directory grows and
+    // shrinks repeatedly. Adds go to any pool key, removals to a stored
+    // one.
+    const bool filling = (step / 1500) % 2 == 0;
+    const bool add = model.empty() || rng.Below(100) < (filling ? 70u : 10u);
+    auto it = model.end();
+    if (!add) {
+      it = std::next(model.begin(),
+                     static_cast<std::ptrdiff_t>(rng.Below(model.size())));
+    }
+    const size_t key_index =
+        add ? rng.Below(pool.size())
+            : static_cast<size_t>(
+                  std::find(pool.begin(), pool.end(), it->first) -
+                  pool.begin());
+    const std::vector<Value>& key = pool[key_index];
+    if (add) {
+      const SubscriptionId id = next_id++;
+      model[key].push_back(Row{id, table.Add(key, id, {})});
+      ++rows_of[key_index];
+      ++rows;
+    } else {
+      std::vector<Row>& list = it->second;
+      const size_t r = rng.Below(list.size());
+      const ClusterSlot slot = list[r].slot;
+      const SubscriptionId moved = table.Remove(key, slot);
+      list.erase(list.begin() + static_cast<std::ptrdiff_t>(r));
+      --rows_of[key_index];
+      --rows;
+      if (moved != kInvalidSubscriptionId) {
+        auto row = std::find_if(list.begin(), list.end(),
+                                [&](const Row& x) { return x.id == moved; });
+        ASSERT_NE(row, list.end()) << "step " << step;
+        row->slot = slot;
+      }
+      if (list.empty()) model.erase(it);
+    }
+
+    ASSERT_TRUE(table.CheckInvariants()) << "step " << step;
+    ASSERT_EQ(table.entry_count(), model.size()) << "step " << step;
+    ASSERT_EQ(table.subscription_count(), rows) << "step " << step;
+    ASSERT_LE(table.slot_capacity(), 256u);  // the home bytes collide
+    peak_entries = std::max(peak_entries, model.size());
+    if (peak_entries > 96) {  // 256 slots: track the shrink afterwards
+      shrunk_to = std::min(shrunk_to, table.slot_capacity());
+    }
+    size_t wrap_present = 0;
+    for (size_t k = 0; k < pool.size(); ++k) {
+      const ClusterList* list = table.Probe(pool[k]);
+      if (rows_of[k] == 0) {
+        ASSERT_EQ(list, nullptr) << "step " << step << " key " << k;
+        continue;
+      }
+      ASSERT_NE(list, nullptr) << "step " << step << " key " << k;
+      ASSERT_EQ(list->subscription_count(), rows_of[k])
+          << "step " << step << " key " << k;
+      wrap_present += k < wrap_keys;
+    }
+    // Two keys homed at the last slot cannot both sit there: one wrapped.
+    wrapped_steps += wrap_present >= 2;
+    // The touched key's list holds exactly the model's ids.
+    if (auto m = model.find(key); m != model.end()) {
+      std::vector<SubscriptionId> ids, want;
+      table.Probe(key)->ForEachId(
+          [&](SubscriptionId id) { ids.push_back(id); });
+      for (const Row& row : m->second) want.push_back(row.id);
+      std::sort(ids.begin(), ids.end());
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(ids, want) << "step " << step;
+    }
+    // ForEachEntry visits each model key once, with its list.
+    size_t visited = 0;
+    table.ForEachEntry([&](std::span<const Value> k, const ClusterList& list) {
+      scratch.assign(k.begin(), k.end());
+      auto m = model.find(scratch);
+      ASSERT_NE(m, model.end()) << "step " << step;
+      ASSERT_EQ(list.subscription_count(), m->second.size());
+      ++visited;
+    });
+    ASSERT_EQ(visited, model.size()) << "step " << step;
+  }
+  EXPECT_GT(wrapped_steps, static_cast<size_t>(steps) / 2);
+  EXPECT_GT(peak_entries, 100u);  // grew past 128 slots...
+  EXPECT_LE(shrunk_to, 32u);       // ...and drained back to a few
+}
+
+TEST(MultiAttrHashTest, DirectoryMatchesMapModelArity2) {
+  RunDirectoryModel(/*arity=*/2, /*seed=*/11, /*steps=*/20000);
+}
+
+TEST(MultiAttrHashTest, DirectoryMatchesMapModelArity4) {
+  RunDirectoryModel(/*arity=*/4, /*seed=*/12, /*steps=*/20000);
+}
+
+// Concurrent build: edits go to a private copy of the directory, so the
+// version readers loaded before the edits keeps probing the old key set
+// (here held open by a publisher batch) until the copy is published.
+TEST(MultiAttrHashTest, PublishedDirectoryKeepsOldKeySetUntilCommit) {
+  EpochPublisher publisher;
+  MultiAttrHashTable table(AttributeSet{0, 1});
+  Value next = 1;
+  // One home slot: erasing `dropped` shifts `kept` in the new version.
+  const auto keys = KeysWithHome(2, 0xff, 3, &next);
+  const std::vector<Value>& dropped = keys[0];
+  const std::vector<Value>& kept = keys[1];
+  const std::vector<Value>& added = keys[2];
+  const ClusterSlot dropped_slot = table.Add(dropped, 10, {}, &publisher);
+  table.Add(kept, 11, {}, &publisher);
+  const ClusterList* old_list = nullptr;
+  {
+    EpochManager::PinGuard pin(publisher.manager());
+    {
+      EpochPublisher::Batch batch(&publisher);
+      table.Remove(dropped, dropped_slot, &publisher);
+      table.Add(added, 12, {}, &publisher);
+      old_list = table.Probe(dropped);
+      ASSERT_NE(old_list, nullptr);
+      EXPECT_EQ(old_list->subscription_count(), 1u);
+      EXPECT_NE(table.Probe(kept), nullptr);
+      EXPECT_EQ(table.Probe(added), nullptr);
+      EXPECT_EQ(table.entry_count(), 2u);
+      EXPECT_TRUE(table.CheckInvariants(&publisher));  // the staged view
+    }
+    EXPECT_EQ(table.Probe(dropped), nullptr);
+    EXPECT_NE(table.Probe(kept), nullptr);
+    EXPECT_NE(table.Probe(added), nullptr);
+    // Retired, not reclaimed: this reader is still pinned.
+    EXPECT_EQ(publisher.manager()->TryReclaim(), 0u);
+    EXPECT_EQ(old_list->subscription_count(), 1u);
+  }
+  EXPECT_GT(publisher.manager()->TryReclaim(), 0u);
+  EXPECT_TRUE(table.CheckInvariants(&publisher));
+}
+
+// Pinned readers probe while one writer churns keys that share home slots
+// with the readers' stable keys (so erases shift stable keys around in the
+// new versions): stable keys stay found, never-added keys stay absent.
+TEST(MultiAttrHashTest, PinnedReadersSeeStableKeysUnderChurn) {
+  EpochPublisher publisher;
+  MultiAttrHashTable table(AttributeSet{0, 1});
+  Value next = 1;
+  const auto stable = KeysWithHome(2, 0xff, 6, &next);
+  auto churn = KeysWithHome(2, 0xff, 24, &next);
+  for (auto& key : KeysWithHome(2, 0x00, 16, &next)) churn.push_back(key);
+  const auto absent = KeysWithHome(2, 0xff, 6, &next);
+  for (size_t i = 0; i < stable.size(); ++i) {
+    table.Add(stable[i], static_cast<SubscriptionId>(i + 1), {}, &publisher);
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> errors{0};
+  std::atomic<uint64_t> probes{0};
+  auto reader = [&] {
+    while (!stop.load()) {
+      EpochManager::PinGuard pin(publisher.manager());
+      for (const auto& key : stable) {
+        const ClusterList* list = table.Probe(key);
+        if (list == nullptr || list->subscription_count() != 1) {
+          errors.fetch_add(1);
+        }
+      }
+      for (const auto& key : absent) {
+        if (table.Probe(key) != nullptr) errors.fetch_add(1);
+      }
+      probes.fetch_add(1);
+    }
+  };
+  std::thread r1(reader), r2(reader);
+
+  Rng rng(21);
+  std::map<std::vector<Value>, std::vector<ClusterSlot>> live;
+  SubscriptionId next_id = 100;
+  for (int step = 0; step < 3000; ++step) {
+    EpochPublisher::Batch batch(step % 7 == 0 ? &publisher : nullptr);
+    for (int op = 0; op < (step % 7 == 0 ? 4 : 1); ++op) {
+      const auto& key = churn[rng.Below(churn.size())];
+      auto it = live.find(key);
+      if (it == live.end() || rng.Below(2) == 0) {
+        live[key].push_back(table.Add(key, next_id++, {}, &publisher));
+      } else {
+        // Remove the newest row: nothing relocates.
+        table.Remove(key, it->second.back(), &publisher);
+        it->second.pop_back();
+        if (it->second.empty()) live.erase(it);
+      }
+    }
+    publisher.manager()->TryReclaim();
+  }
+  while (probes.load() < 100) std::this_thread::yield();
+  stop.store(true);
+  r1.join();
+  r2.join();
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_EQ(table.entry_count(), stable.size() + live.size());
+  EXPECT_TRUE(table.CheckInvariants(&publisher));
+  publisher.manager()->TryReclaim();
 }
 
 }  // namespace

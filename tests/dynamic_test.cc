@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/core/batch_result.h"
 #include "src/matcher/dynamic_matcher.h"
 #include "src/matcher/naive_matcher.h"
 #include "src/util/rng.h"
@@ -91,6 +92,74 @@ TEST(DynamicMatcherTest, StaysCorrectWhileReorganizing) {
   }
   // Reorganization happened and correctness held throughout.
   EXPECT_GT(m.maintenance_stats().clusters_distributed, 0u);
+}
+
+// Phase 2 with many live tables, as an unseeded dynamic matcher builds on
+// W0 (the served default): per-event Match, MatchBatch in batches of 100
+// (crossing a 64-lane mask word) and in one 300-event span (crossing the
+// 256-lane chunk) and the naive oracle agree on every event, in both
+// builds. Events carry 26 of the 32 attributes, so some lanes lack a
+// table's schema attribute and must skip its probe.
+TEST(DynamicMatcherTest, ManyTablesBatchEqualsMatchEqualsNaive) {
+  DynamicOptions options;
+  options.bm_max = 0.25;
+  options.table_bm_max = 2.0;
+  options.create_cost_factor = 0.25;
+  options.b_delete = 4.0;
+  options.sweep_period = 1000;
+  WorkloadSpec spec = workloads::W0(5000, /*seed=*/1);
+  spec.value_hi = 4;  // small domain: events do match
+  spec.event_value_hi = 4;
+  spec.attrs_per_event = 26;
+  WorkloadGenerator gen(spec);
+  const std::vector<Subscription> subs = gen.MakeSubscriptions(5000, 1);
+  const std::vector<Event> events = gen.MakeEvents(300);
+
+  NaiveMatcher oracle;
+  for (const Subscription& s : subs) {
+    ASSERT_TRUE(oracle.AddSubscription(s).ok());
+  }
+  std::vector<std::vector<SubscriptionId>> expected(events.size());
+  size_t total_matches = 0;
+  for (size_t e = 0; e < events.size(); ++e) {
+    oracle.Match(events[e], &expected[e]);
+    expected[e] = Sorted(expected[e]);
+    total_matches += expected[e].size();
+  }
+  ASSERT_GT(total_matches, events.size() / 2);
+
+  for (bool concurrent : {false, true}) {
+    SCOPED_TRACE(concurrent ? "concurrent" : "serial");
+    DynamicMatcher m(options, /*use_prefetch=*/true,
+                     /*observe_sample_rate=*/16, concurrent);
+    for (const Subscription& s : subs) ASSERT_TRUE(m.AddSubscription(s).ok());
+    size_t by_arity[5] = {};
+    for (const AttributeSet& schema : m.TableSchemas()) {
+      ++by_arity[std::min<size_t>(schema.size(), 4)];
+    }
+    EXPECT_GE(m.TableSchemas().size(), 32u);
+    EXPECT_GT(by_arity[3], 0u);
+    EXPECT_GT(by_arity[4], 0u);
+
+    std::vector<SubscriptionId> got;
+    for (size_t e = 0; e < events.size(); ++e) {
+      m.Match(events[e], &got);
+      ASSERT_EQ(Sorted(got), expected[e]) << "Match, event " << e;
+    }
+    BatchResult batch;
+    for (size_t base = 0; base < events.size(); base += 100) {
+      m.MatchBatch(std::span<const Event>(events).subspan(base, 100), &batch);
+      for (size_t e = 0; e < 100; ++e) {
+        ASSERT_EQ(Sorted(batch.matches(e)), expected[base + e])
+            << "MatchBatch(100), event " << base + e;
+      }
+    }
+    m.MatchBatch(events, &batch);
+    for (size_t e = 0; e < events.size(); ++e) {
+      ASSERT_EQ(Sorted(batch.matches(e)), expected[e])
+          << "MatchBatch(300), event " << e;
+    }
+  }
 }
 
 TEST(DynamicMatcherTest, DeletesStarvedTables) {

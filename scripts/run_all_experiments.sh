@@ -34,7 +34,6 @@ BENCHES=(
   fig4b_skew_drift
   example31_clustering
   ipc_overhead
-  sharding_scaling
   churn_vs_match
   micro_batch
   micro_cluster

@@ -10,9 +10,6 @@ const ClusterKernels& KernelsForIsa(SimdIsa isa) {
     case SimdIsa::kScalar:
       table = internal::GetScalarClusterKernels();
       break;
-    case SimdIsa::kSse2:
-      table = internal::GetSse2ClusterKernels();
-      break;
     case SimdIsa::kAvx2:
       table = internal::GetAvx2ClusterKernels();
       break;

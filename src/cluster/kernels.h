@@ -67,7 +67,6 @@ namespace internal {
 /// nullptr and KernelsForIsa falls back to scalar. GetScalarClusterKernels
 /// never returns nullptr.
 const ClusterKernels* GetScalarClusterKernels();
-const ClusterKernels* GetSse2ClusterKernels();
 const ClusterKernels* GetAvx2ClusterKernels();
 const ClusterKernels* GetNeonClusterKernels();
 

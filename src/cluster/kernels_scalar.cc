@@ -2,7 +2,7 @@
 // The scalar (portable reference) cluster kernels, moved verbatim from the
 // original cluster.cc: the paper's Section 2.2 scan, specialized per size
 // N with UNFOLD-wide unrolled stripes and prefetch at stripe boundaries.
-// Every vector variant (kernels_sse2/avx2/neon.cc) is differentially
+// Every vector variant (kernels_avx2/neon.cc) is differentially
 // verified against this table.
 
 #include <algorithm>

@@ -1,6 +1,6 @@
 // Copyright 2026 The vfps Authors.
 // Shared skeleton for the vector cluster kernels. Each per-ISA translation
-// unit (kernels_sse2/avx2/neon.cc) instantiates VectorKernels<Ops> with its
+// unit (kernels_avx2/neon.cc) instantiates VectorKernels<Ops> with its
 // own Ops policy *inside that TU*, so the instantiation is compiled with
 // the TU's arch flags. The skeleton keeps the scalar kernels' structure —
 // UNFOLD-wide stripes, prefetch at stripe boundaries, ascending-row output

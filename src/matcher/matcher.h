@@ -83,9 +83,9 @@ class Matcher {
   /// True when AddSubscription / RemoveSubscription may run concurrently
   /// with Match() without external locking. Default matchers are
   /// single-threaded; a clustered matcher built concurrent opts in (and
-  /// further allows concurrent Match calls), as does a ShardedMatcher
-  /// composed purely of such shards (whose own Match still wants a single
-  /// driver — see sharded_matcher.h).
+  /// further allows concurrent Match calls); BrokerOptions::concurrent_churn
+  /// builds on it. The server's match worker serializes every broker call
+  /// and needs neither.
   virtual bool supports_concurrent_churn() const { return false; }
 
   /// Cumulative per-match counters. Virtual so concurrent matchers can
@@ -98,11 +98,6 @@ class Matcher {
   /// into them (compiled out under VFPS_TELEMETRY=OFF). nullptr detaches.
   /// The registry must outlive the matcher or a later detach.
   virtual void AttachTelemetry(MetricsRegistry* registry);
-
-  /// Folds shard-local instruments into the attached registry; single
-  /// matchers record live and need no collection. Call before exporting a
-  /// registry that a ShardedMatcher is attached to.
-  virtual void CollectTelemetry() {}
 
  protected:
   /// Records one event's telemetry from the stats_ delta since `before`

@@ -1133,13 +1133,13 @@ void PubSubServer::DispatchRequest(WorkerConn* wc, const Request& request) {
       // here would self-deadlock the single worker).
       if (request.body == "PROM") {
         // Multi-line export: "OK <n>" then n raw text-format lines.
-        std::string text = ExportPromOnWorker();
+        std::string text = metrics_.ExportPrometheus();
         size_t lines = 0;
         for (char c : text) lines += c == '\n';
         EmitLine(wc, FormatOkDetail(std::to_string(lines)));
         EmitRaw(wc, std::move(text));  // every line ends in '\n'
       } else {
-        EmitLine(wc, FormatOkDetail(ExportJsonOnWorker()));
+        EmitLine(wc, FormatOkDetail(metrics_.ExportJson()));
       }
       return;
     }
@@ -1206,16 +1206,6 @@ void PubSubServer::HandleFailPoint(WorkerConn* wc, const std::string& args) {
 
 // --- metrics export ----------------------------------------------------------
 
-std::string PubSubServer::ExportJsonOnWorker() {
-  broker_.CollectTelemetry();
-  return metrics_.ExportJson();
-}
-
-std::string PubSubServer::ExportPromOnWorker() {
-  broker_.CollectTelemetry();
-  return metrics_.ExportPrometheus();
-}
-
 std::string PubSubServer::ExportViaWorker(bool json) {
   struct ExportWait {
     Mutex mu{LockRank::kNetResults, "net_export"};
@@ -1227,7 +1217,8 @@ std::string PubSubServer::ExportViaWorker(bool json) {
       worker_ != nullptr &&
       worker_->Submit([this, &wait, json] {
         VFPS_SERIAL_SCOPE(worker_serial_);
-        std::string text = json ? ExportJsonOnWorker() : ExportPromOnWorker();
+        std::string text =
+            json ? metrics_.ExportJson() : metrics_.ExportPrometheus();
         MutexLock lock(wait.mu);
         wait.text = std::move(text);
         wait.done = true;
@@ -1236,7 +1227,7 @@ std::string PubSubServer::ExportViaWorker(bool json) {
   if (!submitted) {
     // Worker already shut down (destruction path): nothing else can be
     // executing, so a direct export is serial.
-    return json ? ExportJsonOnWorker() : ExportPromOnWorker();
+    return json ? metrics_.ExportJson() : metrics_.ExportPrometheus();
   }
   MutexLock lock(wait.mu);
   while (!wait.done) wait.cv.Wait(wait.mu);

@@ -138,11 +138,11 @@ class PubSubServer {
   /// instruments; see docs/OBSERVABILITY.md).
   MetricsRegistry& metrics() { return metrics_; }
 
-  /// Collects shard telemetry and renders the registry. These are what the
-  /// METRICS verb answers with; exposed for in-process use (tools dumping
-  /// periodic snapshots, tests). Thread-safe: the export runs as a job on
-  /// the match worker (so it never races request execution) and the caller
-  /// blocks until it completes.
+  /// Renders the registry. These are what the METRICS verb answers with;
+  /// exposed for in-process use (tools dumping periodic snapshots, tests).
+  /// Thread-safe: the export runs as a job on the match worker (so its
+  /// gauge callbacks never race request execution) and the caller blocks
+  /// until it completes.
   std::string ExportMetricsJson();
   std::string ExportMetricsProm();
 
@@ -318,8 +318,6 @@ class PubSubServer {
   bool ShedPublishes() const;
   /// Posts the finished result and wakes the loop.
   void PostResult(JobResult result);
-  std::string ExportJsonOnWorker();
-  std::string ExportPromOnWorker();
   std::string ExportViaWorker(bool json);
 
   // --- shared byte ledger ----------------------------------------------------

@@ -210,9 +210,6 @@ class Broker {
   /// broker). See docs/OBSERVABILITY.md for the catalog.
   void AttachTelemetry(MetricsRegistry* registry);
 
-  /// Forwards to the matcher (ShardedMatcher folds shard registries).
-  void CollectTelemetry() { matcher_->CollectTelemetry(); }
-
  private:
   /// Held by shared_ptr in user_subs_: Publish resolves matches to
   /// (record, user id) pairs under subs_mu_, then dispatches handlers with

@@ -13,10 +13,11 @@
 
 namespace vfps {
 
-/// Cached instrument pointers for one matcher (or one shard). All matchers
-/// attached to the same registry share instruments; ShardedMatcher gives
-/// each shard a private registry and merges (the instruments' MergeFrom)
-/// at collection time.
+/// Cached instrument pointers for one matcher. Every matcher, serial or
+/// concurrent, records straight into the registry it is attached to (the
+/// server's match worker records into the server registry), so an export
+/// needs no collection step; matchers attached to the same registry share
+/// instruments.
 struct MatcherTelemetry {
   Counter* events = nullptr;
   Counter* predicates_evaluated = nullptr;
@@ -81,21 +82,6 @@ struct MatcherTelemetry {
     clusters_scanned->Inc(clusters_delta);
     subscription_checks->Inc(checks_delta);
     matches->Inc(matches_delta);
-  }
-
-  /// Zeroes every instrument (the merge target does this before
-  /// re-accumulating shard registries).
-  void Reset() {
-    events->Reset();
-    predicates_evaluated->Reset();
-    clusters_scanned->Reset();
-    subscription_checks->Reset();
-    matches->Reset();
-    match_ns->Reset();
-    phase1_ns->Reset();
-    phase2_ns->Reset();
-    batch_size->Reset();
-    batch_ns->Reset();
   }
 };
 

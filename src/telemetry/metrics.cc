@@ -72,47 +72,6 @@ uint64_t Histogram::ValueAtPercentile(double p) const {
   return max();
 }
 
-void Histogram::MergeFrom(const Histogram& other) {
-  uint64_t n = 0;
-  uint64_t s = 0;
-  for (int i = 0; i < kBucketCount; ++i) {
-    // sync-relaxed-ok: bucket-wise merge of monotone accumulators; the
-    // merged view tolerates skew like any export snapshot.
-    const uint64_t c = other.buckets_[i].load(std::memory_order_relaxed);
-    if (c == 0) continue;
-    // sync-relaxed-ok: independent monotone accumulator.
-    buckets_[i].fetch_add(c, std::memory_order_relaxed);
-    n += c;
-  }
-  s = other.sum();
-  // sync-relaxed-ok: independent monotone accumulator.
-  count_.fetch_add(n, std::memory_order_relaxed);
-  // sync-relaxed-ok: independent monotone accumulator.
-  sum_.fetch_add(s, std::memory_order_relaxed);
-  const uint64_t other_max = other.max();
-  // sync-relaxed-ok: monotone max CAS, no dependent data.
-  uint64_t cur = max_.load(std::memory_order_relaxed);
-  while (other_max > cur && !max_.compare_exchange_weak(
-                                // sync-relaxed-ok: monotone max CAS.
-                                cur, other_max, std::memory_order_relaxed)) {
-  }
-}
-
-void Histogram::Reset() {
-  // Owner-only by contract — no concurrent Record may be in flight, so
-  // there is nothing to order; every store below is a plain reset.
-  for (int i = 0; i < kBucketCount; ++i) {
-    // sync-relaxed-ok: owner-only reset, see above.
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
-  // sync-relaxed-ok: owner-only reset, see above.
-  count_.store(0, std::memory_order_relaxed);
-  // sync-relaxed-ok: owner-only reset, see above.
-  sum_.store(0, std::memory_order_relaxed);
-  // sync-relaxed-ok: owner-only reset, see above.
-  max_.store(0, std::memory_order_relaxed);
-}
-
 Counter* MetricsRegistry::GetCounter(std::string_view name) {
   WriterLock lock(mu_);
   auto it = counters_.find(name);
@@ -150,27 +109,6 @@ int64_t MetricsRegistry::GaugeValue(std::string_view name) const {
   // Sampled outside the lock: gauge callbacks may touch structures that in
   // turn export metrics.
   return fn();
-}
-
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
-  // Snapshot the other registry's instrument pointers under its lock, then
-  // merge without holding both locks at once (instruments are stable and
-  // internally atomic).
-  std::vector<std::pair<std::string, const Counter*>> counters;
-  std::vector<std::pair<std::string, const Histogram*>> histograms;
-  {
-    ReaderLock lock(other.mu_);
-    counters.reserve(other.counters_.size());
-    for (const auto& [name, c] : other.counters_) {
-      counters.emplace_back(name, c.get());
-    }
-    histograms.reserve(other.histograms_.size());
-    for (const auto& [name, h] : other.histograms_) {
-      histograms.emplace_back(name, h.get());
-    }
-  }
-  for (const auto& [name, c] : counters) GetCounter(name)->MergeFrom(*c);
-  for (const auto& [name, h] : histograms) GetHistogram(name)->MergeFrom(*h);
 }
 
 HistogramSnapshot MetricsRegistry::Snapshot(std::string_view name) const {

@@ -1,12 +1,12 @@
 // Copyright 2026 The vfps Authors.
 // Telemetry subsystem: lock-free-on-the-hot-path counters, log-bucketed
-// latency histograms (mergeable across shards), a registry that names and
-// exports them, and a scoped timer built on src/util/timer.h.
+// latency histograms, a registry that names and exports them, and a scoped
+// timer built on src/util/timer.h.
 //
 // Design rules:
 //   * Recording (Counter::Inc, Histogram::Record) is wait-free — relaxed
 //     atomic adds, no locks, no allocation — so instruments can sit on the
-//     match path and be hammered from every shard thread at once.
+//     match path and be hammered from every reader thread at once.
 //   * Instrument lookup (MetricsRegistry::GetCounter / GetHistogram) takes
 //     a mutex and may allocate; callers resolve instruments once at attach
 //     time and cache the pointer. Returned pointers are stable for the
@@ -55,16 +55,6 @@ class Counter {
     return value_.load(std::memory_order_relaxed);
   }
 
-  /// Zeroes the counter. Not atomic with respect to concurrent Inc calls;
-  /// use only from the owner (e.g. before a shard merge re-accumulates).
-  void Reset() {
-    // sync-relaxed-ok: owner-only by contract; nothing to order against.
-    value_.store(0, std::memory_order_relaxed);
-  }
-
-  /// Adds another counter's value (shard merging).
-  void MergeFrom(const Counter& other) { Inc(other.value()); }
-
  private:
   std::atomic<uint64_t> value_{0};
 };
@@ -74,7 +64,7 @@ class Counter {
 /// power of two, so any reported quantile overestimates the true sample by
 /// at most one bucket width — a relative error bound of 1/8 = 12.5%
 /// (values below 16 are bucketed exactly). Recording touches a handful of
-/// relaxed atomics; histograms from different shards merge bucket-wise.
+/// relaxed atomics.
 class Histogram {
  public:
   static constexpr int kSubBucketBits = 3;
@@ -121,12 +111,6 @@ class Histogram {
   /// the true order statistic (exact for samples < 16). 0 when empty.
   uint64_t ValueAtPercentile(double p) const;
 
-  /// Adds every sample of `other` into this histogram (bucket-wise).
-  void MergeFrom(const Histogram& other);
-
-  /// Zeroes all state. Not atomic w.r.t. concurrent Record; owner-only.
-  void Reset();
-
   /// Maps a sample to its bucket index (exposed for tests).
   static int IndexFor(uint64_t v);
   /// Inclusive upper bound of the values mapping to `index` (for tests and
@@ -171,8 +155,8 @@ struct HistogramSnapshot {
 /// Owns named instruments and renders exports. Instrument names follow the
 /// Prometheus convention documented in docs/OBSERVABILITY.md:
 /// vfps_<component>_<what>[_total|_ns]. Gauges are callbacks sampled at
-/// export time (live structural values such as connection counts); they are
-/// excluded from MergeFrom and must outlive the registry's last export.
+/// export time (live structural values such as connection counts); they
+/// must outlive the registry's last export.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -191,10 +175,6 @@ class MetricsRegistry {
 
   /// Samples one gauge now; 0 if no such gauge is registered.
   int64_t GaugeValue(std::string_view name) const;
-
-  /// Adds every counter and histogram of `other` into same-named
-  /// instruments here, creating them as needed. Gauges are not merged.
-  void MergeFrom(const MetricsRegistry& other);
 
   /// Snapshot of one histogram by name; zeroes if absent.
   HistogramSnapshot Snapshot(std::string_view name) const;

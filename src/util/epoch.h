@@ -48,8 +48,7 @@
 namespace vfps {
 
 /// Epoch clock, reader slots, and the limbo list of one churn domain
-/// (one per concurrent clustered matcher; shards have independent
-/// managers).
+/// (one per concurrent clustered matcher).
 class EpochManager {
  public:
   /// Concurrent reader limit. Pins beyond this spin-wait for a slot to

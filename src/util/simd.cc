@@ -34,28 +34,6 @@ void ZeroWordsScalar(uint64_t* words, size_t count) {
 
 #if VFPS_SIMD_X86
 
-void OrWordsSse2(uint64_t* dst, const uint64_t* src, size_t words) {
-  size_t w = 0;
-  for (; w + 2 <= words; w += 2) {
-    const __m128i a =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + w));
-    const __m128i b =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + w));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + w),
-                     _mm_or_si128(a, b));
-  }
-  for (; w < words; ++w) dst[w] |= src[w];
-}
-
-void ZeroWordsSse2(uint64_t* words, size_t count) {
-  const __m128i zero = _mm_setzero_si128();
-  size_t w = 0;
-  for (; w + 2 <= count; w += 2) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(words + w), zero);
-  }
-  for (; w < count; ++w) words[w] = 0;
-}
-
 // The word helpers are tiny enough to live here under a per-function
 // target attribute instead of a dedicated -mavx2 translation unit; the
 // full kernels (src/cluster/kernels_avx2.cc) use per-file flags.
@@ -99,10 +77,7 @@ void InstallWordOps(SimdIsa isa) {
   OrWordsFn or_fn = &OrWordsScalar;
   ZeroWordsFn zero_fn = &ZeroWordsScalar;
 #if VFPS_SIMD_X86
-  if (isa == SimdIsa::kSse2) {
-    or_fn = &OrWordsSse2;
-    zero_fn = &ZeroWordsSse2;
-  } else if (isa == SimdIsa::kAvx2) {
+  if (isa == SimdIsa::kAvx2) {
     or_fn = &OrWordsAvx2;
     zero_fn = &ZeroWordsAvx2;
   }
@@ -122,7 +97,7 @@ SimdIsa ProbeDetectedIsa() {
 #if defined(__GNUC__) || defined(__clang__)
   if (__builtin_cpu_supports("avx2")) return SimdIsa::kAvx2;
 #endif
-  return SimdIsa::kSse2;  // architectural baseline on x86-64
+  return SimdIsa::kScalar;  // x86-64 without AVX2 runs the scalar kernels
 #elif VFPS_SIMD_ARM
   return SimdIsa::kNeon;  // architectural baseline on AArch64
 #else
@@ -141,7 +116,7 @@ SimdIsa ResolveStartupIsa() {
   if (!wanted.has_value()) {
     std::fprintf(stderr,
                  "vfps: unknown VFPS_SIMD value '%s' ignored "
-                 "(off|scalar|sse2|avx2|neon|auto); using %s\n",
+                 "(off|scalar|avx2|neon|auto); using %s\n",
                  env, SimdIsaName(detected));
     return detected;
   }
@@ -170,8 +145,6 @@ const char* SimdIsaName(SimdIsa isa) {
   switch (isa) {
     case SimdIsa::kScalar:
       return "scalar";
-    case SimdIsa::kSse2:
-      return "sse2";
     case SimdIsa::kAvx2:
       return "avx2";
     case SimdIsa::kNeon:
@@ -184,7 +157,6 @@ std::optional<SimdIsa> ParseSimdIsa(std::string_view mode) {
   if (mode == "off" || mode == "scalar" || mode == "none") {
     return SimdIsa::kScalar;
   }
-  if (mode == "sse2") return SimdIsa::kSse2;
   if (mode == "avx2") return SimdIsa::kAvx2;
   if (mode == "neon") return SimdIsa::kNeon;
   return std::nullopt;
@@ -198,7 +170,6 @@ SimdIsa DetectedSimdIsa() {
 std::vector<SimdIsa> SupportedSimdIsas() {
   std::vector<SimdIsa> isas{SimdIsa::kScalar};
 #if VFPS_SIMD_X86
-  isas.push_back(SimdIsa::kSse2);
   if (DetectedSimdIsa() == SimdIsa::kAvx2) isas.push_back(SimdIsa::kAvx2);
 #elif VFPS_SIMD_ARM
   isas.push_back(SimdIsa::kNeon);

@@ -4,10 +4,9 @@
 // target architecture can express (the AVX2 translation unit is compiled
 // with per-file arch flags, see src/CMakeLists.txt); which one runs is
 // decided once at startup from cpuid/getauxval and can be overridden with
-// the VFPS_SIMD environment variable (off|scalar|sse2|avx2|neon|auto) for
-// testing and A/B ablations. The selection is process-global: matching is
-// single-threaded per matcher and the sharded wrapper's threads only read
-// the (atomic) active-ISA word.
+// the VFPS_SIMD environment variable (off|scalar|avx2|neon|auto) for
+// testing and A/B ablations. The selection is process-global: concurrent
+// readers only read the (atomic) active-ISA word.
 
 #ifndef VFPS_UTIL_SIMD_H_
 #define VFPS_UTIL_SIMD_H_
@@ -23,10 +22,10 @@ namespace vfps {
 /// Instruction sets the kernels are specialized for, in dispatch-preference
 /// order within one architecture (higher enum value = wider/faster).
 /// kScalar is the portable reference implementation every other variant is
-/// differentially verified against.
+/// differentially verified against. The numeric values are exported by the
+/// vfps_kernel_isa gauge and stay fixed (1 is unused).
 enum class SimdIsa : int {
   kScalar = 0,
-  kSse2 = 1,   // x86-64 baseline: 128-bit stripe ops, SWAR row groups
   kAvx2 = 2,   // 256-bit stripe ops, 8-lane result-vector gathers
   kNeon = 3,   // AArch64 baseline: 128-bit stripe ops, SWAR row groups
 };
@@ -38,7 +37,7 @@ enum class SimdIsa : int {
 /// and benches building raw buffers must over-allocate by this much.
 inline constexpr size_t kSimdGatherSlack = 3;
 
-/// Short lowercase name ("scalar", "sse2", "avx2", "neon").
+/// Short lowercase name ("scalar", "avx2", "neon").
 const char* SimdIsaName(SimdIsa isa);
 
 /// Parses a VFPS_SIMD-style mode string. "off", "scalar", and "none" all

@@ -117,7 +117,7 @@ enum class LockRank : uint32_t {
   /// takes it). Held while retiring superseded snapshots, so it ranks below
   /// kEpochReclaim.
   kMatcherWriter = 150,
-  /// ThreadPool queue/lifecycle lock (sharded matcher fan-out).
+  /// ThreadPool queue/lifecycle lock (the network server's match worker).
   kThreadPool = 200,
   /// Net-server worker→loop handoff (src/net/server.cc): the completed
   /// request-result queue and export-wait latches. Taken briefly by the

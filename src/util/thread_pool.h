@@ -1,7 +1,7 @@
 // Copyright 2026 The vfps Authors.
-// Minimal fixed-size thread pool for the sharded matcher extension. The
-// paper's engine is single-threaded; the pool lets an application fan one
-// event out across per-shard matchers (see matcher/sharded_matcher.h).
+// Minimal fixed-size thread pool. The paper's engine is single-threaded;
+// the network server runs its match worker as a one-thread pool so every
+// broker call executes off the event loop (see net/server.h).
 //
 // Locking: one Mutex (LockRank::kThreadPool) guards the queue and
 // lifecycle flags; tasks always run with it released, so a task may take

@@ -10,7 +10,6 @@
 #include <unordered_map>
 
 #include "src/matcher/naive_matcher.h"
-#include "src/matcher/sharded_matcher.h"
 #include "src/pubsub/broker.h"
 #include "src/util/macros.h"
 #include "src/util/sync.h"
@@ -89,11 +88,6 @@ std::vector<DiffVariant> DefaultDiffVariants() {
   variants.push_back({"dynamic-concurrent", [] {
                         return MakeMatcher(Algorithm::kDynamic,
                                            /*concurrent=*/true);
-                      }});
-  variants.push_back({"sharded", [] {
-                        return std::make_unique<ShardedMatcher>(4, [] {
-                          return MakeMatcher(Algorithm::kDynamic);
-                        });
                       }});
   return variants;
 }
@@ -269,8 +263,7 @@ std::optional<DiffDivergence> RunConcurrentDifferential(
     int reader_threads, int mutations, size_t reader_batch) {
   VFPS_CHECK(writer_threads >= 1 && reader_threads >= 1);
   // Serializes oracle + matcher + live-set mutation against matching.
-  // Outermost rank: sharded variants take the thread-pool lock (and the
-  // shards' telemetry locks) beneath it during Match.
+  // Outermost rank: a matcher's writer and epoch locks nest beneath it.
   Mutex mu(LockRank::kVerifyHarness, "diff_harness");
   NaiveMatcher oracle;
   std::unique_ptr<Matcher> matcher = variant.factory();

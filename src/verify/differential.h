@@ -30,8 +30,7 @@ struct DiffVariant {
 };
 
 /// The full verification matrix: counting, propagation (with and without
-/// prefetch), static, dynamic, tree, the concurrent build of dynamic, and
-/// the sharded wrapper.
+/// prefetch), static, dynamic, tree, and the concurrent build of dynamic.
 std::vector<DiffVariant> DefaultDiffVariants();
 
 /// Workload shape for one differential run. All randomness derives from
@@ -103,11 +102,10 @@ DiffReport RunBatchDifferential(const DiffConfig& config,
 
 /// Runs mixed subscribe/unsubscribe/match traffic against one variant from
 /// `writer_threads + reader_threads` threads (matcher access serialized by
-/// a mutex, as the Broker contract requires; the sharded variant still
-/// fans out internally). Primarily a TSan target; result divergences are
-/// reported the same way. `mutations` is the total mutation count. With
-/// `reader_batch` > 0 the readers call MatchBatch on batches of that many
-/// events instead of per-event Match.
+/// a mutex, as the Broker contract requires). Primarily a TSan target;
+/// result divergences are reported the same way. `mutations` is the total
+/// mutation count. With `reader_batch` > 0 the readers call MatchBatch on
+/// batches of that many events instead of per-event Match.
 std::optional<DiffDivergence> RunConcurrentDifferential(
     const DiffConfig& config, const DiffVariant& variant, int writer_threads,
     int reader_threads, int mutations, size_t reader_batch = 0);

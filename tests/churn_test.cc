@@ -24,7 +24,6 @@
 
 #include "src/matcher/dynamic_matcher.h"
 #include "src/matcher/naive_matcher.h"
-#include "src/matcher/sharded_matcher.h"
 #include "src/pubsub/broker.h"
 #include "src/telemetry/metrics.h"
 #include "src/util/rng.h"
@@ -194,15 +193,6 @@ TEST(ChurnTest, EpochStatsAdvanceUnderChurn) {
   EXPECT_EQ(DynamicMatcher().epoch(), nullptr);
 }
 
-TEST(ChurnTest, ShardedOfConcurrentShardsSupportsConcurrentChurn) {
-  ShardedMatcher concurrent_shards(
-      2, [] { return MakeMatcher(Algorithm::kDynamic, /*concurrent=*/true); });
-  EXPECT_TRUE(concurrent_shards.supports_concurrent_churn());
-  ShardedMatcher dynamic_shards(2,
-                                [] { return MakeMatcher(Algorithm::kDynamic); });
-  EXPECT_FALSE(dynamic_shards.supports_concurrent_churn());
-}
-
 TEST(ChurnTest, EveryClusteredAlgorithmBuildsConcurrent) {
   for (Algorithm a : {Algorithm::kPropagation, Algorithm::kPropagationPrefetch,
                       Algorithm::kStatic, Algorithm::kDynamic}) {
@@ -247,24 +237,26 @@ TEST(ChurnTest, ConcurrentBuildRecordsPerEventAndNativeBatchTelemetry) {
   for (int i = 0; i < 10; ++i) {
     matcher->Match(Event::CreateUnchecked({{0, 5}}), &out);
   }
-  Histogram* match_ns = metrics.GetHistogram("vfps_matcher_match_ns");
-  EXPECT_EQ(match_ns->count(), 10u);
-  EXPECT_EQ(metrics.GetHistogram("vfps_matcher_phase1_ns")->count(), 10u);
-  EXPECT_EQ(metrics.GetHistogram("vfps_matcher_phase2_ns")->count(), 10u);
-
-  // MatchBatch is the native kernel, not the per-event default loop (which
-  // would record one match_ns sample per event).
   std::vector<Event> batch(6, Event::CreateUnchecked({{0, 5}}));
   BatchResult results;
   matcher->MatchBatch(batch, &results);
   for (size_t lane = 0; lane < batch.size(); ++lane) {
     EXPECT_EQ(results.matches(lane), (std::vector<SubscriptionId>{1}));
   }
+  EXPECT_EQ(matcher->stats().events, 16u);
+
+  // Per-event recording only exists when hot-path telemetry is compiled in.
+#if VFPS_TELEMETRY
+  Histogram* match_ns = metrics.GetHistogram("vfps_matcher_match_ns");
   EXPECT_EQ(match_ns->count(), 10u);
+  EXPECT_EQ(metrics.GetHistogram("vfps_matcher_phase1_ns")->count(), 10u);
+  EXPECT_EQ(metrics.GetHistogram("vfps_matcher_phase2_ns")->count(), 10u);
+  // MatchBatch is the native kernel, not the per-event default loop (which
+  // would record one match_ns sample per batched event as well).
   EXPECT_EQ(metrics.GetHistogram("vfps_matcher_batch_size")->count(), 1u);
   EXPECT_EQ(metrics.GetCounter("vfps_matcher_events_total")->value(), 16u);
   EXPECT_EQ(metrics.GetCounter("vfps_matcher_matches_total")->value(), 16u);
-  EXPECT_EQ(matcher->stats().events, 16u);
+#endif  // VFPS_TELEMETRY
   matcher->AttachTelemetry(nullptr);
 }
 

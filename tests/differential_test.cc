@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +21,16 @@
 
 namespace vfps {
 namespace {
+
+// The default variant called `name`; the test fails (rather than checking
+// nothing) if the matrix no longer has it.
+std::optional<DiffVariant> DefaultVariantNamed(const std::string& name) {
+  for (DiffVariant& v : DefaultDiffVariants()) {
+    if (v.name == name) return std::move(v);
+  }
+  ADD_FAILURE() << "no default variant named '" << name << "'";
+  return std::nullopt;
+}
 
 TEST(DifferentialHarnessTest, CleanOnRandomShapes) {
   const DiffConfig configs[] = {
@@ -73,35 +84,35 @@ TEST(DifferentialHarnessTest, CleanOnEmptyAndNearEmptyEvents) {
 }
 
 // Concurrent subscribe/unsubscribe/match traffic over the two variants
-// that matter under load. With TSan this validates the locking protocol
-// and the sharded matcher's internal thread-pool fan-out; in any build it
-// validates results under interleaved mutation.
+// that support it: the lock-based dynamic build and the epoch-published
+// concurrent one. With TSan this validates the locking and snapshot
+// publication protocols; in any build it validates results under
+// interleaved mutation.
 TEST(DifferentialConcurrencyTest, DynamicVariantCleanUnderThreadedChurn) {
   DiffConfig config{.seed = 401, .attrs = 6, .domain = 12,
                     .subscriptions = 0, .events = 0, .p_present = 0.7,
                     .churn = true};
-  for (const DiffVariant& v : DefaultDiffVariants()) {
-    if (v.name != "dynamic") continue;
-    auto divergence = RunConcurrentDifferential(
-        config, v, /*writer_threads=*/2, /*reader_threads=*/2,
-        /*mutations=*/800);
-    ASSERT_FALSE(divergence.has_value())
-        << MinimizeDivergence(config, *divergence, v);
-  }
+  std::optional<DiffVariant> v = DefaultVariantNamed("dynamic");
+  ASSERT_TRUE(v.has_value());
+  auto divergence = RunConcurrentDifferential(
+      config, *v, /*writer_threads=*/2, /*reader_threads=*/2,
+      /*mutations=*/800);
+  ASSERT_FALSE(divergence.has_value())
+      << MinimizeDivergence(config, *divergence, *v);
 }
 
-TEST(DifferentialConcurrencyTest, ShardedVariantCleanUnderThreadedChurn) {
+TEST(DifferentialConcurrencyTest,
+     DynamicConcurrentVariantCleanUnderThreadedChurn) {
   DiffConfig config{.seed = 402, .attrs = 6, .domain = 12,
                     .subscriptions = 0, .events = 0, .p_present = 0.7,
                     .churn = true};
-  for (const DiffVariant& v : DefaultDiffVariants()) {
-    if (v.name != "sharded") continue;
-    auto divergence = RunConcurrentDifferential(
-        config, v, /*writer_threads=*/2, /*reader_threads=*/2,
-        /*mutations=*/800);
-    ASSERT_FALSE(divergence.has_value())
-        << MinimizeDivergence(config, *divergence, v);
-  }
+  std::optional<DiffVariant> v = DefaultVariantNamed("dynamic-concurrent");
+  ASSERT_TRUE(v.has_value());
+  auto divergence = RunConcurrentDifferential(
+      config, *v, /*writer_threads=*/2, /*reader_threads=*/2,
+      /*mutations=*/800);
+  ASSERT_FALSE(divergence.has_value())
+      << MinimizeDivergence(config, *divergence, *v);
 }
 
 // The batched pipeline must agree with the per-event oracle for every
@@ -128,21 +139,21 @@ TEST(DifferentialHarnessTest, BatchMatchesOracleAcrossBatchSizes) {
   }
 }
 
-// Batched readers over the sharded matcher: the thread-pool fan-out plus
-// per-shard BatchResult merge under concurrent churn (a TSan target via
-// this binary's `concurrency` label).
-TEST(DifferentialConcurrencyTest, ShardedVariantCleanUnderBatchedReaders) {
+// Batched readers over the epoch-published matcher: MatchBatch against a
+// pinned snapshot while writers publish new ones (a TSan target via this
+// binary's `concurrency` label).
+TEST(DifferentialConcurrencyTest,
+     DynamicConcurrentVariantCleanUnderBatchedReaders) {
   DiffConfig config{.seed = 403, .attrs = 6, .domain = 12,
                     .subscriptions = 0, .events = 0, .p_present = 0.7,
                     .churn = true};
-  for (const DiffVariant& v : DefaultDiffVariants()) {
-    if (v.name != "sharded") continue;
-    auto divergence = RunConcurrentDifferential(
-        config, v, /*writer_threads=*/2, /*reader_threads=*/2,
-        /*mutations=*/800, /*reader_batch=*/8);
-    ASSERT_FALSE(divergence.has_value())
-        << MinimizeDivergence(config, *divergence, v);
-  }
+  std::optional<DiffVariant> v = DefaultVariantNamed("dynamic-concurrent");
+  ASSERT_TRUE(v.has_value());
+  auto divergence = RunConcurrentDifferential(
+      config, *v, /*writer_threads=*/2, /*reader_threads=*/2,
+      /*mutations=*/800, /*reader_batch=*/8);
+  ASSERT_FALSE(divergence.has_value())
+      << MinimizeDivergence(config, *divergence, *v);
 }
 
 // A deliberately broken matcher: forwards to a real dynamic matcher but

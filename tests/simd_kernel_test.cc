@@ -152,12 +152,12 @@ TEST_F(SimdKernelTest, IsaSelectionUtilities) {
   EXPECT_EQ(ParseSimdIsa("off"), SimdIsa::kScalar);
   EXPECT_EQ(ParseSimdIsa("scalar"), SimdIsa::kScalar);
   EXPECT_EQ(ParseSimdIsa("none"), SimdIsa::kScalar);
-  EXPECT_EQ(ParseSimdIsa("sse2"), SimdIsa::kSse2);
   EXPECT_EQ(ParseSimdIsa("avx2"), SimdIsa::kAvx2);
   EXPECT_EQ(ParseSimdIsa("neon"), SimdIsa::kNeon);
   EXPECT_FALSE(ParseSimdIsa("auto").has_value());
   EXPECT_FALSE(ParseSimdIsa("").has_value());
   EXPECT_FALSE(ParseSimdIsa("avx512").has_value());
+  EXPECT_FALSE(ParseSimdIsa("sse2").has_value());
 
   const std::vector<SimdIsa> supported = SupportedSimdIsas();
   ASSERT_FALSE(supported.empty());
@@ -169,7 +169,7 @@ TEST_F(SimdKernelTest, IsaSelectionUtilities) {
     EXPECT_STREQ(SimdIsaName(KernelsForIsa(isa).isa), SimdIsaName(isa));
   }
   // An ISA this machine/build cannot run is rejected and changes nothing.
-  for (SimdIsa isa : {SimdIsa::kSse2, SimdIsa::kAvx2, SimdIsa::kNeon}) {
+  for (SimdIsa isa : {SimdIsa::kAvx2, SimdIsa::kNeon}) {
     if (std::find(supported.begin(), supported.end(), isa) ==
         supported.end()) {
       const SimdIsa before = ActiveSimdIsa();

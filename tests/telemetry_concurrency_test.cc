@@ -100,49 +100,5 @@ TEST(TelemetryConcurrencyTest, RegistryLookupsAndExportsRace) {
             static_cast<uint64_t>(kThreads) * kItersPerThread);
 }
 
-TEST(TelemetryConcurrencyTest, MergeWhileShardsRecord) {
-  // Mimics ShardedMatcher::CollectTelemetry running while shards are still
-  // recording: merges must observe internally consistent (monotonic)
-  // counts and never crash. Exactness is only guaranteed after join.
-  constexpr int kShards = 4;
-  MetricsRegistry shards[kShards];
-  MetricsRegistry target;
-  std::atomic<bool> stop{false};
-
-  std::thread collector([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      MetricsRegistry fresh;
-      for (int s = 0; s < kShards; ++s) fresh.MergeFrom(shards[s]);
-      const uint64_t merged =
-          fresh.GetCounter("vfps_matcher_events_total")->value();
-      ASSERT_LE(merged,
-                static_cast<uint64_t>(kShards) * kItersPerThread);
-    }
-  });
-
-  std::vector<std::thread> workers;
-  workers.reserve(kShards);
-  for (int s = 0; s < kShards; ++s) {
-    workers.emplace_back([&shards, s] {
-      Counter* events = shards[s].GetCounter("vfps_matcher_events_total");
-      Histogram* ns = shards[s].GetHistogram("vfps_matcher_match_ns");
-      for (int i = 0; i < kItersPerThread; ++i) {
-        events->Inc();
-        ns->Record(i);
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  stop.store(true);
-  collector.join();
-
-  MetricsRegistry final_merge;
-  for (int s = 0; s < kShards; ++s) final_merge.MergeFrom(shards[s]);
-  EXPECT_EQ(final_merge.GetCounter("vfps_matcher_events_total")->value(),
-            static_cast<uint64_t>(kShards) * kItersPerThread);
-  EXPECT_EQ(final_merge.GetHistogram("vfps_matcher_match_ns")->count(),
-            static_cast<uint64_t>(kShards) * kItersPerThread);
-}
-
 }  // namespace
 }  // namespace vfps

@@ -1,6 +1,6 @@
 // Copyright 2026 The vfps Authors.
 // Tests for the telemetry subsystem: counter/histogram correctness,
-// quantile accuracy bounds, registry merge semantics, exports, and the
+// quantile accuracy bounds, registry lookups, exports, and the
 // matcher/broker integration points. (Thread-safety of the instruments is
 // covered by telemetry_concurrency_test.cc under the concurrency label.)
 
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "src/matcher/sharded_matcher.h"
 #include "src/pubsub/broker.h"
 #include "src/telemetry/metrics.h"
 #include "src/workload/workload_generator.h"
@@ -20,23 +19,12 @@ namespace {
 
 // --- Counter ----------------------------------------------------------------
 
-TEST(CounterTest, IncAndReset) {
+TEST(CounterTest, IncAccumulates) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.Inc();
   c.Inc(41);
   EXPECT_EQ(c.value(), 42u);
-  c.Reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(CounterTest, MergeAdds) {
-  Counter a, b;
-  a.Inc(10);
-  b.Inc(32);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.value(), 42u);
-  EXPECT_EQ(b.value(), 32u);  // source untouched
 }
 
 // --- Histogram --------------------------------------------------------------
@@ -121,28 +109,6 @@ TEST(HistogramTest, EstimateNeverExceedsObservedMax) {
   EXPECT_EQ(h.ValueAtPercentile(99), 1000u);
 }
 
-TEST(HistogramTest, MergeCombinesShards) {
-  Histogram a, b;
-  for (int i = 0; i < 100; ++i) a.Record(10);
-  for (int i = 0; i < 100; ++i) b.Record(1000000);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.count(), 200u);
-  EXPECT_EQ(a.sum(), 100u * 10 + 100u * 1000000);
-  EXPECT_EQ(a.max(), 1000000u);
-  EXPECT_EQ(a.ValueAtPercentile(25), 10u);
-  EXPECT_GE(a.ValueAtPercentile(75), 1000000u * 100 / 113);  // within bound
-}
-
-TEST(HistogramTest, ResetZeroesEverything) {
-  Histogram h;
-  h.Record(123456);
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0u);
-  EXPECT_EQ(h.max(), 0u);
-  EXPECT_EQ(h.ValueAtPercentile(99), 0u);
-}
-
 // --- ScopedTimer ------------------------------------------------------------
 
 TEST(ScopedTimerTest, RecordsOnDestruction) {
@@ -175,20 +141,6 @@ TEST(MetricsRegistryTest, GaugesSampleAtReadTime) {
   live = 7;
   EXPECT_EQ(reg.GaugeValue("vfps_test_live"), 7);
   EXPECT_EQ(reg.GaugeValue("vfps_no_such_gauge"), 0);
-}
-
-TEST(MetricsRegistryTest, MergeFromAddsCountersAndHistograms) {
-  MetricsRegistry target, shard;
-  shard.GetCounter("vfps_x_total")->Inc(5);
-  shard.GetHistogram("vfps_x_ns")->Record(100);
-  target.GetCounter("vfps_x_total")->Inc(2);
-  target.MergeFrom(shard);
-  EXPECT_EQ(target.GetCounter("vfps_x_total")->value(), 7u);
-  EXPECT_EQ(target.GetHistogram("vfps_x_ns")->count(), 1u);
-  // Gauges are excluded from merging.
-  shard.RegisterGauge("vfps_x_gauge", [] { return int64_t{9}; });
-  target.MergeFrom(shard);
-  EXPECT_EQ(target.GaugeValue("vfps_x_gauge"), 0);
 }
 
 TEST(MetricsRegistryTest, SnapshotSummarizesHistogram) {
@@ -241,10 +193,16 @@ TEST(MetricsRegistryTest, JsonExportIsSingleLine) {
 // Per-event recording only exists when hot-path telemetry is compiled in.
 #if VFPS_TELEMETRY
 
-TEST(MatcherTelemetryTest, MatchRecordsWorkCounters) {
+// Every build records straight into the attached registry: the counters
+// agree with stats() with no collection step before reading them.
+class MatcherTelemetryBuildTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(MatcherTelemetryBuildTest, MatchRecordsWorkCounters) {
   WorkloadGenerator gen(workloads::W0(500, /*seed=*/7));
   std::vector<Subscription> subs = gen.MakeSubscriptions(500, 1);
-  std::unique_ptr<Matcher> matcher = MakeMatcher(Algorithm::kDynamic);
+  std::unique_ptr<Matcher> matcher =
+      MakeMatcher(Algorithm::kDynamic, /*concurrent=*/GetParam());
+  ASSERT_EQ(matcher->supports_concurrent_churn(), GetParam());
   for (const Subscription& s : subs) {
     ASSERT_TRUE(matcher->AddSubscription(s).ok());
   }
@@ -254,7 +212,6 @@ TEST(MatcherTelemetryTest, MatchRecordsWorkCounters) {
   std::vector<SubscriptionId> out;
   const size_t kEvents = 20;
   for (const Event& e : gen.MakeEvents(kEvents)) matcher->Match(e, &out);
-  matcher->CollectTelemetry();
 
   EXPECT_EQ(reg.GetCounter("vfps_matcher_events_total")->value(), kEvents);
   // The registry's cumulative view agrees with the matcher's own stats.
@@ -279,6 +236,12 @@ TEST(MatcherTelemetryTest, MatchRecordsWorkCounters) {
   EXPECT_EQ(reg.GetCounter("vfps_matcher_events_total")->value(), kEvents);
 }
 
+INSTANTIATE_TEST_SUITE_P(SerialAndConcurrent, MatcherTelemetryBuildTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Concurrent" : "Serial";
+                         });
+
 TEST(MatcherTelemetryTest, ClusteredMatcherCountsClustersScanned) {
   WorkloadGenerator gen(workloads::W0(2000, /*seed=*/13));
   std::vector<Subscription> subs = gen.MakeSubscriptions(2000, 1);
@@ -289,38 +252,6 @@ TEST(MatcherTelemetryTest, ClusteredMatcherCountsClustersScanned) {
   std::vector<SubscriptionId> out;
   for (const Event& e : gen.MakeEvents(20)) matcher->Match(e, &out);
   EXPECT_GT(matcher->stats().clusters_scanned, 0u);
-}
-
-TEST(MatcherTelemetryTest, ShardedCollectMergesShardRegistries) {
-  WorkloadGenerator gen(workloads::W0(2000, /*seed=*/3));
-  std::vector<Subscription> subs = gen.MakeSubscriptions(2000, 1);
-  ShardedMatcher sharded(4,
-                         [] { return MakeMatcher(Algorithm::kCounting); });
-  for (const Subscription& s : subs) {
-    ASSERT_TRUE(sharded.AddSubscription(s).ok());
-  }
-  MetricsRegistry reg;
-  sharded.AttachTelemetry(&reg);
-
-  std::vector<SubscriptionId> out;
-  const uint64_t kEvents = 10;
-  for (const Event& e : gen.MakeEvents(kEvents)) sharded.Match(e, &out);
-  sharded.CollectTelemetry();
-  // Every shard matches every event, so the merged per-shard event count is
-  // shards * events (each match_ns sample is one shard-match).
-  EXPECT_EQ(reg.GetCounter("vfps_matcher_events_total")->value(),
-            4 * kEvents);
-  EXPECT_EQ(reg.GetHistogram("vfps_matcher_match_ns")->count(), 4 * kEvents);
-  EXPECT_EQ(reg.GetCounter("vfps_matcher_matches_total")->value(),
-            sharded.stats().matches);
-  EXPECT_EQ(
-      reg.GetCounter("vfps_matcher_subscription_checks_total")->value(),
-      sharded.stats().subscription_checks);
-
-  // Collecting again must not double-count (reset + re-merge).
-  sharded.CollectTelemetry();
-  EXPECT_EQ(reg.GetCounter("vfps_matcher_events_total")->value(),
-            4 * kEvents);
 }
 
 #endif  // VFPS_TELEMETRY

@@ -9,8 +9,8 @@
 //   vfps_verify --seeds=20 --events=1000
 //   vfps_verify --seed=42 --variant=tree --churn   # replay one config
 //   vfps_verify --concurrent            # TSan target: threaded churn over
-//                                       # the dynamic, dynamic-concurrent
-//                                       # and sharded variants
+//                                       # the dynamic and
+//                                       # dynamic-concurrent variants
 //   vfps_verify --batch=64              # batched pipeline (MatchBatch)
 
 #include <cinttypes>
@@ -131,14 +131,10 @@ int RunConcurrent(const tools::Flags& flags,
   config.p_present = flags.GetDouble("p-present", 0.7);
   for (const DiffVariant& v : variants) {
     // Only the mutable-under-load variants matter here: dynamic (the
-    // paper's adaptive algorithm), its concurrent build (epoch-published
+    // paper's adaptive algorithm) and its concurrent build (epoch-published
     // snapshots; its truly lock-free overlap — Match with no harness lock —
-    // is soaked by tests/churn_test.cc), and sharded (the thread-pool
-    // path).
-    if (v.name != "dynamic" && v.name != "dynamic-concurrent" &&
-        v.name != "sharded") {
-      continue;
-    }
+    // is soaked by tests/churn_test.cc).
+    if (v.name != "dynamic" && v.name != "dynamic-concurrent") continue;
     auto divergence = RunConcurrentDifferential(
         config, v, /*writer_threads=*/2, /*reader_threads=*/2, mutations,
         /*reader_batch=*/static_cast<size_t>(flags.GetInt("batch", 0)));
@@ -176,15 +172,15 @@ int Main(int argc, char** argv) {
         "  --attrs=N --domain=N --p-present=F   workload shape overrides\n"
         "  --churn[=false]    interleave unsubscribes (default: odd seeds)\n"
         "  --variant=name     verify one variant only\n"
-        "  --concurrent       threaded churn over dynamic, "
-        "dynamic-concurrent and sharded\n"
+        "  --concurrent       threaded churn over dynamic and "
+        "dynamic-concurrent\n"
         "  --mutations=N      mutations in --concurrent mode (default "
         "2000)\n"
         "  --batch=N          verify MatchBatch with batches of N events\n"
         "                     (sweep mode: batched differential; concurrent\n"
         "                     mode: readers use MatchBatch)\n"
         "  --simd=MODE        pin the cluster kernel ISA "
-"(off|scalar|sse2|avx2|neon|auto);\n"
+"(off|scalar|avx2|neon|auto);\n"
         "                     without it the sweep cross-checks every "
 "supported ISA\n"
         "                     up to the active one against the scalar "
@@ -199,7 +195,7 @@ int Main(int argc, char** argv) {
       if (!isa.has_value()) {
         std::fprintf(stderr,
                      "unknown --simd mode '%s' "
-                     "(off|scalar|sse2|avx2|neon|auto)\n",
+                     "(off|scalar|avx2|neon|auto)\n",
                      mode.c_str());
         return 2;
       }

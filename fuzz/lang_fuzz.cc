@@ -3,9 +3,13 @@
 // condition (lexer + recursive-descent parser + DNF expansion, the
 // server's SUB path) and as an event (the PUB path), each against a fresh
 // SchemaRegistry so interning starts cold. Accepted events are formatted
-// and re-parsed: the printer and parser must agree.
+// and re-parsed: the printer and parser must agree, so the re-parse must
+// succeed and yield the same pairs, or the run aborts.
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <string_view>
 
 #include "src/core/schema_registry.h"
@@ -27,8 +31,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     vfps::SchemaRegistry schema;
     vfps::Result<vfps::Event> event = vfps::ParseEvent(text, &schema);
     if (event.ok()) {
-      (void)vfps::ParseEvent(vfps::FormatEventText(event.value(), schema),
-                             &schema);
+      const std::string formatted =
+          vfps::FormatEventText(event.value(), schema);
+      vfps::Result<vfps::Event> again = vfps::ParseEvent(formatted, &schema);
+      if (!again.ok() || again.value().pairs() != event.value().pairs()) {
+        std::fprintf(stderr, "round trip broke: [%.*s] -> [%s]: %s\n",
+                     static_cast<int>(text.size()), text.data(),
+                     formatted.c_str(), again.status().ToString().c_str());
+        std::abort();
+      }
     }
   }
   return 0;

@@ -9,13 +9,16 @@
 namespace vfps {
 
 namespace {
-bool PairAttrLess(const EventPair& a, const EventPair& b) {
-  return a.attribute < b.attribute;
-}
+// A function object, not a function pointer, so std::sort inlines it.
+struct PairAttrLess {
+  bool operator()(const EventPair& a, const EventPair& b) const {
+    return a.attribute < b.attribute;
+  }
+};
 }  // namespace
 
 Event::Event(std::vector<EventPair> pairs) : pairs_(std::move(pairs)) {
-  std::sort(pairs_.begin(), pairs_.end(), PairAttrLess);
+  std::sort(pairs_.begin(), pairs_.end(), PairAttrLess());
   std::vector<AttributeId> attrs;
   attrs.reserve(pairs_.size());
   for (const EventPair& p : pairs_) attrs.push_back(p.attribute);
@@ -44,7 +47,7 @@ Event Event::CreateUnchecked(std::vector<EventPair> pairs) {
 
 std::optional<Value> Event::Find(AttributeId attribute) const {
   auto it = std::lower_bound(pairs_.begin(), pairs_.end(),
-                             EventPair{attribute, 0}, PairAttrLess);
+                             EventPair{attribute, 0}, PairAttrLess());
   if (it == pairs_.end() || it->attribute != attribute) return std::nullopt;
   return it->value;
 }

@@ -7,7 +7,7 @@
 namespace vfps {
 
 AttributeId SchemaRegistry::InternAttribute(std::string_view name) {
-  auto it = attribute_ids_.find(std::string(name));
+  auto it = attribute_ids_.find(name);
   if (it != attribute_ids_.end()) return it->second;
   AttributeId id = static_cast<AttributeId>(attribute_names_.size());
   attribute_names_.emplace_back(name);
@@ -16,7 +16,7 @@ AttributeId SchemaRegistry::InternAttribute(std::string_view name) {
 }
 
 AttributeId SchemaRegistry::FindAttribute(std::string_view name) const {
-  auto it = attribute_ids_.find(std::string(name));
+  auto it = attribute_ids_.find(name);
   return it == attribute_ids_.end() ? kInvalidAttributeId : it->second;
 }
 
@@ -26,7 +26,7 @@ const std::string& SchemaRegistry::AttributeName(AttributeId id) const {
 }
 
 Value SchemaRegistry::InternValue(std::string_view text) {
-  auto it = value_ids_.find(std::string(text));
+  auto it = value_ids_.find(text);
   if (it != value_ids_.end()) return it->second;
   Value id = static_cast<Value>(value_texts_.size());
   value_texts_.emplace_back(text);
@@ -35,7 +35,7 @@ Value SchemaRegistry::InternValue(std::string_view text) {
 }
 
 Result<Value> SchemaRegistry::FindValue(std::string_view text) const {
-  auto it = value_ids_.find(std::string(text));
+  auto it = value_ids_.find(text);
   if (it == value_ids_.end()) {
     return Status::NotFound("string value never interned: " +
                             std::string(text));

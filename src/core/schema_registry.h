@@ -7,6 +7,7 @@
 #ifndef VFPS_CORE_SCHEMA_REGISTRY_H_
 #define VFPS_CORE_SCHEMA_REGISTRY_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -51,9 +52,20 @@ class SchemaRegistry {
   const std::string& ValueText(Value value) const;
 
  private:
-  std::unordered_map<std::string, AttributeId> attribute_ids_;
+  /// Hashes std::string and std::string_view alike, so lookups by a view
+  /// into the input build no std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  template <typename V>
+  using NameMap = std::unordered_map<std::string, V, NameHash, std::equal_to<>>;
+
+  NameMap<AttributeId> attribute_ids_;
   std::vector<std::string> attribute_names_;
-  std::unordered_map<std::string, Value> value_ids_;
+  NameMap<Value> value_ids_;
   std::vector<std::string> value_texts_;
 };
 

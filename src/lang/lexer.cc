@@ -2,8 +2,11 @@
 
 #include "src/lang/lexer.h"
 
-#include <cctype>
+#include <array>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 
 namespace vfps {
 
@@ -41,179 +44,184 @@ const char* TokenKindToString(TokenKind kind) {
       return "','";
     case TokenKind::kEnd:
       return "end of input";
+    case TokenKind::kError:
+      return "malformed input";
   }
   return "?";
 }
 
 namespace {
 
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-bool IsIdentBody(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-         c == '.' || c == '-';
-}
-bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+// Character classes of the "C" locale, so bytes >= 0x80 are in none.
+enum : uint8_t {
+  kSpace = 1,       // ' ' \t \n \v \f \r
+  kDigit = 2,       // 0-9
+  kIdentStart = 4,  // letters and '_'
+  kIdentBody = 8,   // letters, digits, '_', '.', '-'
+};
 
-/// Case-insensitive keyword comparison for short ASCII words.
-bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+constexpr std::array<uint8_t, 256> MakeClasses() {
+  std::array<uint8_t, 256> classes{};
+  for (unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    classes[c] = kSpace;
+  }
+  for (int c = '0'; c <= '9'; ++c) classes[c] = kDigit | kIdentBody;
+  for (int c = 'a'; c <= 'z'; ++c) {
+    classes[c] = kIdentStart | kIdentBody;
+    classes[c - 'a' + 'A'] = kIdentStart | kIdentBody;
+  }
+  classes['_'] = kIdentStart | kIdentBody;
+  classes['.'] = kIdentBody;
+  classes['-'] = kIdentBody;
+  return classes;
+}
+
+constexpr std::array<uint8_t, 256> kClasses = MakeClasses();
+
+bool Is(char c, uint8_t cls) {
+  return (kClasses[static_cast<unsigned char>(c)] & cls) != 0;
+}
+
+/// Case-insensitive match of an identifier-shaped `word` against a
+/// lowercase keyword. OR-ing 0x20 lowers ASCII letters and maps no other
+/// identifier character onto a letter.
+bool IsKeyword(std::string_view word, std::string_view keyword) {
+  if (word.size() != keyword.size()) return false;
+  for (size_t i = 0; i < word.size(); ++i) {
+    if ((word[i] | 0x20) != keyword[i]) return false;
   }
   return true;
 }
 
-Status LexError(size_t offset, const std::string& what) {
-  return Status::InvalidArgument("lex error at offset " +
-                                 std::to_string(offset) + ": " + what);
-}
-
 }  // namespace
 
-Result<std::vector<Token>> Lex(std::string_view input) {
-  std::vector<Token> tokens;
-  size_t i = 0;
-  const size_t n = input.size();
-  while (i < n) {
-    const char c = input[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    Token token;
-    token.offset = i;
-    switch (c) {
-      case '(':
-        token.kind = TokenKind::kLParen;
-        ++i;
-        break;
-      case ')':
-        token.kind = TokenKind::kRParen;
-        ++i;
-        break;
-      case ',':
-        token.kind = TokenKind::kComma;
-        ++i;
-        break;
-      case '<':
-        if (i + 1 < n && input[i + 1] == '=') {
-          token.kind = TokenKind::kLe;
-          i += 2;
-        } else if (i + 1 < n && input[i + 1] == '>') {
-          token.kind = TokenKind::kNe;
-          i += 2;
-        } else {
-          token.kind = TokenKind::kLt;
-          ++i;
-        }
-        break;
-      case '>':
-        if (i + 1 < n && input[i + 1] == '=') {
-          token.kind = TokenKind::kGe;
-          i += 2;
-        } else {
-          token.kind = TokenKind::kGt;
-          ++i;
-        }
-        break;
-      case '=':
-        token.kind = TokenKind::kEq;
-        i += (i + 1 < n && input[i + 1] == '=') ? 2 : 1;
-        break;
-      case '!':
-        if (i + 1 < n && input[i + 1] == '=') {
-          token.kind = TokenKind::kNe;
-          i += 2;
-        } else {
-          token.kind = TokenKind::kNot;
-          ++i;
-        }
-        break;
-      case '&':
-        if (i + 1 < n && input[i + 1] == '&') {
-          token.kind = TokenKind::kAnd;
-          i += 2;
-        } else {
-          return LexError(i, "stray '&' (use && or AND)");
-        }
-        break;
-      case '|':
-        if (i + 1 < n && input[i + 1] == '|') {
-          token.kind = TokenKind::kOr;
-          i += 2;
-        } else {
-          return LexError(i, "stray '|' (use || or OR)");
-        }
-        break;
-      case '\'':
-      case '"': {
-        const char quote = c;
-        size_t j = i + 1;
-        std::string body;
-        while (j < n && input[j] != quote) {
-          body += input[j];
-          ++j;
-        }
-        if (j >= n) return LexError(i, "unterminated string literal");
-        token.kind = TokenKind::kString;
-        token.text = std::move(body);
-        i = j + 1;
-        break;
-      }
-      default: {
-        if (IsDigit(c) ||
-            (c == '-' && i + 1 < n && IsDigit(input[i + 1]))) {
-          const bool negative = (c == '-');
-          size_t j = i + (negative ? 1 : 0);
-          uint64_t magnitude = 0;
-          const uint64_t limit =
-              negative ? static_cast<uint64_t>(
-                             std::numeric_limits<int64_t>::max()) +
-                             1
-                       : static_cast<uint64_t>(
-                             std::numeric_limits<int64_t>::max());
-          while (j < n && IsDigit(input[j])) {
-            magnitude = magnitude * 10 + static_cast<uint64_t>(input[j] - '0');
-            if (magnitude > limit) return LexError(i, "integer overflow");
-            ++j;
-          }
-          token.kind = TokenKind::kInteger;
-          token.integer = negative ? -static_cast<int64_t>(magnitude)
-                                   : static_cast<int64_t>(magnitude);
-          i = j;
-          break;
-        }
-        if (IsIdentStart(c)) {
-          size_t j = i;
-          while (j < n && IsIdentBody(input[j])) ++j;
-          std::string_view word = input.substr(i, j - i);
-          if (EqualsIgnoreCase(word, "and")) {
-            token.kind = TokenKind::kAnd;
-          } else if (EqualsIgnoreCase(word, "or")) {
-            token.kind = TokenKind::kOr;
-          } else if (EqualsIgnoreCase(word, "not")) {
-            token.kind = TokenKind::kNot;
-          } else {
-            token.kind = TokenKind::kIdentifier;
-            token.text = std::string(word);
-          }
-          i = j;
-          break;
-        }
-        return LexError(i, std::string("unexpected character '") + c + "'");
-      }
-    }
-    tokens.push_back(std::move(token));
+Token Lexer::Fail(size_t offset, std::string what) {
+  status_ = Status::InvalidArgument("lex error at offset " +
+                                    std::to_string(offset) + ": " +
+                                    std::move(what));
+  Token token;
+  token.kind = TokenKind::kError;
+  token.offset = offset;
+  return token;
+}
+
+Token Lexer::Next() {
+  const char* const begin = input_.data();
+  const char* const end = begin + input_.size();
+  const char* p = begin + pos_;
+  while (p != end && Is(*p, kSpace)) ++p;
+  Token token;
+  token.offset = static_cast<size_t>(p - begin);
+  pos_ = token.offset;
+  if (!status_.ok()) {
+    token.kind = TokenKind::kError;
+    return token;
   }
-  Token end;
-  end.kind = TokenKind::kEnd;
-  end.offset = n;
-  tokens.push_back(std::move(end));
+  if (p == end) return token;  // kEnd
+  const char c = *p;
+  const char next = p + 1 != end ? p[1] : '\0';
+  switch (c) {
+    case '(':
+      token.kind = TokenKind::kLParen;
+      ++pos_;
+      return token;
+    case ')':
+      token.kind = TokenKind::kRParen;
+      ++pos_;
+      return token;
+    case ',':
+      token.kind = TokenKind::kComma;
+      ++pos_;
+      return token;
+    case '<':
+      token.kind = next == '=' ? TokenKind::kLe
+                   : next == '>' ? TokenKind::kNe
+                                 : TokenKind::kLt;
+      pos_ += token.kind == TokenKind::kLt ? 1 : 2;
+      return token;
+    case '>':
+      token.kind = next == '=' ? TokenKind::kGe : TokenKind::kGt;
+      pos_ += next == '=' ? 2 : 1;
+      return token;
+    case '=':
+      token.kind = TokenKind::kEq;
+      pos_ += next == '=' ? 2 : 1;
+      return token;
+    case '!':
+      token.kind = next == '=' ? TokenKind::kNe : TokenKind::kNot;
+      pos_ += next == '=' ? 2 : 1;
+      return token;
+    case '&':
+      if (next != '&') return Fail(pos_, "stray '&' (use && or AND)");
+      token.kind = TokenKind::kAnd;
+      pos_ += 2;
+      return token;
+    case '|':
+      if (next != '|') return Fail(pos_, "stray '|' (use || or OR)");
+      token.kind = TokenKind::kOr;
+      pos_ += 2;
+      return token;
+    case '\'':
+    case '"': {
+      const void* close =
+          std::memchr(p + 1, c, static_cast<size_t>(end - p - 1));
+      if (close == nullptr) return Fail(pos_, "unterminated string literal");
+      const char* q = static_cast<const char*>(close);
+      token.kind = TokenKind::kString;
+      token.text = std::string_view(p + 1, static_cast<size_t>(q - p - 1));
+      pos_ = static_cast<size_t>(q + 1 - begin);
+      return token;
+    }
+    default:
+      break;
+  }
+  if (Is(c, kDigit) || (c == '-' && Is(next, kDigit))) {
+    const bool negative = (c == '-');
+    const uint64_t limit =
+        static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) +
+        (negative ? 1 : 0);
+    const char* q = p + (negative ? 1 : 0);
+    uint64_t magnitude = 0;
+    for (; q != end && Is(*q, kDigit); ++q) {
+      const uint64_t digit = static_cast<uint64_t>(*q - '0');
+      if (magnitude > (limit - digit) / 10) {
+        return Fail(pos_, "integer overflow");
+      }
+      magnitude = magnitude * 10 + digit;
+    }
+    token.kind = TokenKind::kInteger;
+    // Two's-complement wrap is the one way to negate 2^63 into INT64_MIN.
+    token.integer = static_cast<int64_t>(negative ? 0 - magnitude : magnitude);
+    pos_ = static_cast<size_t>(q - begin);
+    return token;
+  }
+  if (Is(c, kIdentStart)) {
+    const char* q = p + 1;
+    while (q != end && Is(*q, kIdentBody)) ++q;
+    const std::string_view word(p, static_cast<size_t>(q - p));
+    pos_ = static_cast<size_t>(q - begin);
+    if (IsKeyword(word, "and")) {
+      token.kind = TokenKind::kAnd;
+    } else if (IsKeyword(word, "or")) {
+      token.kind = TokenKind::kOr;
+    } else if (IsKeyword(word, "not")) {
+      token.kind = TokenKind::kNot;
+    } else {
+      token.kind = TokenKind::kIdentifier;
+      token.text = word;
+    }
+    return token;
+  }
+  return Fail(pos_, std::string("unexpected character '") + c + "'");
+}
+
+Result<std::vector<Token>> Lex(std::string_view input) {
+  Lexer lexer(input);
+  std::vector<Token> tokens;
+  do {
+    tokens.push_back(lexer.Next());
+    if (tokens.back().kind == TokenKind::kError) return lexer.status();
+  } while (tokens.back().kind != TokenKind::kEnd);
   return tokens;
 }
 

@@ -2,8 +2,12 @@
 
 #include "src/lang/parser.h"
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "src/lang/lexer.h"
 #include "src/util/macros.h"
@@ -17,16 +21,16 @@ namespace {
 struct ExprNode {
   enum class Kind { kComparison, kAnd, kOr, kNot };
   Kind kind;
-  Predicate comparison;  // kComparison only
+  size_t comparison = 0;  // kComparison only: index into the predicates
   std::vector<std::unique_ptr<ExprNode>> children;
 };
 
 using NodePtr = std::unique_ptr<ExprNode>;
 
-NodePtr MakeComparison(Predicate p) {
+NodePtr MakeComparison(size_t comparison) {
   auto node = std::make_unique<ExprNode>();
   node->kind = ExprNode::Kind::kComparison;
-  node->comparison = p;
+  node->comparison = comparison;
   return node;
 }
 
@@ -57,24 +61,39 @@ RelOp NegateOp(RelOp op) {
   return op;
 }
 
-/// Recursive-descent parser over the token stream.
+/// One parsed comparison, still in the input's words.
+struct Comparison {
+  std::string_view attribute;
+  RelOp op;
+  Token value;  // kInteger or kString
+};
+
+/// Recursive-descent parser pulling tokens from a Lexer. Comparisons are
+/// kept as views into the input and interned only by Intern(), once the
+/// input has lexed to its end: the registry is untouched by input that
+/// fails to lex, and a lex error anywhere outranks a parse error.
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, SchemaRegistry* schema)
-      : tokens_(std::move(tokens)), schema_(schema) {}
+  Parser(std::string_view text, SchemaRegistry* schema)
+      : lexer_(text), schema_(schema) {
+    // The shortest comparison plus separator ("a=1 ") is four bytes: room
+    // for every comparison of a short text, and for 64 of a long one.
+    comparisons_.reserve(std::min<size_t>((text.size() + 1) / 4, 64));
+    Advance();
+  }
 
   Result<NodePtr> ParseExpression() { return ParseOr(); }
 
   /// Error if anything but kEnd remains.
-  Status ExpectEnd() {
+  Status ExpectEnd() const {
     if (Peek().kind != TokenKind::kEnd) {
       return Error("unexpected " + std::string(TokenKindToString(Peek().kind)));
     }
     return Status::OK();
   }
 
-  const Token& Peek() const { return tokens_[pos_]; }
-  Token Take() { return tokens_[pos_++]; }
+  const Token& Peek() const { return token_; }
+  void Advance() { token_ = lexer_.Next(); }
 
   Status Error(const std::string& what) const {
     return Status::InvalidArgument("parse error at offset " +
@@ -82,13 +101,14 @@ class Parser {
                                    what);
   }
 
-  /// Parses one comparison: IDENT op value.
-  Result<Predicate> ParseComparison() {
+  /// Parses one comparison, IDENT op value, onto comparisons().
+  Status ParseComparison() {
     if (Peek().kind != TokenKind::kIdentifier) {
       return Error("expected attribute name, got " +
                    std::string(TokenKindToString(Peek().kind)));
     }
-    Token attr = Take();
+    const std::string_view attribute = Peek().text;
+    Advance();
     RelOp op;
     switch (Peek().kind) {
       case TokenKind::kLt:
@@ -110,24 +130,68 @@ class Parser {
         op = RelOp::kGt;
         break;
       default:
-        return Error("expected comparison operator after '" + attr.text +
-                     "'");
+        return Error(std::string("expected comparison operator after '")
+                         .append(attribute)
+                         .append("'"));
     }
-    Take();
-    Value value;
-    if (Peek().kind == TokenKind::kInteger) {
-      value = Take().integer;
-    } else if (Peek().kind == TokenKind::kString) {
+    Advance();
+    if (Peek().kind == TokenKind::kString) {
       if (op != RelOp::kEq && op != RelOp::kNe) {
         return Error(
             "string values support only = and != (interned order is not "
             "lexicographic)");
       }
-      value = schema_->InternValue(Take().text);
-    } else {
+    } else if (Peek().kind != TokenKind::kInteger) {
       return Error("expected value after operator");
     }
-    return Predicate(schema_->InternAttribute(attr.text), op, value);
+    comparisons_.push_back(Comparison{attribute, op, Peek()});
+    Advance();
+    return Status::OK();
+  }
+
+  /// Parses an event: comma-separated '=' pairs up to the end of input.
+  Status ParsePairs() {
+    while (Peek().kind != TokenKind::kEnd) {
+      VFPS_RETURN_NOT_OK(ParseComparison());
+      const RelOp op = comparisons_.back().op;
+      if (op != RelOp::kEq) {
+        return Status::InvalidArgument(
+            "events use '=' pairs only, got operator " +
+            std::string(RelOpToString(op)));
+      }
+      if (Peek().kind != TokenKind::kComma) break;
+      Advance();
+      if (Peek().kind == TokenKind::kEnd) {
+        return Status::InvalidArgument(
+            "trailing ',' without a following pair");
+      }
+    }
+    return ExpectEnd();
+  }
+
+  /// Settles a parse that ended with `parse_status`. A failed parse stops
+  /// early, so the rest of the input is lexed first: a lex error there
+  /// is what the caller must report, and nothing may be interned.
+  Status LexStatus(const Status& parse_status) {
+    if (!parse_status.ok()) {
+      while (Peek().kind != TokenKind::kEnd &&
+             Peek().kind != TokenKind::kError) {
+        Advance();
+      }
+    }
+    return lexer_.status();
+  }
+
+  /// The comparisons parsed so far, in input order.
+  const std::vector<Comparison>& comparisons() const { return comparisons_; }
+
+  /// Interns a comparison's names: the string value first, then the
+  /// attribute, the order the registry numbers them in.
+  Predicate Intern(const Comparison& c) {
+    const Value value = c.value.kind == TokenKind::kString
+                            ? schema_->InternValue(c.value.text)
+                            : c.value.integer;
+    return Predicate(schema_->InternAttribute(c.attribute), c.op, value);
   }
 
  private:
@@ -137,7 +201,7 @@ class Parser {
     if (!first.ok()) return first;
     terms.push_back(std::move(first).value());
     while (Peek().kind == TokenKind::kOr) {
-      Take();
+      Advance();
       Result<NodePtr> next = ParseAnd();
       if (!next.ok()) return next;
       terms.push_back(std::move(next).value());
@@ -151,7 +215,7 @@ class Parser {
     if (!first.ok()) return first;
     terms.push_back(std::move(first).value());
     while (Peek().kind == TokenKind::kAnd) {
-      Take();
+      Advance();
       Result<NodePtr> next = ParseUnary();
       if (!next.ok()) return next;
       terms.push_back(std::move(next).value());
@@ -161,7 +225,7 @@ class Parser {
 
   Result<NodePtr> ParseUnary() {
     if (Peek().kind == TokenKind::kNot) {
-      Take();
+      Advance();
       Result<NodePtr> operand = ParseUnary();
       if (!operand.ok()) return operand;
       auto node = std::make_unique<ExprNode>();
@@ -170,34 +234,38 @@ class Parser {
       return NodePtr(std::move(node));
     }
     if (Peek().kind == TokenKind::kLParen) {
-      Take();
+      Advance();
       Result<NodePtr> inner = ParseOr();
       if (!inner.ok()) return inner;
       if (Peek().kind != TokenKind::kRParen) {
         return Error("expected ')'");
       }
-      Take();
+      Advance();
       return inner;
     }
-    Result<Predicate> cmp = ParseComparison();
-    if (!cmp.ok()) return cmp.status();
-    return MakeComparison(cmp.value());
+    VFPS_RETURN_NOT_OK(ParseComparison());
+    return MakeComparison(comparisons_.size() - 1);
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  Lexer lexer_;
+  Token token_;
+  std::vector<Comparison> comparisons_;
   SchemaRegistry* schema_;
 };
 
-/// Pushes NOT down to the comparisons (negation normal form). `negated`
-/// says whether an odd number of NOTs wraps the node.
-NodePtr ToNnf(NodePtr node, bool negated) {
+/// Pushes NOT down to the comparisons (negation normal form), negating
+/// the operators in `predicates`. `negated` says whether an odd number of
+/// NOTs wraps the node.
+NodePtr ToNnf(NodePtr node, bool negated, std::vector<Predicate>* predicates) {
   switch (node->kind) {
     case ExprNode::Kind::kComparison:
-      if (negated) node->comparison.op = NegateOp(node->comparison.op);
+      if (negated) {
+        Predicate& p = (*predicates)[node->comparison];
+        p.op = NegateOp(p.op);
+      }
       return node;
     case ExprNode::Kind::kNot:
-      return ToNnf(std::move(node->children[0]), !negated);
+      return ToNnf(std::move(node->children[0]), !negated, predicates);
     case ExprNode::Kind::kAnd:
     case ExprNode::Kind::kOr: {
       // De Morgan: negation swaps the connective.
@@ -205,7 +273,7 @@ NodePtr ToNnf(NodePtr node, bool negated) {
       node->kind = (is_and != negated) ? ExprNode::Kind::kAnd
                                        : ExprNode::Kind::kOr;
       for (NodePtr& child : node->children) {
-        child = ToNnf(std::move(child), negated);
+        child = ToNnf(std::move(child), negated, predicates);
       }
       return node;
     }
@@ -213,16 +281,17 @@ NodePtr ToNnf(NodePtr node, bool negated) {
   return node;
 }
 
-/// Expands an NNF tree to DNF with size guards.
-Status ToDnf(const ExprNode& node, const ParseOptions& options,
+/// Expands an NNF tree over `predicates` to DNF with size guards.
+Status ToDnf(const ExprNode& node, const std::vector<Predicate>& predicates,
+             const ParseOptions& options,
              std::vector<std::vector<Predicate>>* out) {
   switch (node.kind) {
     case ExprNode::Kind::kComparison:
-      out->push_back({node.comparison});
+      out->push_back({predicates[node.comparison]});
       return Status::OK();
     case ExprNode::Kind::kOr: {
       for (const NodePtr& child : node.children) {
-        VFPS_RETURN_NOT_OK(ToDnf(*child, options, out));
+        VFPS_RETURN_NOT_OK(ToDnf(*child, predicates, options, out));
         if (out->size() > options.max_disjuncts) {
           return Status::ResourceExhausted(
               "condition expands to more than " +
@@ -236,7 +305,7 @@ Status ToDnf(const ExprNode& node, const ParseOptions& options,
       std::vector<std::vector<Predicate>> acc{{}};
       for (const NodePtr& child : node.children) {
         std::vector<std::vector<Predicate>> child_dnf;
-        VFPS_RETURN_NOT_OK(ToDnf(*child, options, &child_dnf));
+        VFPS_RETURN_NOT_OK(ToDnf(*child, predicates, options, &child_dnf));
         std::vector<std::vector<Predicate>> next;
         next.reserve(acc.size() * child_dnf.size());
         for (const auto& left : acc) {
@@ -279,45 +348,35 @@ Status ToDnf(const ExprNode& node, const ParseOptions& options,
 Result<ParsedCondition> ParseCondition(std::string_view text,
                                        SchemaRegistry* schema,
                                        const ParseOptions& options) {
-  Result<std::vector<Token>> tokens = Lex(text);
-  if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(tokens).value(), schema);
+  Parser parser(text, schema);
   Result<NodePtr> tree = parser.ParseExpression();
-  if (!tree.ok()) return tree.status();
-  VFPS_RETURN_NOT_OK(parser.ExpectEnd());
+  const Status status = tree.ok() ? parser.ExpectEnd() : tree.status();
+  VFPS_RETURN_NOT_OK(parser.LexStatus(status));
+  std::vector<Predicate> predicates;
+  predicates.reserve(parser.comparisons().size());
+  for (const Comparison& c : parser.comparisons()) {
+    predicates.push_back(parser.Intern(c));
+  }
+  VFPS_RETURN_NOT_OK(status);
 
-  NodePtr nnf = ToNnf(std::move(tree).value(), /*negated=*/false);
+  NodePtr nnf =
+      ToNnf(std::move(tree).value(), /*negated=*/false, &predicates);
   ParsedCondition condition;
-  VFPS_RETURN_NOT_OK(ToDnf(*nnf, options, &condition.disjuncts));
+  VFPS_RETURN_NOT_OK(ToDnf(*nnf, predicates, options, &condition.disjuncts));
   return condition;
 }
 
 Result<Event> ParseEvent(std::string_view text, SchemaRegistry* schema) {
-  Result<std::vector<Token>> tokens_result = Lex(text);
-  if (!tokens_result.ok()) return tokens_result.status();
-  Parser parser(std::move(tokens_result).value(), schema);
-
+  Parser parser(text, schema);
+  const Status status = parser.ParsePairs();
+  VFPS_RETURN_NOT_OK(parser.LexStatus(status));
   std::vector<EventPair> pairs;
-  while (parser.Peek().kind != TokenKind::kEnd) {
-    Result<Predicate> cmp = parser.ParseComparison();
-    if (!cmp.ok()) return cmp.status();
-    if (cmp.value().op != RelOp::kEq) {
-      return Status::InvalidArgument(
-          "events use '=' pairs only, got operator " +
-          std::string(RelOpToString(cmp.value().op)));
-    }
-    pairs.push_back(EventPair{cmp.value().attribute, cmp.value().value});
-    if (parser.Peek().kind == TokenKind::kComma) {
-      parser.Take();
-      if (parser.Peek().kind == TokenKind::kEnd) {
-        return Status::InvalidArgument(
-            "trailing ',' without a following pair");
-      }
-      continue;
-    }
-    break;
+  pairs.reserve(parser.comparisons().size());
+  for (const Comparison& c : parser.comparisons()) {
+    const Predicate p = parser.Intern(c);
+    pairs.push_back(EventPair{p.attribute, p.value});
   }
-  VFPS_RETURN_NOT_OK(parser.ExpectEnd());
+  VFPS_RETURN_NOT_OK(status);
   return Event::Create(std::move(pairs));
 }
 

@@ -39,15 +39,19 @@ struct ParsedCondition {
 };
 
 /// Parses a boolean condition into DNF. Attribute names and string values
-/// are interned into `schema`. NOT is pushed down to the comparisons
-/// (De Morgan), so the result contains only positive predicate lists.
+/// are interned into `schema` in input order, once the whole text has
+/// lexed: text that fails to lex interns nothing, and its lex error is
+/// reported even when a parse error comes earlier. NOT is pushed down to
+/// the comparisons (De Morgan), so the result contains only positive
+/// predicate lists.
 Result<ParsedCondition> ParseCondition(std::string_view text,
                                        SchemaRegistry* schema,
                                        const ParseOptions& options = {});
 
 /// Parses an event written as comma-separated pairs:
 ///   "movie = 'groundhog day', price = 8, theater = 'odeon'"
-/// Only '=' is legal in events. Duplicate attributes are rejected.
+/// Only '=' is legal in events. Duplicate attributes are rejected. Names
+/// are interned as ParseCondition interns them.
 Result<Event> ParseEvent(std::string_view text, SchemaRegistry* schema);
 
 }  // namespace vfps

@@ -168,7 +168,13 @@ std::string FormatEventText(const Event& event,
     out += " = ";
     const std::string& text = schema.ValueText(pair.value);
     if (!text.empty()) {
-      out += "'" + text + "'";
+      // Literals have no escapes; a parsed string never holds both quote
+      // kinds, so one of them always delimits it.
+      const char quote =
+          text.find('\'') == std::string::npos ? '\'' : '"';
+      out += quote;
+      out += text;
+      out += quote;
     } else {
       out += std::to_string(pair.value);
     }

@@ -811,8 +811,8 @@ void PubSubServer::RunLinesJob(uint64_t id,
   result.origin = id;
   cur_result_ = &result;
   WorkerConn* wc = WorkerConnFor(id);
-  for (const std::string& line : lines) {
-    result.handled += HandleLine(wc, line);
+  for (std::string& line : lines) {
+    result.handled += HandleLine(wc, std::move(line));
     // Flush the byte ledger at request granularity: the next pipelined
     // request's BUSY shed check must see this one's queued bytes.
     if (pending_out_bytes_ > 0) {
@@ -925,11 +925,11 @@ bool PubSubServer::ShedPublishes() const {
          OutBytes() > options_.busy_high_water_bytes;
 }
 
-int PubSubServer::HandleLine(WorkerConn* wc, const std::string& line) {
+int PubSubServer::HandleLine(WorkerConn* wc, std::string&& line) {
   if (wc->batch_expected > 0) {
     // PUBBATCH payload: every line (even an empty one) is an event slot,
     // or the framing would desynchronize.
-    wc->batch_lines.push_back(line);
+    wc->batch_lines.push_back(std::move(line));
     if (wc->batch_lines.size() < wc->batch_expected) return 0;
     return FinishPublishBatch(wc);
   }

@@ -281,8 +281,9 @@ class PubSubServer {
   WorkerConn* WorkerConnFor(uint64_t id);
   void RunLinesJob(uint64_t id, std::vector<std::string> lines);
   void RunCloseJob(uint64_t id);
-  /// Handles one request line; returns 1 if a request was processed.
-  int HandleLine(WorkerConn* wc, const std::string& line);
+  /// Handles one request line; returns 1 if a request was processed. A
+  /// PUBBATCH payload line is moved into the connection's batch.
+  int HandleLine(WorkerConn* wc, std::string&& line);
   /// Executes one parsed request (responses emitted as OutputOps).
   void DispatchRequest(WorkerConn* wc, const Request& request);
   /// Parses + publishes a completed PUBBATCH collection and emits the

@@ -1,15 +1,21 @@
 // Copyright 2026 The vfps Authors.
 // Tests for the subscription expression language: lexer, parser, NOT
-// pushdown, DNF expansion with limits, event parsing, and a differential
-// property test (parsed DNF vs direct boolean evaluation on random events).
+// pushdown, DNF expansion with limits, event parsing, a golden table of
+// outcomes (pairs or exact errors, and what was interned), a format/parse
+// round-trip property, and a differential property test (parsed DNF vs
+// direct boolean evaluation on random events).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "src/lang/lexer.h"
 #include "src/lang/parser.h"
+#include "src/net/protocol.h"
 #include "src/util/rng.h"
 
 namespace vfps {
@@ -174,6 +180,16 @@ TEST(ParseEventTest, ParsesPairs) {
   EXPECT_EQ(e.Find(schema.FindAttribute("price")), 8);
   EXPECT_EQ(e.Find(schema.FindAttribute("movie")),
             schema.FindValue("groundhog day").value());
+
+  // A value holding a single quote is pushed in double quotes, so the
+  // EVENT text a subscriber receives parses back to the same pairs.
+  auto quoted = ParseEvent("s = \"it's\", n = 5", &schema);
+  ASSERT_TRUE(quoted.ok());
+  const std::string text = FormatEventText(quoted.value(), schema);
+  EXPECT_EQ(text, "s = \"it's\", n = 5");
+  auto reparsed = ParseEvent(text, &schema);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed.value().pairs(), quoted.value().pairs());
 }
 
 TEST(ParseEventTest, EmptyEventIsLegal) {
@@ -189,6 +205,325 @@ TEST(ParseEventTest, RejectsNonEqualityAndDuplicates) {
   EXPECT_FALSE(ParseEvent("a = 1, a = 2", &schema).ok());
   EXPECT_FALSE(ParseEvent("a = 1 b = 2", &schema).ok());
   EXPECT_FALSE(ParseEvent("a = 1,", &schema).ok());
+}
+
+// Random events mixing integers (extremes included) and strings (quotes,
+// separators, whitespace, bytes >= 0x80, empty) in random layout: every
+// one parses, and its FormatEventText form parses back to the same pairs
+// in the same registry, as an EVENT push must for a subscriber.
+TEST(ParseEventTest, FormatRoundTripProperty) {
+  const std::vector<std::string> names = {"a0", "a1",  "a2",  "a3",  "b",
+                                          "x.y", "_z", "k-1", "Price", "t9"};
+  const std::string alphabet = "ab Z9_,=()<>!&|#-.\t\xc3\xa9";
+  const std::vector<std::string> spaces = {"", " ", "  ", "\t", " \r "};
+  SchemaRegistry schema;
+  Rng rng(16);
+  for (int trial = 0; trial < 10000; ++trial) {
+    std::vector<std::string> attrs = names;
+    for (size_t i = attrs.size(); i > 1; --i) {
+      std::swap(attrs[i - 1], attrs[rng.Below(i)]);
+    }
+    attrs.resize(rng.Below(attrs.size() + 1));
+    auto space = [&] { return spaces[rng.Below(spaces.size())]; };
+    std::string text = space();
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      if (i > 0) text.append(space()).append(",").append(space());
+      text.append(attrs[i]).append(space());
+      text.append(rng.Chance(0.2) ? "==" : "=").append(space());
+      switch (rng.Below(4)) {
+        case 0:
+          text += std::to_string(rng.Range(-1000, 1000));
+          break;
+        case 1:
+          text += std::to_string(rng.Chance(0.5)
+                                     ? std::numeric_limits<int64_t>::min()
+                                     : std::numeric_limits<int64_t>::max());
+          break;
+        default: {
+          std::string body;
+          const size_t len = rng.Below(6);
+          for (size_t j = 0; j < len; ++j) {
+            body += alphabet[rng.Below(alphabet.size())];
+          }
+          // At most one kind of quote inside; the other delimits it.
+          if (rng.Chance(0.5)) body += rng.Chance(0.5) ? '\'' : '"';
+          char quote = rng.Chance(0.5) ? '\'' : '"';
+          if (body.find('\'') != std::string::npos) quote = '"';
+          if (body.find('"') != std::string::npos) quote = '\'';
+          text.append(1, quote).append(body).append(1, quote);
+        }
+      }
+    }
+    text.append(space());
+    auto event = ParseEvent(text, &schema);
+    ASSERT_TRUE(event.ok()) << text << ": " << event.status().ToString();
+    const std::string formatted = FormatEventText(event.value(), schema);
+    auto reparsed = ParseEvent(formatted, &schema);
+    ASSERT_TRUE(reparsed.ok())
+        << text << " -> " << formatted << ": "
+        << reparsed.status().ToString();
+    ASSERT_EQ(reparsed.value().pairs(), event.value().pairs())
+        << text << " -> " << formatted;
+  }
+}
+
+// --- Golden outcomes ---------------------------------------------------------
+//
+// Each input's outcome against a fresh registry: "OK" and the parsed pairs
+// (attribute id=value, by id) or DNF ("id op value", '&' within a
+// disjunct, '|' between), or "ERR" and the exact status, followed by what
+// the parse left interned. It pins the accept/reject set, every error
+// message and offset, and the interning order, including on error paths:
+// a lex error anywhere outranks an earlier parse error and interns
+// nothing.
+
+enum GoldenKind { kEvent, kCondition };
+
+struct GoldenCase {
+  GoldenKind kind;
+  std::string_view text;
+  std::string_view outcome;
+};
+
+constexpr GoldenCase kGolden[] = {
+    {kEvent, "s = \"it's\", n = 5",
+     "OK 0=0 1=5 attrs=[s,n] values=[it's]"},
+    {kEvent, "s = 'say \"hi\"'",
+     "OK 0=0 attrs=[s] values=[say \"hi\"]"},
+    {kEvent, "a == 1, b = 2",
+     "OK 0=1 1=2 attrs=[a,b] values=[]"},
+    {kEvent, "a <> 1",
+     "ERR InvalidArgument: events use '=' pairs only, got operator != "
+     "attrs=[a] values=[]"},
+    {kCondition, "a <> 1 AND b == 2",
+     "OK 0!=1 & 1=2 attrs=[a,b] values=[]"},
+    {kEvent, "\011a\011=\0111\015,\015b = 2\015",
+     "OK 0=1 1=2 attrs=[a,b] values=[]"},
+    {kCondition, "a\011<=\0153\011AND\015b != 'x'",
+     "OK 0<=3 & 1!=0 attrs=[a,b] values=[x]"},
+    {kEvent, "and = 1",
+     "ERR InvalidArgument: parse error at offset 0: expected attribute name, "
+     "got AND attrs=[] values=[]"},
+    {kCondition, "and = 1",
+     "ERR InvalidArgument: parse error at offset 0: expected attribute name, "
+     "got AND attrs=[] values=[]"},
+    {kEvent, "a = -0",
+     "OK 0=0 attrs=[a] values=[]"},
+    {kEvent, "a = -9223372036854775808",
+     "OK 0=-9223372036854775808 attrs=[a] values=[]"},
+    {kEvent, "a = 9223372036854775807",
+     "OK 0=9223372036854775807 attrs=[a] values=[]"},
+    {kEvent, "a = -9223372036854775809",
+     "ERR InvalidArgument: lex error at offset 4: integer overflow attrs=[] "
+     "values=[]"},
+    {kEvent, "a = 9223372036854775808",
+     "ERR InvalidArgument: lex error at offset 4: integer overflow attrs=[] "
+     "values=[]"},
+    {kCondition, "a > 9223372036854775808",
+     "ERR InvalidArgument: lex error at offset 4: integer overflow attrs=[] "
+     "values=[]"},
+    {kEvent, "a = ''",
+     "OK 0=0 attrs=[a] values=[]"},
+    {kEvent, "a = '', b = 'x', c = 0",
+     "OK 0=0 1=1 2=0 attrs=[a,b,c] values=[,x]"},
+    {kEvent, "a = 'caf\303\251'",
+     "OK 0=0 attrs=[a] values=[caf\303\251]"},
+    {kEvent, "a = 1, \303\251 = 2",
+     "ERR InvalidArgument: lex error at offset 7: unexpected character '\303' "
+     "attrs=[] values=[]"},
+    {kCondition, "\377",
+     "ERR InvalidArgument: lex error at offset 0: unexpected character '\377' "
+     "attrs=[] values=[]"},
+    {kEvent, "movie = 'groundhog day', price = 8, theater = 'odeon'",
+     "OK 0=0 1=8 2=1 attrs=[movie,price,theater] values=[groundhog day,odeon]"},
+    {kEvent, "",
+     "OK attrs=[] values=[]"},
+    {kEvent, "   ",
+     "OK attrs=[] values=[]"},
+    {kEvent, "price < 8",
+     "ERR InvalidArgument: events use '=' pairs only, got operator < "
+     "attrs=[price] values=[]"},
+    {kEvent, "a = 1, a = 2",
+     "ERR InvalidArgument: event has two pairs for attribute 0 attrs=[a] "
+     "values=[]"},
+    {kEvent, "a = 1 b = 2",
+     "ERR InvalidArgument: parse error at offset 6: unexpected identifier "
+     "attrs=[a] values=[]"},
+    {kEvent, "a = 1,",
+     "ERR InvalidArgument: trailing ',' without a following pair attrs=[a] "
+     "values=[]"},
+    {kEvent, "a = 1, , b = 2",
+     "ERR InvalidArgument: parse error at offset 7: expected attribute name, "
+     "got ',' attrs=[a] values=[]"},
+    {kEvent, "a = 'x', b < 'y'",
+     "ERR InvalidArgument: parse error at offset 13: string values support "
+     "only = and != (interned order is not lexicographic) attrs=[a] "
+     "values=[x]"},
+    {kEvent, "a = 'x', b =",
+     "ERR InvalidArgument: parse error at offset 12: expected value after "
+     "operator attrs=[a] values=[x]"},
+    {kEvent, "a = 1 b = 2 #",
+     "ERR InvalidArgument: lex error at offset 12: unexpected character '#' "
+     "attrs=[] values=[]"},
+    {kEvent, "a = 1, b = 'open",
+     "ERR InvalidArgument: lex error at offset 11: unterminated string literal "
+     "attrs=[] values=[]"},
+    {kEvent, "x = 'unterminated",
+     "ERR InvalidArgument: lex error at offset 4: unterminated string literal "
+     "attrs=[] values=[]"},
+    {kEvent, "x & y",
+     "ERR InvalidArgument: lex error at offset 2: stray '&' (use && or AND) "
+     "attrs=[] values=[]"},
+    {kEvent, "x | y",
+     "ERR InvalidArgument: lex error at offset 2: stray '|' (use || or OR) "
+     "attrs=[] values=[]"},
+    {kEvent, "a.b-c_D9 = -7, Z = 3",
+     "OK 0=-7 1=3 attrs=[a.b-c_D9,Z] values=[]"},
+    {kEvent, "a = -",
+     "ERR InvalidArgument: lex error at offset 4: unexpected character '-' "
+     "attrs=[] values=[]"},
+    {kEvent, "(a = 1)",
+     "ERR InvalidArgument: parse error at offset 0: expected attribute name, "
+     "got '(' attrs=[] values=[]"},
+    {kCondition, "",
+     "ERR InvalidArgument: parse error at offset 0: expected attribute name, "
+     "got end of input attrs=[] values=[]"},
+    {kCondition, "price <=",
+     "ERR InvalidArgument: parse error at offset 8: expected value after "
+     "operator attrs=[] values=[]"},
+    {kCondition, "price 400",
+     "ERR InvalidArgument: parse error at offset 6: expected comparison "
+     "operator after 'price' attrs=[] values=[]"},
+    {kCondition, "(a = 1",
+     "ERR InvalidArgument: parse error at offset 6: expected ')' attrs=[a] "
+     "values=[]"},
+    {kCondition, "a = 1 b = 2",
+     "ERR InvalidArgument: parse error at offset 6: unexpected identifier "
+     "attrs=[a] values=[]"},
+    {kCondition, "a = 1 AND",
+     "ERR InvalidArgument: parse error at offset 9: expected attribute name, "
+     "got end of input attrs=[a] values=[]"},
+    {kCondition, "= 4",
+     "ERR InvalidArgument: parse error at offset 0: expected attribute name, "
+     "got '=' attrs=[] values=[]"},
+    {kCondition, "name < 'abc'",
+     "ERR InvalidArgument: parse error at offset 7: string values support only "
+     "= and != (interned order is not lexicographic) attrs=[] values=[]"},
+    {kCondition, "a = 1 b = 2 #",
+     "ERR InvalidArgument: lex error at offset 12: unexpected character '#' "
+     "attrs=[] values=[]"},
+    {kCondition, "x # 3",
+     "ERR InvalidArgument: lex error at offset 2: unexpected character '#' "
+     "attrs=[] values=[]"},
+    {kCondition, "x = 99999999999999999999999",
+     "ERR InvalidArgument: lex error at offset 4: integer overflow attrs=[] "
+     "values=[]"},
+    {kCondition, "price <= 400 AND from = 'NYC'",
+     "OK 0<=400 & 1=0 attrs=[price,from] values=[NYC]"},
+    {kCondition, "NOT (a < 5 OR b >= 3)",
+     "OK 0>=5 & 1<3 attrs=[a,b] values=[]"},
+    {kCondition, "a = 1 && b != 2 || !c = 3",
+     "OK 0=1 & 1!=2 | 2!=3 attrs=[a,b,c] values=[]"},
+    {kCondition, "(a = 1 OR a = 2) AND (b = 3 OR b = 4)",
+     "OK 0=1 & 1=3 | 0=1 & 1=4 | 0=2 & 1=3 | 0=2 & 1=4 attrs=[a,b] values=[]"},
+    {kCondition, "NOT NOT name = 'x' and NOT name = \"y\"",
+     "OK 0=0 & 0!=1 attrs=[name] values=[x,y]"},
+    {kCondition, "a = 1 OR b = 2 AND c = 3",
+     "OK 0=1 | 1=2 & 2=3 attrs=[a,b,c] values=[]"},
+    {kCondition, "a = 1 AND (b = 2 OR",
+     "ERR InvalidArgument: parse error at offset 19: expected attribute name, "
+     "got end of input attrs=[a,b] values=[]"},
+    {kCondition, "a = 'x' OR b = 'y' OR (c = 1 AND)",
+     "ERR InvalidArgument: parse error at offset 32: expected attribute name, "
+     "got ')' attrs=[a,b,c] values=[x,y]"},
+    {kCondition, "(a0 = 1 OR a0 = 2) AND (a1 = 1 OR a1 = 2) AND (a2 = 1 OR a2 "
+                 "= 2) AND (a3 = 1 OR a3 = 2) AND (a4 = 1 OR a4 = 2) AND (a5 = "
+                 "1 OR a5 = 2) AND (a6 = 1 OR a6 = 2)",
+     "ERR ResourceExhausted: condition expands to more than 64 DNF disjuncts "
+     "attrs=[a0,a1,a2,a3,a4,a5,a6] values=[]"},
+    {kCondition, "a = 1)",
+     "ERR InvalidArgument: parse error at offset 5: unexpected ')' attrs=[a] "
+     "values=[]"},
+    {kCondition, "a = 1, b = 2",
+     "ERR InvalidArgument: parse error at offset 5: unexpected ',' attrs=[a] "
+     "values=[]"},
+    // Wraps past 2^64: an overflow check made after the multiply would
+    // accept it as 4.
+    {kEvent, "a = 18446744073709551620",
+     "ERR InvalidArgument: lex error at offset 4: integer overflow attrs=[] "
+     "values=[]"},
+};
+
+std::string RegistryText(const SchemaRegistry& schema) {
+  std::string out = " attrs=[";
+  for (size_t i = 0; i < schema.attribute_count(); ++i) {
+    if (i > 0) out += ",";
+    out += schema.AttributeName(static_cast<AttributeId>(i));
+  }
+  // The first eight value ids, trailing unused ones trimmed.
+  Value last = 8;
+  while (last > 0 && schema.ValueText(last - 1).empty()) --last;
+  out += "] values=[";
+  for (Value v = 0; v < last; ++v) {
+    if (v > 0) out += ",";
+    out += schema.ValueText(v);
+  }
+  out += "]";
+  return out;
+}
+
+std::string EventOutcome(std::string_view text) {
+  SchemaRegistry schema;
+  Result<Event> r = ParseEvent(text, &schema);
+  std::string out;
+  if (!r.ok()) {
+    out = std::string("ERR ").append(r.status().ToString());
+  } else {
+    out = "OK";
+    for (const EventPair& p : r.value().pairs()) {
+      out.append(" ").append(std::to_string(p.attribute)).append("=");
+      out.append(std::to_string(p.value));
+    }
+  }
+  out.append(RegistryText(schema));
+  return out;
+}
+
+std::string ConditionOutcome(std::string_view text) {
+  SchemaRegistry schema;
+  Result<ParsedCondition> r = ParseCondition(text, &schema);
+  std::string out;
+  if (!r.ok()) {
+    out = std::string("ERR ").append(r.status().ToString());
+  } else {
+    out = "OK";
+    for (size_t d = 0; d < r.value().disjuncts.size(); ++d) {
+      out += d == 0 ? " " : " | ";
+      const std::vector<Predicate>& conj = r.value().disjuncts[d];
+      for (size_t i = 0; i < conj.size(); ++i) {
+        if (i > 0) out += " & ";
+        out += std::to_string(conj[i].attribute);
+        out += RelOpToString(conj[i].op);
+        out += std::to_string(conj[i].value);
+      }
+    }
+  }
+  out.append(RegistryText(schema));
+  return out;
+}
+
+TEST(ParseEventTest, GoldenOutcomes) {
+  for (const GoldenCase& c : kGolden) {
+    if (c.kind != kEvent) continue;
+    EXPECT_EQ(EventOutcome(c.text), c.outcome) << "event: " << c.text;
+  }
+}
+
+TEST(ParseConditionTest, GoldenOutcomes) {
+  for (const GoldenCase& c : kGolden) {
+    if (c.kind != kCondition) continue;
+    EXPECT_EQ(ConditionOutcome(c.text), c.outcome) << "condition: " << c.text;
+  }
 }
 
 // --- Differential property test -------------------------------------------------

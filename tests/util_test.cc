@@ -1,14 +1,12 @@
 // Copyright 2026 The vfps Authors.
-// Tests for the utility substrate: Status/Result, Arena, Rng, hashing.
+// Tests for the utility substrate: Status/Result, Rng, hashing.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <set>
 #include <vector>
 
-#include "src/util/arena.h"
 #include "src/util/hash.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
@@ -81,44 +79,6 @@ TEST(ResultTest, MoveOutValue) {
   Result<std::vector<int>> r = std::vector<int>{1, 2, 3};
   std::vector<int> v = std::move(r).value();
   EXPECT_EQ(v.size(), 3u);
-}
-
-// --- Arena --------------------------------------------------------------------
-
-TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {
-  Arena arena(128);
-  std::set<void*> seen;
-  for (int i = 1; i <= 200; ++i) {
-    void* p = arena.Allocate(i, 8);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 8, 0u);
-    EXPECT_TRUE(seen.insert(p).second);
-  }
-}
-
-TEST(ArenaTest, LargeAllocationGetsOwnBlock) {
-  Arena arena(64);
-  void* p = arena.Allocate(1 << 20);
-  ASSERT_NE(p, nullptr);
-  // The memory must be fully writable.
-  std::memset(p, 0xab, 1 << 20);
-  EXPECT_GE(arena.bytes_reserved(), static_cast<size_t>(1 << 20));
-}
-
-TEST(ArenaTest, TracksAllocatedBytes) {
-  Arena arena;
-  arena.Allocate(100);
-  arena.Allocate(28);
-  EXPECT_EQ(arena.bytes_allocated(), 128u);
-  EXPECT_GE(arena.bytes_reserved(), arena.bytes_allocated());
-}
-
-TEST(ArenaTest, TypedArrayAllocation) {
-  Arena arena;
-  uint32_t* arr = arena.AllocateArray<uint32_t>(1000);
-  for (uint32_t i = 0; i < 1000; ++i) arr[i] = i;
-  EXPECT_EQ(arr[999], 999u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(arr) % alignof(uint32_t), 0u);
 }
 
 // --- Rng -----------------------------------------------------------------------

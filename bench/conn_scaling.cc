@@ -14,14 +14,10 @@
 // metric is deliveries per second: EVENT lines received across all
 // subscribers per wall-clock second of publishing.
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <chrono>
@@ -116,11 +112,9 @@ FanoutMeasurement MeasureFanout(BenchConn* publisher,
   std::string payload;
   // The harness must not become the bottleneck it is measuring: drain only
   // connections the kernel reports readable (a blind sweep costs one
-  // syscall per connection per pass). On Linux that wait is epoll —
-  // O(ready), same as the server under test; elsewhere poll() with
-  // ready-gated drains.
+  // syscall per connection per pass). The wait is epoll — O(ready), same
+  // as the server under test.
   const size_t publisher_slot = subscribers->size();
-#if defined(__linux__)
   const int epfd = ::epoll_create1(0);
   VFPS_CHECK(epfd >= 0);
   for (size_t i = 0; i < subscribers->size(); ++i) {
@@ -137,13 +131,6 @@ FanoutMeasurement MeasureFanout(BenchConn* publisher,
     VFPS_CHECK(::epoll_ctl(epfd, EPOLL_CTL_ADD, publisher->fd(), &ev) == 0);
   }
   std::vector<epoll_event> ready(4096);
-#else
-  std::vector<pollfd> fds(subscribers->size() + 1);
-  for (size_t i = 0; i < subscribers->size(); ++i) {
-    fds[i] = pollfd{(*subscribers)[i].fd(), POLLIN, 0};
-  }
-  fds[publisher_slot] = pollfd{publisher->fd(), POLLIN, 0};
-#endif
   const auto start = Clock::now();
   uint64_t published = 0;
   while (published < events) {
@@ -159,7 +146,6 @@ FanoutMeasurement MeasureFanout(BenchConn* publisher,
     uint64_t expected = n * subscribers->size();
     while (publisher_lines > 0 || expected > 0) {
       uint64_t got = 0;
-#if defined(__linux__)
       const int nready = ::epoll_wait(epfd, ready.data(),
                                       static_cast<int>(ready.size()), 30000);
       VFPS_CHECK(nready > 0);
@@ -174,17 +160,6 @@ FanoutMeasurement MeasureFanout(BenchConn* publisher,
           got += (*subscribers)[slot].DrainLines();
         }
       }
-#else
-      VFPS_CHECK(::poll(fds.data(), fds.size(), 30000) > 0);
-      if (publisher_lines > 0 &&
-          (fds[publisher_slot].revents & POLLIN) != 0) {
-        const uint64_t lines = publisher->DrainLines();
-        publisher_lines -= std::min(lines, publisher_lines);
-      }
-      for (size_t i = 0; i < subscribers->size() && expected > 0; ++i) {
-        if ((fds[i].revents & POLLIN) != 0) got += (*subscribers)[i].DrainLines();
-      }
-#endif
       expected -= std::min(got, expected);
     }
     const auto t1 = Clock::now();
@@ -193,9 +168,7 @@ FanoutMeasurement MeasureFanout(BenchConn* publisher,
     published += n;
     m.deliveries += n * subscribers->size();
   }
-#if defined(__linux__)
   ::close(epfd);
-#endif
   const double elapsed_s =
       std::chrono::duration<double>(Clock::now() - start).count();
   m.deliveries_per_second = static_cast<double>(m.deliveries) / elapsed_s;

@@ -84,9 +84,7 @@ class ClusteredMatcherBase : public Matcher {
   size_t MemoryUsage() const override;
 
   /// True for a matcher built concurrent (see the file comment).
-  bool supports_concurrent_churn() const override {
-    return publisher_ != nullptr;
-  }
+  bool concurrent() const { return publisher_ != nullptr; }
 
   /// Sums the per-reader counters. Match may run concurrently (the
   /// counters are atomic), but callers of stats() itself serialize: the
@@ -151,8 +149,6 @@ class ClusteredMatcherBase : public Matcher {
   /// copy-on-write build (see the file comment).
   ClusteredMatcherBase(bool use_prefetch, uint32_t observe_sample_rate,
                        bool concurrent);
-
-  bool concurrent() const { return publisher_ != nullptr; }
 
   // --- subclass hooks (all run under writer_mu_) ------------------------------
 

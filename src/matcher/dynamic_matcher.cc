@@ -10,6 +10,28 @@
 
 namespace vfps {
 
+namespace {
+
+/// Largest schema considered for potential tables.
+constexpr size_t kMaxSchemaSize = 4;
+/// Bound on subset enumeration per subscription when voting.
+constexpr size_t kMaxSubsetsPerSubscription = 64;
+/// A cluster is re-distributed only after growing by this factor since its
+/// last distribution (guards against O(n^2) re-scans).
+constexpr double kRedistributeGrowth = 2.0;
+/// A subscription is moved only when the new placement's expected cost is
+/// below this fraction of its current cost. Guards against oscillation
+/// between statistically equivalent placements under noisy ν estimates.
+constexpr double kMoveHysteresis = 0.7;
+/// An unproductive sweep (moves below this fraction of the population,
+/// nothing created or deleted) doubles the effective sweep period, up to
+/// sweep_period * kSweepBackoffMax; a productive one resets it. Converged
+/// systems thus stop paying for sweeps.
+constexpr double kSweepBackoffFraction = 0.01;
+constexpr uint64_t kSweepBackoffMax = 16;
+
+}  // namespace
+
 DynamicMatcher::DynamicMatcher(DynamicOptions options, bool use_prefetch,
                                uint32_t observe_sample_rate, bool concurrent)
     : ClusteredMatcherBase(use_prefetch, observe_sample_rate, concurrent),
@@ -57,11 +79,10 @@ void DynamicMatcher::FinishSweepAccounting() {
       maintenance_stats_.tables_created != sweep_created_base_ ||
       maintenance_stats_.tables_deleted != sweep_deleted_base_ ||
       static_cast<double>(moved) >
-          options_.sweep_backoff_fraction *
-              static_cast<double>(records_.size());
+          kSweepBackoffFraction * static_cast<double>(records_.size());
   if (productive) {
     sweep_backoff_ = 1;
-  } else if (sweep_backoff_ < options_.sweep_backoff_max) {
+  } else if (sweep_backoff_ < kSweepBackoffMax) {
     sweep_backoff_ *= 2;
   }
 }
@@ -235,7 +256,7 @@ void DynamicMatcher::OnPlaced(const Placement& placement,
   auto cd = last_distributed_size_.find(CooldownKey(ref));
   if (cd != last_distributed_size_.end() &&
       static_cast<double>(list->subscription_count()) <
-          static_cast<double>(cd->second) * options_.redistribute_growth) {
+          static_cast<double>(cd->second) * kRedistributeGrowth) {
     return;
   }
   in_maintenance_ = true;
@@ -250,8 +271,8 @@ void DynamicMatcher::WithdrawVotes(const SubRecord& record) {
   // move O(|potential_|), which dominates maintenance at scale.
   const AttributeSet eq_attrs = EqualityAttributesOf(record);
   EnumerateMultiAttrSubsets(
-      eq_attrs.ids(), std::min(options_.max_schema_size, eq_attrs.size()),
-      options_.max_subsets_per_subscription,
+      eq_attrs.ids(), std::min(kMaxSchemaSize, eq_attrs.size()),
+      kMaxSubsetsPerSubscription,
       [&](const std::vector<AttributeId>& ids_subset) {
         auto it = potential_.find(AttributeSet(ids_subset));
         if (it == potential_.end() || it->second.votes == 0) return;
@@ -291,7 +312,7 @@ void DynamicMatcher::ClusterDistribute(const ClusterRef& ref, bool census) {
     // placements forever (each bounce also withdrawing creation votes).
     const double cur_cost = PlacementCost(*record, record->placement);
     const double best_cost = PlacementCost(*record, best);
-    if (best_cost >= options_.move_hysteresis * cur_cost) continue;
+    if (best_cost >= kMoveHysteresis * cur_cost) continue;
     moves.push_back(MoveTo{id, best});
     if (record->marked) {
       WithdrawVotes(*record);
@@ -353,8 +374,8 @@ void DynamicMatcher::ClusterDistribute(const ClusterRef& ref, bool census) {
     }
     bool voted = false;
     EnumerateMultiAttrSubsets(
-        eq_attrs, std::min(options_.max_schema_size, eq_attrs.size()),
-        options_.max_subsets_per_subscription,
+        eq_attrs, std::min(kMaxSchemaSize, eq_attrs.size()),
+        kMaxSubsetsPerSubscription,
         [&](const std::vector<AttributeId>& ids_subset) {
           double subset_nu = 1.0;
           for (AttributeId a : ids_subset) {

@@ -49,29 +49,14 @@ struct DynamicOptions {
   /// is dropped. Singleton cluster lists are never dropped: they are the
   /// natural clustering and cost nothing beyond the predicate index.
   double b_delete = 64.0;
-  /// Largest schema considered for potential tables.
-  size_t max_schema_size = 4;
-  /// Bound on subset enumeration per subscription when voting.
-  size_t max_subsets_per_subscription = 64;
-  /// A cluster is re-distributed only after growing by this factor since
-  /// its last distribution (guards against O(n^2) re-scans).
-  double redistribute_growth = 2.0;
-  /// A subscription is moved only when the new placement's expected cost is
-  /// below this fraction of its current cost. Guards against oscillation
-  /// between statistically equivalent placements under noisy ν estimates.
-  double move_hysteresis = 0.7;
   /// Every this many subscription changes, a full maintenance sweep runs:
   /// the vote census restarts from scratch and every cluster is
   /// redistributed once. The incremental OnPlaced reaction alone only ever
   /// polls the clusters that happen to grow past the guard, so its census
-  /// is partial; the sweep guarantees convergence. 0 disables sweeps.
+  /// is partial; the sweep guarantees convergence. An unproductive sweep
+  /// doubles the effective period, up to a bound (dynamic_matcher.cc). 0
+  /// disables sweeps.
   uint64_t sweep_period = 50000;
-  /// An unproductive sweep (moves below sweep_backoff_fraction of the
-  /// population, nothing created or deleted) doubles the effective period,
-  /// up to sweep_period * sweep_backoff_max; a productive one resets it.
-  /// Converged systems thus stop paying for sweeps.
-  double sweep_backoff_fraction = 0.01;
-  uint64_t sweep_backoff_max = 16;
 };
 
 /// Adaptive clustered matcher.

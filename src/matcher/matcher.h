@@ -80,14 +80,6 @@ class Matcher {
   /// Approximate total heap footprint in bytes (Figure 3(c)).
   virtual size_t MemoryUsage() const = 0;
 
-  /// True when AddSubscription / RemoveSubscription may run concurrently
-  /// with Match() without external locking. Default matchers are
-  /// single-threaded; a clustered matcher built concurrent opts in (and
-  /// further allows concurrent Match calls); BrokerOptions::concurrent_churn
-  /// builds on it. The server's match worker serializes every broker call
-  /// and needs neither.
-  virtual bool supports_concurrent_churn() const { return false; }
-
   /// Cumulative per-match counters. Virtual so concurrent matchers can
   /// aggregate from their atomic counters.
   virtual const MatcherStats& stats() const { return stats_; }

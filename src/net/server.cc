@@ -6,20 +6,15 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <thread>
@@ -34,11 +29,9 @@ namespace vfps {
 
 namespace net_internal {
 
-/// Readiness-notification backend: epoll on Linux (O(ready) dispatch, the
-/// interest set lives in the kernel), with a poll() fallback that rebuilds
-/// its pollfd array per wait (O(connections) — portability only; force it
-/// with VFPS_FORCE_POLL=1). Keys are caller-chosen u64s carried back in
-/// Ready so the loop never maps fd -> connection itself.
+/// Level-triggered epoll readiness notification: O(ready) dispatch, with
+/// the interest set kept in the kernel. Keys are caller-chosen u64s
+/// carried back in Ready so the loop never maps fd -> connection itself.
 class Poller {
  public:
   struct Ready {
@@ -48,53 +41,37 @@ class Poller {
     bool error = false;
   };
 
-  virtual ~Poller() = default;
-  virtual bool Add(int fd, uint64_t key, bool want_read, bool want_write) = 0;
-  virtual void Mod(int fd, uint64_t key, bool want_read, bool want_write) = 0;
-  virtual void Del(int fd, uint64_t key) = 0;
-  /// Waits up to `timeout_ms` (negative = indefinitely) and fills `out`.
-  /// Returns the ready count, or -1 with errno set (EINTR included).
-  virtual int Wait(int timeout_ms, std::vector<Ready>* out) = 0;
-  virtual bool is_epoll() const = 0;
-};
-
-namespace {
-
-#if defined(__linux__)
-
-class EpollPoller : public Poller {
- public:
-  static std::unique_ptr<EpollPoller> Create() {
+  /// nullptr (errno set) if the kernel refuses an epoll instance.
+  static std::unique_ptr<Poller> Create() {
     int fd = ::epoll_create1(EPOLL_CLOEXEC);
     if (fd < 0) return nullptr;
-    auto poller = std::make_unique<EpollPoller>();
-    poller->epfd_ = fd;
-    return poller;
+    return std::unique_ptr<Poller>(new Poller(fd));
   }
 
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
+  ~Poller() { ::close(epfd_); }
 
-  bool Add(int fd, uint64_t key, bool want_read, bool want_write) override {
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
+
+  bool Add(int fd, uint64_t key, bool want_read, bool want_write) {
     epoll_event ev{};
     ev.events = Events(want_read, want_write);
     ev.data.u64 = key;
     return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
   }
 
-  void Mod(int fd, uint64_t key, bool want_read, bool want_write) override {
+  void Mod(int fd, uint64_t key, bool want_read, bool want_write) {
     epoll_event ev{};
     ev.events = Events(want_read, want_write);
     ev.data.u64 = key;
     ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
   }
 
-  void Del(int fd, uint64_t /*key*/) override {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
+  void Del(int fd) { ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
 
-  int Wait(int timeout_ms, std::vector<Ready>* out) override {
+  /// Waits up to `timeout_ms` (negative = indefinitely) and fills `out`.
+  /// Returns the ready count, or -1 with errno set (EINTR included).
+  int Wait(int timeout_ms, std::vector<Ready>* out) {
     out->clear();
     epoll_event events[256];
     int n = ::epoll_wait(epfd_, events, 256, timeout_ms);
@@ -111,9 +88,9 @@ class EpollPoller : public Poller {
     return n;
   }
 
-  bool is_epoll() const override { return true; }
-
  private:
+  explicit Poller(int epfd) : epfd_(epfd) {}
+
   static uint32_t Events(bool want_read, bool want_write) {
     // Level-triggered: unconsumed readiness re-reports, so a round that
     // defers work (backpressure stall, dispatch failpoint) loses nothing.
@@ -123,75 +100,9 @@ class EpollPoller : public Poller {
     return events;
   }
 
-  int epfd_ = -1;
+  const int epfd_;
 };
 
-#endif  // defined(__linux__)
-
-class PollPoller : public Poller {
- public:
-  bool Add(int fd, uint64_t key, bool want_read, bool want_write) override {
-    entries_[key] = Entry{fd, want_read, want_write};
-    return true;
-  }
-
-  void Mod(int fd, uint64_t key, bool want_read, bool want_write) override {
-    entries_[key] = Entry{fd, want_read, want_write};
-  }
-
-  void Del(int /*fd*/, uint64_t key) override { entries_.erase(key); }
-
-  int Wait(int timeout_ms, std::vector<Ready>* out) override {
-    out->clear();
-    // O(n) rebuild per wait: this backend exists for portability, not
-    // scale; the epoll path carries the connection-count targets.
-    pfds_.clear();
-    keys_.clear();
-    for (const auto& [key, entry] : entries_) {
-      short events = 0;
-      if (entry.want_read) events |= POLLIN;
-      if (entry.want_write) events |= POLLOUT;
-      pfds_.push_back(pollfd{entry.fd, events, 0});
-      keys_.push_back(key);
-    }
-    int n = ::poll(pfds_.data(), pfds_.size(), timeout_ms);
-    if (n < 0) return -1;
-    for (size_t i = 0; i < pfds_.size(); ++i) {
-      if (pfds_[i].revents == 0) continue;
-      Ready ready;
-      ready.key = keys_[i];
-      ready.readable = (pfds_[i].revents & POLLIN) != 0;
-      ready.writable = (pfds_[i].revents & POLLOUT) != 0;
-      ready.error =
-          (pfds_[i].revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      out->push_back(ready);
-    }
-    return n;
-  }
-
-  bool is_epoll() const override { return false; }
-
- private:
-  struct Entry {
-    int fd = -1;
-    bool want_read = false;
-    bool want_write = false;
-  };
-  std::unordered_map<uint64_t, Entry> entries_;
-  std::vector<pollfd> pfds_;
-  std::vector<uint64_t> keys_;
-};
-
-std::unique_ptr<Poller> MakePoller() {
-#if defined(__linux__)
-  if (std::getenv("VFPS_FORCE_POLL") == nullptr) {
-    if (auto poller = EpollPoller::Create()) return poller;
-  }
-#endif
-  return std::make_unique<PollPoller>();
-}
-
-}  // namespace
 }  // namespace net_internal
 
 namespace {
@@ -294,20 +205,16 @@ PubSubServer::PubSubServer(ServerOptions options)
   metrics_.RegisterGauge("vfps_server_out_queue_bytes", [this] {
     return static_cast<int64_t>(OutBytes());
   });
-  metrics_.RegisterGauge("vfps_net_poller_epoll", [this] {
-    return static_cast<int64_t>(poller_is_epoll_);
-  });
   // Reads 0 in builds with failpoints compiled out.
   metrics_.RegisterGauge("vfps_server_failpoint_trips", [] {
     return static_cast<int64_t>(FailPoints::Global().trips());
   });
-  worker_ = std::make_unique<ThreadPool>(1);
 }
 
 PubSubServer::~PubSubServer() {
   // Drain the worker first: every accepted job (lines, close, export) runs
   // against still-live members before anything below is torn down.
-  if (worker_) worker_->Shutdown();
+  worker_.Shutdown();
   // Whatever protocol state survived (connections open at destruction, or
   // close jobs rejected during shutdown) is cleaned up inline; the worker
   // is gone, so touching the broker from this thread is serial.
@@ -354,8 +261,8 @@ Status PubSubServer::Start() {
   SetNonBlocking(wake_pipe_[0]);
   SetNonBlocking(wake_pipe_[1]);
 
-  poller_ = net_internal::MakePoller();
-  poller_is_epoll_ = poller_->is_epoll() ? 1 : 0;
+  poller_ = net_internal::Poller::Create();
+  if (poller_ == nullptr) return Errno("epoll_create1");
   if (!poller_->Add(listen_fd_, kListenKey, true, false)) {
     return Errno("poller add listen");
   }
@@ -378,7 +285,7 @@ void PubSubServer::Stop() {
 }
 
 void PubSubServer::Quiesce() {
-  if (worker_) worker_->Wait();
+  worker_.Wait();
 }
 
 // --- event-loop side ---------------------------------------------------------
@@ -477,7 +384,7 @@ void PubSubServer::SubmitLines(Connection* conn,
   telemetry_.jobs->Inc();
   const uint64_t id = conn->id;
   const bool submitted =
-      worker_->Submit([this, id, lines = std::move(lines)]() mutable {
+      worker_.Submit([this, id, lines = std::move(lines)]() mutable {
         RunLinesJob(id, std::move(lines));
       });
   if (!submitted) --conn->inflight;  // shutting down; destructor cleans up
@@ -628,7 +535,7 @@ void PubSubServer::CloseConnection(uint64_t key) {
   if (it == connections_.end()) return;
   Connection* conn = it->second.get();
   SubOutBytes(conn->out_bytes);
-  poller_->Del(conn->fd, key);
+  poller_->Del(conn->fd);
   ::close(conn->fd);
   connections_.erase(it);
   // sync-relaxed-ok: gauge-only counter; see connection_count().
@@ -637,7 +544,7 @@ void PubSubServer::CloseConnection(uint64_t key) {
   // Unsubscribe and drop protocol state on the worker, FIFO behind any
   // lines job still in flight for this connection.
   [[maybe_unused]] bool submitted =
-      worker_->Submit([this, key] { RunCloseJob(key); });
+      worker_.Submit([this, key] { RunCloseJob(key); });
   // Submit only fails during destruction, which cleans worker_conns_ up
   // inline.
 }
@@ -713,7 +620,7 @@ Result<int> PubSubServer::RunOnce(int timeout_ms) {
   telemetry_.wait_ns->Record(wait_timer.ElapsedNanos());
   if (n < 0) {
     if (errno == EINTR) return 0;
-    return Errno(poller_is_epoll_ != 0 ? "epoll_wait" : "poll");
+    return Errno("epoll_wait");
   }
 
   Timer dispatch_timer;
@@ -1213,17 +1120,15 @@ std::string PubSubServer::ExportViaWorker(bool json) {
     bool done VFPS_GUARDED_BY(mu) = false;
     std::string text VFPS_GUARDED_BY(mu);
   } wait;
-  const bool submitted =
-      worker_ != nullptr &&
-      worker_->Submit([this, &wait, json] {
-        VFPS_SERIAL_SCOPE(worker_serial_);
-        std::string text =
-            json ? metrics_.ExportJson() : metrics_.ExportPrometheus();
-        MutexLock lock(wait.mu);
-        wait.text = std::move(text);
-        wait.done = true;
-        wait.cv.NotifyAll();
-      });
+  const bool submitted = worker_.Submit([this, &wait, json] {
+    VFPS_SERIAL_SCOPE(worker_serial_);
+    std::string text =
+        json ? metrics_.ExportJson() : metrics_.ExportPrometheus();
+    MutexLock lock(wait.mu);
+    wait.text = std::move(text);
+    wait.done = true;
+    wait.cv.NotifyAll();
+  });
   if (!submitted) {
     // Worker already shut down (destruction path): nothing else can be
     // executing, so a direct export is serial.

@@ -8,7 +8,7 @@
 //
 //   event loop (RunOnce/RunUntilStopped caller)        match worker (1 thread)
 //   ------------------------------------------        -----------------------
-//   epoll/poll wait, O(ready) dispatch                 owns the Broker and all
+//   epoll wait, O(ready) dispatch                      owns the Broker and all
 //   nonblocking accept + read                          per-connection protocol
 //   extracts complete lines  ── lines job ──────────▶  state; runs every verb
 //   applies posted results  ◀── results + wake pipe ── in connection FIFO order
@@ -25,6 +25,9 @@
 // jobs each open a VFPS_SERIAL_SCOPE (src/util/sync.h) on their own
 // checker: two threads driving either side abort with both entry points
 // named.
+//
+// The server runs on Linux only: readiness comes from a level-triggered
+// epoll instance, and Start() fails if the kernel refuses one.
 
 #ifndef VFPS_NET_SERVER_H_
 #define VFPS_NET_SERVER_H_
@@ -45,7 +48,7 @@
 #include "src/telemetry/metrics.h"
 #include "src/util/status.h"
 #include "src/util/sync.h"
-#include "src/util/thread_pool.h"
+#include "src/util/match_worker.h"
 #include "src/util/timer.h"
 
 namespace vfps {
@@ -92,7 +95,8 @@ class PubSubServer {
   PubSubServer(const PubSubServer&) = delete;
   PubSubServer& operator=(const PubSubServer&) = delete;
 
-  /// Binds and listens. Fails if the address is unavailable.
+  /// Binds, listens and creates the epoll instance. Fails if the address
+  /// is unavailable or epoll_create1 fails.
   Status Start();
 
   /// The bound port (valid after Start; useful with port 0).
@@ -359,9 +363,6 @@ class PubSubServer {
   // --- loop-owned state (only touched under serial_) -------------------------
 
   std::unique_ptr<net_internal::Poller> poller_;
-  /// 1 when the Linux epoll backend is active, 0 on the poll() fallback
-  /// (exported as the vfps_net_poller_epoll gauge).
-  int poller_is_epoll_ = 0;
   /// Live connections keyed by their (never reused) poller key.
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
   uint64_t next_conn_key_ = 2;  // 0 = listen socket, 1 = wake pipe
@@ -402,9 +403,6 @@ class PubSubServer {
 
   Mutex results_mu_{LockRank::kNetResults, "net_results"};
   std::vector<JobResult> results_ VFPS_GUARDED_BY(results_mu_);
-  /// The single match worker. Declared after everything jobs touch;
-  /// explicitly shut down first in the destructor.
-  std::unique_ptr<ThreadPool> worker_;
 
   // --- shared atomics --------------------------------------------------------
 
@@ -414,6 +412,10 @@ class PubSubServer {
   std::atomic<size_t> total_out_bytes_{0};
   /// Live connection count (loop writes, gauges read).
   std::atomic<size_t> conn_count_{0};
+
+  /// The match worker. Declared last, after everything its jobs touch, and
+  /// shut down first in the destructor.
+  MatchWorker worker_;
 };
 
 }  // namespace vfps

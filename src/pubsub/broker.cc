@@ -61,10 +61,7 @@ std::unique_ptr<Matcher> MakeMatcher(Algorithm algorithm, bool concurrent) {
 }
 
 Broker::Broker(BrokerOptions options)
-    : options_(options),
-      matcher_(MakeMatcher(options.algorithm, options.concurrent_churn)) {
-  if (options_.concurrent_churn) VFPS_CHECK(!options_.store_events);
-}
+    : options_(options), matcher_(MakeMatcher(options.algorithm)) {}
 
 void Broker::AttachTelemetry(MetricsRegistry* registry) {
   matcher_->AttachTelemetry(registry);
@@ -161,55 +158,38 @@ Result<SubscriptionId> Broker::SubscribeDnf(
 Result<SubscriptionId> Broker::SubscribeInternal(
     std::vector<std::vector<Predicate>> disjuncts,
     NotificationHandler handler, Timestamp expires_at) {
-  VFPS_SERIAL_SCOPE_IF(serial_, !options_.concurrent_churn);
+  VFPS_SERIAL_SCOPE(serial_);
   ScopedTimer scoped(telemetry_ ? telemetry_->subscribe_ns : nullptr);
-  if (expires_at != kNeverExpires && expires_at <= now_.load()) {
+  if (expires_at != kNeverExpires && expires_at <= now_) {
     return Status::InvalidArgument("subscription already expired");
   }
   auto user = std::make_shared<UserSubscription>();
   user->handler = std::move(handler);
   user->expires_at = expires_at;
-  SubscriptionId user_id;
-  {
-    MutexLock lock(subs_mu_);
-    user_id = next_user_id_++;
-  }
+  const SubscriptionId user_id = next_user_id_++;
 
   for (std::vector<Predicate>& conj : disjuncts) {
-    SubscriptionId internal_id;
-    {
-      MutexLock lock(subs_mu_);
-      internal_id = next_internal_id_++;
-    }
-    Subscription sub = Subscription::Create(internal_id, std::move(conj));
-    if (options_.normalize_subscriptions) {
-      bool unsatisfiable = false;
-      sub = NormalizeSubscription(sub, &unsatisfiable);
-      // A disjunct that can never match costs nothing: don't register it.
-      // (The user id is still handed out; it simply never fires through
-      // this disjunct.)
-      if (unsatisfiable) continue;
-    }
+    const SubscriptionId internal_id = next_internal_id_++;
+    bool unsatisfiable = false;
+    Subscription sub = NormalizeSubscription(
+        Subscription::Create(internal_id, std::move(conj)), &unsatisfiable);
+    // A disjunct that can never match costs nothing: don't register it.
+    // (The user id is still handed out; it simply never fires through this
+    // disjunct.)
+    if (unsatisfiable) continue;
     Status status = matcher_->AddSubscription(sub);
     if (!status.ok()) {
       // Roll back the disjuncts registered so far.
       for (SubscriptionId prev : user->internal_ids) {
         (void)matcher_->RemoveSubscription(prev);
-        MutexLock lock(subs_mu_);
         internal_to_user_.erase(prev);
       }
       return status;
     }
     user->internal_ids.push_back(internal_id);
-    {
-      // A concurrent Publish resolving this mapping before the user record
-      // lands below simply skips the notification (mid-churn match).
-      MutexLock lock(subs_mu_);
-      internal_to_user_.emplace(internal_id, user_id);
-    }
+    internal_to_user_.emplace(internal_id, user_id);
 
-    // Reverse matching: deliver currently valid stored events (serial mode
-    // only — concurrent_churn forces store_events off).
+    // Reverse matching: deliver currently valid stored events.
     if (options_.store_events && user->handler && store_.size() > 0) {
       std::vector<EventId> hits;
       store_.MatchSubscription(sub, &hits);
@@ -220,35 +200,25 @@ Result<SubscriptionId> Broker::SubscribeInternal(
       }
     }
   }
-  {
-    MutexLock lock(subs_mu_);
-    if (expires_at != kNeverExpires) sub_expiry_.emplace(expires_at, user_id);
-    user_subs_.emplace(user_id, std::move(user));
-  }
+  if (expires_at != kNeverExpires) sub_expiry_.emplace(expires_at, user_id);
+  user_subs_.emplace(user_id, std::move(user));
   if (telemetry_) telemetry_->subscribes->Inc();
   return user_id;
 }
 
 Status Broker::Unsubscribe(SubscriptionId id) {
-  VFPS_SERIAL_SCOPE_IF(serial_, !options_.concurrent_churn);
+  VFPS_SERIAL_SCOPE(serial_);
   ScopedTimer scoped(telemetry_ ? telemetry_->unsubscribe_ns : nullptr);
-  std::shared_ptr<UserSubscription> user;
-  {
-    // Detach the bookkeeping first: once the mappings are gone a concurrent
-    // Publish stops notifying this user (handlers already resolved for
-    // dispatch may still fire once; the shared_ptr keeps them safe).
-    MutexLock lock(subs_mu_);
-    auto it = user_subs_.find(id);
-    if (it == user_subs_.end()) {
-      return Status::NotFound("subscription id " + std::to_string(id));
-    }
-    user = std::move(it->second);
-    user_subs_.erase(it);
-    for (SubscriptionId internal_id : user->internal_ids) {
-      internal_to_user_.erase(internal_id);
-    }
+  auto it = user_subs_.find(id);
+  if (it == user_subs_.end()) {
+    return Status::NotFound("subscription id " + std::to_string(id));
   }
+  // A handler may be unsubscribing its own record mid-dispatch: the
+  // publish call's resolved list shares ownership and keeps it alive.
+  const std::shared_ptr<UserSubscription> user = std::move(it->second);
+  user_subs_.erase(it);
   for (SubscriptionId internal_id : user->internal_ids) {
+    internal_to_user_.erase(internal_id);
     Status status = matcher_->RemoveSubscription(internal_id);
     VFPS_DCHECK(status.ok());
     (void)status;
@@ -257,16 +227,37 @@ Status Broker::Unsubscribe(SubscriptionId id) {
   return Status::OK();
 }
 
+void Broker::Resolve(const std::vector<SubscriptionId>& matches,
+                     Resolved* out) {
+  const uint64_t tick = ++publish_count_;
+  for (SubscriptionId internal_id : matches) {
+    // Subscriptions injected directly into the matcher (bypassing
+    // Subscribe, e.g. by benchmarks) have no user record: count nothing,
+    // notify nobody.
+    auto uit = internal_to_user_.find(internal_id);
+    if (uit == internal_to_user_.end()) continue;
+    auto sit = user_subs_.find(uit->second);
+    if (sit == user_subs_.end()) continue;
+    UserSubscription& user = *sit->second;
+    // A DNF subscription may match through several disjuncts; notify once.
+    if (user.last_notified_publish == tick) continue;
+    user.last_notified_publish = tick;
+    out->emplace_back(sit->second, uit->second);
+  }
+}
+
+void Broker::Dispatch(const Resolved& resolved, EventId event_id,
+                      const Event* event) {
+  for (const auto& [user, user_id] : resolved) {
+    if (user->handler) user->handler(Notification{user_id, event_id, event});
+  }
+}
+
 Result<PublishResult> Broker::Publish(const Event& event,
                                       Timestamp expires_at) {
-  VFPS_SERIAL_SCOPE_IF(serial_, !options_.concurrent_churn);
+  VFPS_SERIAL_SCOPE(serial_);
   ScopedTimer scoped(telemetry_ ? telemetry_->publish_ns : nullptr);
-  // Concurrent publishers each need private match scratch; the serial
-  // default keeps the member vector (stable capacity across brokers).
-  static thread_local std::vector<SubscriptionId> tls_matches;
-  std::vector<SubscriptionId>* matches =
-      options_.concurrent_churn ? &tls_matches : &scratch_matches_;
-  matcher_->Match(event, matches);
+  matcher_->Match(event, &scratch_matches_);
 
   PublishResult result;
   if (options_.store_events) {
@@ -274,37 +265,10 @@ Result<PublishResult> Broker::Publish(const Event& event,
   }
   const Event* stored =
       options_.store_events ? store_.Find(result.event_id) : &event;
-  // Resolve matches to handler records under the lock, dispatch outside it
-  // (handlers may re-enter the broker; see UserSubscription).
-  std::vector<std::pair<std::shared_ptr<UserSubscription>, SubscriptionId>>
-      to_notify;
-  {
-    MutexLock lock(subs_mu_);
-    const uint64_t tick = ++publish_count_;
-    for (SubscriptionId internal_id : *matches) {
-      auto uit = internal_to_user_.find(internal_id);
-      // Subscriptions injected directly into the matcher (bypassing
-      // Subscribe, e.g. by benchmarks) have no user record, and a mapping
-      // can outrun its user record mid-churn: count nothing, notify
-      // nobody.
-      if (uit == internal_to_user_.end()) continue;
-      auto sit = user_subs_.find(uit->second);
-      if (sit == user_subs_.end()) continue;
-      UserSubscription& user = *sit->second;
-      // A DNF subscription may match through several disjuncts; notify
-      // once. The whole resolution runs under one lock hold, so the tick
-      // comparison is exact even with concurrent publishers.
-      if (user.last_notified_publish == tick) continue;
-      user.last_notified_publish = tick;
-      to_notify.emplace_back(sit->second, uit->second);
-    }
-  }
+  Resolved to_notify;
+  Resolve(scratch_matches_, &to_notify);
   result.matches = to_notify.size();
-  for (auto& [user, user_id] : to_notify) {
-    if (user->handler) {
-      user->handler(Notification{user_id, result.event_id, stored});
-    }
-  }
+  Dispatch(to_notify, result.event_id, stored);
   if (telemetry_) {
     telemetry_->publishes->Inc();
     telemetry_->notifications->Inc(result.matches);
@@ -314,41 +278,18 @@ Result<PublishResult> Broker::Publish(const Event& event,
 
 std::vector<PublishResult> Broker::PublishBatch(std::span<const Event> events,
                                                 Timestamp expires_at) {
-  VFPS_SERIAL_SCOPE_IF(serial_, !options_.concurrent_churn);
+  VFPS_SERIAL_SCOPE(serial_);
   std::vector<PublishResult> results(events.size());
   if (events.empty()) return results;
   Timer timer;
-  // Concurrent publishers each need a private batch result; the serial
-  // default keeps the member scratch.
-  static thread_local BatchResult tls_batch;
-  BatchResult* batch =
-      options_.concurrent_churn ? &tls_batch : &batch_scratch_;
-  matcher_->MatchBatch(events, batch);
-  uint64_t notifications = 0;
-  // Per-lane handler dispatch runs with the lock released, like Publish;
-  // `pending[e]` collects lane e's resolved handler records.
-  std::vector<
-      std::vector<std::pair<std::shared_ptr<UserSubscription>,
-                            SubscriptionId>>>
-      pending(events.size());
-  {
-    MutexLock lock(subs_mu_);
-    for (size_t e = 0; e < events.size(); ++e) {
-      // Per-lane publish bookkeeping is identical to Publish: its own
-      // publish_count_ tick keeps the DNF dedup per event, not per batch.
-      const uint64_t tick = ++publish_count_;
-      for (SubscriptionId internal_id : batch->matches(e)) {
-        auto uit = internal_to_user_.find(internal_id);
-        if (uit == internal_to_user_.end()) continue;
-        auto sit = user_subs_.find(uit->second);
-        if (sit == user_subs_.end()) continue;
-        UserSubscription& user = *sit->second;
-        if (user.last_notified_publish == tick) continue;
-        user.last_notified_publish = tick;
-        pending[e].emplace_back(sit->second, uit->second);
-      }
-    }
+  matcher_->MatchBatch(events, &batch_scratch_);
+  // Every lane resolves before any handler runs, like Publish; each lane is
+  // its own publish tick, so the DNF dedup is per event, not per batch.
+  std::vector<Resolved> pending(events.size());
+  for (size_t e = 0; e < events.size(); ++e) {
+    Resolve(batch_scratch_.matches(e), &pending[e]);
   }
+  uint64_t notifications = 0;
   for (size_t e = 0; e < events.size(); ++e) {
     PublishResult& result = results[e];
     if (options_.store_events) {
@@ -357,11 +298,7 @@ std::vector<PublishResult> Broker::PublishBatch(std::span<const Event> events,
     const Event* stored =
         options_.store_events ? store_.Find(result.event_id) : &events[e];
     result.matches = pending[e].size();
-    for (auto& [user, user_id] : pending[e]) {
-      if (user->handler) {
-        user->handler(Notification{user_id, result.event_id, stored});
-      }
-    }
+    Dispatch(pending[e], result.event_id, stored);
     notifications += result.matches;
   }
   if (telemetry_) {
@@ -398,29 +335,18 @@ Result<PublishResult> Broker::PublishExpression(std::string_view event_text,
 }
 
 void Broker::AdvanceTime(Timestamp now) {
-  // Time management stays single-driver even under concurrent churn (the
-  // scope names any violator).
   VFPS_SERIAL_SCOPE(serial_);
-  now_.store(now);
+  now_ = now;
   const size_t expired_events = store_.ExpireUpTo(now);
-  // Collect expired ids under the lock, unsubscribe with it released
-  // (Unsubscribe re-takes it; the mutex is not reentrant).
-  std::vector<SubscriptionId> expired;
-  {
-    MutexLock lock(subs_mu_);
-    while (!sub_expiry_.empty() && sub_expiry_.top().first <= now) {
-      SubscriptionId user_id = sub_expiry_.top().second;
-      Timestamp deadline = sub_expiry_.top().first;
-      sub_expiry_.pop();
-      auto it = user_subs_.find(user_id);
-      if (it != user_subs_.end() && it->second->expires_at <= deadline) {
-        expired.push_back(user_id);
-      }
-    }
-  }
   size_t expired_subs = 0;
-  for (SubscriptionId user_id : expired) {
-    if (Unsubscribe(user_id).ok()) ++expired_subs;
+  while (!sub_expiry_.empty() && sub_expiry_.top().first <= now) {
+    const auto [deadline, user_id] = sub_expiry_.top();
+    sub_expiry_.pop();
+    auto it = user_subs_.find(user_id);
+    if (it != user_subs_.end() && it->second->expires_at <= deadline &&
+        Unsubscribe(user_id).ok()) {
+      ++expired_subs;
+    }
   }
   if (telemetry_) {
     telemetry_->expired_events->Inc(expired_events);

@@ -8,29 +8,22 @@
 // support to a subscription language consisting of disjunctive normal form
 // conditions").
 //
-// Threading: the Broker is single-threaded by default — the paper's system
-// is one matching process fed batches; callers serialize access. Under
-// VFPS_DEBUG_INVARIANTS every mutating entry point carries a
-// VFPS_SERIAL_SCOPE (src/util/sync.h): two threads entering concurrently
-// abort with both entry points named. Same-thread re-entrancy
-// (Publish -> notification handler -> Publish) stays legal.
+// Threading: the Broker is single-threaded — the paper's system is one
+// matching process fed batches, and vfps_server runs every broker call on
+// its one match-worker thread. Under VFPS_DEBUG_INVARIANTS every mutating
+// entry point carries a VFPS_SERIAL_SCOPE (src/util/sync.h): two threads
+// entering concurrently abort with both entry points named.
 //
-// Opt-in concurrent churn (BrokerOptions::concurrent_churn, with a
-// clustered algorithm and store_events=false): the broker builds its
-// matcher concurrent (see ClusteredMatcherBase), and Subscribe,
-// SubscribeDnf, SubscribeExpression, Unsubscribe, Publish, and
-// PublishBatch may then be called from any threads concurrently. The
-// subscription bookkeeping is guarded by an internal mutex held only for
-// map operations — never across matcher calls or notification handlers —
-// and handler records are shared_ptr-held so a handler already resolved
-// for dispatch survives a concurrent Unsubscribe (it may fire once more
-// after Unsubscribe returns). AdvanceTime stays single-driver even in this
-// mode. See docs/CONCURRENCY.md.
+// Re-entrancy: notification handlers may call back into the broker
+// (Publish -> handler -> Publish / Unsubscribe). A publish call resolves
+// all of its matches to handler records before it runs any handler, so a
+// record resolved for dispatch still fires once after its subscription is
+// cancelled mid-dispatch, and a nested publish runs to completion inside
+// the outer one. See docs/CONCURRENCY.md.
 
 #ifndef VFPS_PUBSUB_BROKER_H_
 #define VFPS_PUBSUB_BROKER_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -92,15 +85,6 @@ struct BrokerOptions {
   Algorithm algorithm = Algorithm::kDynamic;
   /// Store published events so new subscriptions see currently valid ones.
   bool store_events = true;
-  /// Normalize subscription conjunctions before registration (interval
-  /// reasoning per attribute): redundant predicates are dropped and
-  /// provably unsatisfiable conjunctions are never handed to the matcher.
-  bool normalize_subscriptions = true;
-  /// Allow Subscribe/Unsubscribe/Publish/PublishBatch from concurrent
-  /// threads (see the file comment). Requires a clustered algorithm and
-  /// store_events = false (reverse matching against the store is
-  /// inherently serial); the constructor CHECKs both.
-  bool concurrent_churn = false;
 };
 
 /// Summary returned by Publish.
@@ -132,9 +116,12 @@ class Broker {
   // --- subscribing ------------------------------------------------------------
 
   /// Registers a conjunctive subscription valid until `expires_at`
-  /// (logical time; kNeverExpires by default). If events are stored, the
-  /// handler is invoked immediately for every stored event that already
-  /// satisfies the subscription.
+  /// (logical time; kNeverExpires by default). The conjunction is
+  /// normalized first (interval reasoning per attribute): redundant
+  /// predicates are dropped, and an unsatisfiable conjunction is never
+  /// handed to the matcher. If events are stored, the handler is invoked
+  /// immediately for every stored event that already satisfies the
+  /// subscription.
   Result<SubscriptionId> Subscribe(std::vector<Predicate> predicates,
                                    NotificationHandler handler,
                                    Timestamp expires_at = kNeverExpires);
@@ -184,15 +171,12 @@ class Broker {
   /// Advances the logical clock: expires events and subscriptions whose
   /// validity interval ended at or before `now`.
   void AdvanceTime(Timestamp now);
-  Timestamp now() const { return now_.load(); }
+  Timestamp now() const { return now_; }
 
   // --- introspection ----------------------------------------------------------
 
   /// Live user-facing subscriptions.
-  size_t subscription_count() const {
-    MutexLock lock(subs_mu_);
-    return user_subs_.size();
-  }
+  size_t subscription_count() const { return user_subs_.size(); }
   /// Live stored events.
   size_t stored_event_count() const { return store_.size(); }
   /// The underlying matcher (for stats and memory accounting).
@@ -211,17 +195,20 @@ class Broker {
   void AttachTelemetry(MetricsRegistry* registry);
 
  private:
-  /// Held by shared_ptr in user_subs_: Publish resolves matches to
-  /// (record, user id) pairs under subs_mu_, then dispatches handlers with
-  /// the lock released — the shared_ptr keeps a record alive across a
-  /// concurrent Unsubscribe. `handler` and `expires_at` are immutable after
-  /// construction; the mutable fields are guarded by subs_mu_.
+  /// Held by shared_ptr in user_subs_: a publish call resolves its
+  /// matches to (record, user id) pairs before dispatching any handler, and
+  /// the shared_ptr keeps a record alive when a handler unsubscribes it
+  /// (or itself) mid-dispatch.
   struct UserSubscription {
     std::vector<SubscriptionId> internal_ids;  // one per disjunct
     NotificationHandler handler;
     Timestamp expires_at;
     uint64_t last_notified_publish = 0;  // dedups DNF matches per event
   };
+
+  /// The handler records one event notifies, in match order.
+  using Resolved =
+      std::vector<std::pair<std::shared_ptr<UserSubscription>, SubscriptionId>>;
 
   /// Cached broker-level instrument pointers (see AttachTelemetry).
   struct Telemetry {
@@ -242,6 +229,15 @@ class Broker {
       std::vector<std::vector<Predicate>> disjuncts,
       NotificationHandler handler, Timestamp expires_at);
 
+  /// Resolves one event's matched internal ids to the user records to
+  /// notify, once per user (a DNF subscription may match through several
+  /// disjuncts). Each call is one publish tick.
+  void Resolve(const std::vector<SubscriptionId>& matches, Resolved* out);
+
+  /// Runs the resolved handlers for one published event.
+  static void Dispatch(const Resolved& resolved, EventId event_id,
+                       const Event* event);
+
   /// Debug-build guard for the single-threaded contract above; mutating
   /// entry points open scopes on it.
   SerialChecker serial_;
@@ -252,33 +248,23 @@ class Broker {
   std::unique_ptr<Matcher> matcher_;
   EventStore store_;
 
-  /// Guards the subscription bookkeeping below in both modes (uncontended
-  /// in the serial default). Held only for map/heap/counter operations —
-  /// never across matcher_, store_, or notification-handler calls (handlers
-  /// may re-enter the broker).
-  mutable Mutex subs_mu_{LockRank::kBrokerSubs, "broker_subs"};
-
   std::unordered_map<SubscriptionId, std::shared_ptr<UserSubscription>>
-      user_subs_ VFPS_GUARDED_BY(subs_mu_);
-  std::unordered_map<SubscriptionId, SubscriptionId> internal_to_user_
-      VFPS_GUARDED_BY(subs_mu_);
+      user_subs_;
+  std::unordered_map<SubscriptionId, SubscriptionId> internal_to_user_;
   // Min-heap of (expires_at, user id).
   using ExpiryEntry = std::pair<Timestamp, SubscriptionId>;
   std::priority_queue<ExpiryEntry, std::vector<ExpiryEntry>,
                       std::greater<ExpiryEntry>>
-      sub_expiry_ VFPS_GUARDED_BY(subs_mu_);
+      sub_expiry_;
 
-  SubscriptionId next_user_id_ VFPS_GUARDED_BY(subs_mu_) = 1;
-  SubscriptionId next_internal_id_ VFPS_GUARDED_BY(subs_mu_) = 1;
-  uint64_t publish_count_ VFPS_GUARDED_BY(subs_mu_) = 0;
-  /// Logical clock. Atomic so concurrent Subscribe calls can read it while
-  /// the (single-driver) AdvanceTime advances it.
-  std::atomic<Timestamp> now_{0};
-  /// Serial-mode match scratch; concurrent publishes use thread-local
-  /// scratch instead (driver-owned, so unguarded by design).
+  SubscriptionId next_user_id_ = 1;
+  SubscriptionId next_internal_id_ = 1;
+  uint64_t publish_count_ = 0;
+  /// Logical clock.
+  Timestamp now_ = 0;
+  /// Match scratch, reused across calls. A nested publish from a handler
+  /// may overwrite it: every call resolves its matches before dispatching.
   std::vector<SubscriptionId> scratch_matches_;
-
-  /// Serial-mode batch scratch (see scratch_matches_).
   BatchResult batch_scratch_;
 };
 

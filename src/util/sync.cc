@@ -23,8 +23,8 @@ namespace sync_internal {
 namespace {
 
 constexpr int kMaxFrames = 32;
-/// Locks held simultaneously by one thread. The deepest legal chain today
-/// is three (verify harness -> thread pool -> telemetry); 64 is a bug
+/// Locks held simultaneously by one thread. Legal chains are a few deep
+/// (verify harness -> matcher writer -> epoch reclaim); 64 is a bug
 /// backstop, not a design budget.
 constexpr int kMaxHeld = 64;
 

@@ -30,7 +30,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <thread>
 
@@ -102,23 +101,19 @@ namespace vfps {
 /// rank order within a thread; under VFPS_DEBUG_INVARIANTS any violation —
 /// including re-entrant acquisition of the same lock — aborts with the
 /// acquisition stacks of both locks involved. Gaps between values leave
-/// room for the epoch/churn locks of the planned lock-free subscription
-/// work without renumbering.
+/// room for new locks without renumbering.
 enum class LockRank : uint32_t {
   /// Differential-verification harness serialization (outermost: matching
   /// and telemetry run beneath it on the same thread).
   kVerifyHarness = 100,
-  /// Broker subscription-bookkeeping lock (user-subscription maps and the
-  /// expiry heap under concurrent churn). Never held across matcher calls,
-  /// but ranked below the matcher writer so a future nesting stays ordered.
-  kBrokerSubs = 120,
   /// Clustered-matcher writer lock (ClusteredMatcherBase): serializes
   /// subscribe/unsubscribe/maintenance against each other (Match never
   /// takes it). Held while retiring superseded snapshots, so it ranks below
   /// kEpochReclaim.
   kMatcherWriter = 150,
-  /// ThreadPool queue/lifecycle lock (the network server's match worker).
-  kThreadPool = 200,
+  /// MatchWorker queue/lifecycle lock (the network server's one match-worker
+  /// thread). Jobs run with it released.
+  kMatchWorker = 200,
   /// Net-server worker→loop handoff (src/net/server.cc): the completed
   /// request-result queue and export-wait latches. Taken briefly by the
   /// event loop and the match worker to post/swap results; never held
@@ -397,19 +392,6 @@ class SerialChecker {
   ::vfps::SerialChecker::Scope VFPS_SYNC_CONCAT(vfps_serial_scope_,   \
                                                 __LINE__)(&(checker), \
                                                           __func__)
-
-/// Conditional serial scope: enforced only when `enabled` is true. Entry
-/// points that are single-threaded by default but legally concurrent in an
-/// opt-in mode (Broker subscribe/unsubscribe under concurrent churn) use
-/// this so the contract stays checked in the default mode.
-#define VFPS_SERIAL_SCOPE_IF(checker, enabled)                              \
-  std::optional<::vfps::SerialChecker::Scope> VFPS_SYNC_CONCAT(             \
-      vfps_serial_scope_, __LINE__);                                        \
-  if (enabled) {                                                            \
-    VFPS_SYNC_CONCAT(vfps_serial_scope_, __LINE__).emplace(&(checker),      \
-                                                           __func__);       \
-  }                                                                         \
-  static_assert(true, "require a trailing semicolon")
 
 }  // namespace vfps
 

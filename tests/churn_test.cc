@@ -1,15 +1,14 @@
 // Copyright 2026 The vfps Authors.
 // Tests for the concurrent build of the clustered engine
 // (ClusteredMatcherBase with epoch-published snapshots, exercised through
-// DynamicMatcher) and the broker's concurrent-churn mode: serial
-// byte-equality against the naive oracle, placement moves while ν shifts,
-// multi-attribute tables created and deleted under churn, MatchBatch ≡
-// Match, telemetry, and — tagged `concurrency` for the TSan CI job —
-// chaos-churn soaks proving the weak consistency contract: a Match
-// overlapping subscribe/unsubscribe may or may not see the in-flight
-// subscriptions, but subscriptions stable across the call are matched
-// exactly (no MISS), nothing untouched is invented (no PHANTOM), and
-// results carry no duplicates.
+// DynamicMatcher): serial byte-equality against the naive oracle,
+// placement moves while ν shifts, multi-attribute tables created and
+// deleted under churn, MatchBatch ≡ Match, telemetry, and — tagged
+// `concurrency` for the TSan CI job — chaos-churn soaks proving the weak
+// consistency contract: a Match overlapping subscribe/unsubscribe may or
+// may not see the in-flight subscriptions, but subscriptions stable across
+// the call are matched exactly (no MISS), nothing untouched is invented
+// (no PHANTOM), and results carry no duplicates.
 
 #include <gtest/gtest.h>
 
@@ -57,8 +56,8 @@ std::unique_ptr<DynamicMatcher> ConcurrentDynamic(
 TEST(ChurnTest, MatchesSimpleSubscriptions) {
   auto matcher = ConcurrentDynamic();
   EXPECT_STREQ(matcher->name(), "dynamic");
-  EXPECT_TRUE(matcher->supports_concurrent_churn());
-  EXPECT_FALSE(DynamicMatcher().supports_concurrent_churn());
+  EXPECT_TRUE(matcher->concurrent());
+  EXPECT_FALSE(DynamicMatcher().concurrent());
 
   std::vector<Predicate> preds;
   preds.emplace_back(0, RelOp::kEq, 5);
@@ -197,32 +196,34 @@ TEST(ChurnTest, EveryClusteredAlgorithmBuildsConcurrent) {
   for (Algorithm a : {Algorithm::kPropagation, Algorithm::kPropagationPrefetch,
                       Algorithm::kStatic, Algorithm::kDynamic}) {
     EXPECT_TRUE(IsClustered(a));
-    EXPECT_TRUE(MakeMatcher(a, /*concurrent=*/true)
-                    ->supports_concurrent_churn());
-    EXPECT_FALSE(MakeMatcher(a)->supports_concurrent_churn());
+    auto concurrent = MakeMatcher(a, /*concurrent=*/true);
+    auto serial = MakeMatcher(a);
+    EXPECT_TRUE(
+        static_cast<const ClusteredMatcherBase&>(*concurrent).concurrent());
+    EXPECT_FALSE(
+        static_cast<const ClusteredMatcherBase&>(*serial).concurrent());
   }
   EXPECT_FALSE(IsClustered(Algorithm::kCounting));
   EXPECT_FALSE(AlgorithmFromString("churn").ok());
 }
 
-TEST(ChurnTest, EpochGaugesRegisterThroughBrokerTelemetry) {
-  BrokerOptions options;
-  options.concurrent_churn = true;
-  options.store_events = false;
-  Broker broker(options);
+TEST(ChurnTest, EpochGaugesRegisterThroughMatcherTelemetry) {
+  std::unique_ptr<Matcher> matcher =
+      MakeMatcher(Algorithm::kDynamic, /*concurrent=*/true);
   MetricsRegistry metrics;
-  broker.AttachTelemetry(&metrics);
-  auto sub = broker.Subscribe(
-      {broker.Pred("price", "<=", 400).value()}, nullptr);
-  ASSERT_TRUE(sub.ok());
-  ASSERT_TRUE(broker.Unsubscribe(sub.value()).ok());
+  matcher->AttachTelemetry(&metrics);
+  ASSERT_TRUE(matcher
+                  ->AddSubscription(Subscription::Create(
+                      1, {Predicate(0, RelOp::kLe, 400)}))
+                  .ok());
+  ASSERT_TRUE(matcher->RemoveSubscription(1).ok());
   const std::string text = metrics.ExportPrometheus();
   EXPECT_NE(text.find("vfps_epoch_pinned_readers"), std::string::npos);
   EXPECT_NE(text.find("vfps_epoch_limbo_depth"), std::string::npos);
   EXPECT_NE(text.find("vfps_epoch_reclaimed_total"), std::string::npos);
   EXPECT_EQ(metrics.GaugeValue("vfps_epoch_pinned_readers"), 0);
   EXPECT_GT(metrics.GaugeValue("vfps_epoch_reclaimed_total"), 0);
-  broker.AttachTelemetry(nullptr);
+  matcher->AttachTelemetry(nullptr);
 }
 
 TEST(ChurnTest, ConcurrentBuildRecordsPerEventAndNativeBatchTelemetry) {
@@ -518,107 +519,6 @@ TEST(ChurnTest, MatchBatchEqualsMatchUnderChurnSoak) {
   stop.store(true);
   churner.join();
   EXPECT_GT(matcher->maintenance_stats().sweeps, 0u);
-}
-
-// --- broker concurrent-churn mode -------------------------------------------
-
-TEST(ChurnTest, BrokerConcurrentModeSerialRoundTrip) {
-  BrokerOptions options;
-  options.concurrent_churn = true;
-  options.store_events = false;
-  Broker broker(options);
-  EXPECT_TRUE(broker.matcher().supports_concurrent_churn());
-  std::atomic<int> notified{0};
-  auto sub = broker.Subscribe(
-      {broker.Pred("price", "<=", 400).value()},
-      [&](const Notification&) { ++notified; });
-  ASSERT_TRUE(sub.ok());
-  auto result = broker.Publish({broker.Pair("price", 250)});
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().matches, 1u);
-  EXPECT_EQ(notified.load(), 1);
-  EXPECT_TRUE(broker.Unsubscribe(sub.value()).ok());
-  result = broker.Publish({broker.Pair("price", 250)});
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().matches, 0u);
-}
-
-TEST(ChurnTest, BrokerConcurrentChurnSoak) {
-  BrokerOptions options;
-  options.concurrent_churn = true;
-  options.store_events = false;  // required by the mode
-  Broker broker(options);
-  const AttributeId price = broker.schema().InternAttribute("price");
-
-  // A stable subscription registered before any concurrency: every publish
-  // of a matching event must notify it, churn or not.
-  std::atomic<int> stable_hits{0};
-  auto stable = broker.Subscribe({Predicate(price, RelOp::kLe, 100)},
-                                 [&](const Notification&) { ++stable_hits; });
-  ASSERT_TRUE(stable.ok());
-
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> churners;
-  constexpr int kChurners = 2;
-  for (int t = 0; t < kChurners; ++t) {
-    churners.emplace_back([&, t] {
-      Rng rng(0x2545f491u * (t + 1));
-      std::vector<SubscriptionId> mine;
-      // sync-relaxed-ok: independent control flag.
-      while (!stop.load(std::memory_order_relaxed)) {
-        if (mine.empty() || rng.NextDouble() < 0.6) {
-          auto id = broker.Subscribe(
-              {Predicate(price, RelOp::kGt,
-                         static_cast<Value>(rng.Range(1, 50)))},
-              nullptr);
-          ASSERT_TRUE(id.ok());
-          mine.push_back(id.value());
-        } else {
-          const size_t pick = rng.Below(mine.size());
-          ASSERT_TRUE(broker.Unsubscribe(mine[pick]).ok());
-          mine[pick] = mine.back();
-          mine.pop_back();
-        }
-      }
-      for (SubscriptionId id : mine) {
-        ASSERT_TRUE(broker.Unsubscribe(id).ok());
-      }
-    });
-  }
-
-  constexpr int kPublishes = 300;
-  std::vector<std::thread> publishers;
-  constexpr int kPublishers = 2;
-  std::atomic<int> published{0};
-  for (int t = 0; t < kPublishers; ++t) {
-    publishers.emplace_back([&, t] {
-      for (int i = 0; i < kPublishes; ++i) {
-        // Alternate the per-event and the batch path.
-        if ((i + t) % 2 == 0) {
-          auto result = broker.Publish(Event::CreateUnchecked({{price, 50}}));
-          ASSERT_TRUE(result.ok());
-          // The stable subscription is never touched: every publish must
-          // count it.
-          ASSERT_GE(result.value().matches, 1u);
-        } else {
-          std::vector<Event> batch(1, Event::CreateUnchecked({{price, 50}}));
-          std::vector<PublishResult> results = broker.PublishBatch(batch);
-          ASSERT_EQ(results.size(), 1u);
-          ASSERT_GE(results[0].matches, 1u);
-        }
-        // sync-relaxed-ok: progress counter only.
-        published.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : publishers) t.join();
-  stop.store(true);
-  for (std::thread& t : churners) t.join();
-
-  EXPECT_EQ(published.load(), kPublishers * kPublishes);
-  EXPECT_EQ(stable_hits.load(), kPublishers * kPublishes);
-  EXPECT_EQ(broker.subscription_count(), 1u);
-  EXPECT_TRUE(broker.Unsubscribe(stable.value()).ok());
 }
 
 }  // namespace

@@ -383,21 +383,6 @@ TEST(EpochDeathTest, WriterLockAfterReclaimLockAborts) {
       "lock-rank violation");
 }
 
-TEST(EpochDeathTest, BrokerLockAfterWriterLockAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        // Broker bookkeeping (kBrokerSubs=120) sits above the churn writer:
-        // a matcher path calling back into broker maps would invert the
-        // hierarchy.
-        Mutex writer(LockRank::kMatcherWriter, "matcher_writer_like");
-        Mutex subs(LockRank::kBrokerSubs, "broker_subs_like");
-        MutexLock l1(writer);
-        MutexLock l2(subs);
-      },
-      "lock-rank violation");
-}
-
 TEST(EpochDeathTest, DestructionWhilePinnedAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/core/batch_result.h"
+#include "src/matcher/clustered_base.h"
 #include "src/matcher/naive_matcher.h"
 #include "src/matcher/static_matcher.h"
 #include "src/pubsub/broker.h"
@@ -360,8 +361,9 @@ std::vector<std::unique_ptr<Matcher>> AllBatchMatchers() {
 /// Names a matcher in failure messages; a concurrent build shares its
 /// algorithm's name().
 std::string Label(const Matcher& m) {
-  return std::string(m.name()) +
-         (m.supports_concurrent_churn() ? "-concurrent" : "");
+  const auto* clustered = dynamic_cast<const ClusteredMatcherBase*>(&m);
+  const bool concurrent = clustered != nullptr && clustered->concurrent();
+  return std::string(m.name()) + (concurrent ? "-concurrent" : "");
 }
 
 TEST(MatchBatchEquivalenceTest, BatchAgreesWithPerEventMatch) {

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "src/lang/parser.h"
 #include "src/pubsub/broker.h"
 #include "src/pubsub/event_store.h"
 
@@ -414,6 +416,144 @@ TEST(BrokerBatchTest, PublishBatchDedupsDnfPerEvent) {
   ASSERT_EQ(results.size(), 3u);
   for (const PublishResult& r : results) EXPECT_EQ(r.matches, 1u);
   EXPECT_EQ(hits, 3);
+}
+
+// Handlers may re-enter the broker. The broker resolves every match of a
+// publish call to handler records before it runs any handler, so a record
+// resolved for dispatch still fires after its subscription is cancelled
+// mid-dispatch (by its own handler or another one), and a nested publish
+// runs to completion inside the outer one.
+struct ReentrancyProbe {
+  explicit ReentrancyProbe(Algorithm algorithm)
+      : broker(BrokerOptions{algorithm}) {}
+
+  SubscriptionId Sub(std::string_view condition, int* count,
+                     std::function<void()> action = nullptr) {
+    auto id = broker.SubscribeExpression(
+        condition,
+        [count, action = std::move(action)](const Notification& n) {
+          ASSERT_NE(n.event, nullptr);
+          EXPECT_NE(n.event->size(), 0u);
+          if (++*count == 1 && action) action();
+        });
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    return id.ok() ? id.value() : kInvalidSubscriptionId;
+  }
+
+  /// Publishes `y = 7` from inside a handler; only N and D match it.
+  void PublishNested() {
+    auto r = broker.PublishExpression("y = 7");
+    ASSERT_TRUE(r.ok());
+    nested_event = r.value().event_id;
+    nested_matches = r.value().matches;
+  }
+
+  Broker broker;
+  int self = 0, victim = 0, killer = 0, republisher = 0, nested = 0,
+      dnf = 0;
+  SubscriptionId self_id = kInvalidSubscriptionId;
+  SubscriptionId victim_id = kInvalidSubscriptionId;
+  EventId nested_event = 0;
+  size_t nested_matches = 0;
+};
+
+constexpr Algorithm kReentrancyAlgorithms[] = {
+    Algorithm::kNaive,  Algorithm::kCounting,
+    Algorithm::kPropagation, Algorithm::kPropagationPrefetch,
+    Algorithm::kStatic, Algorithm::kDynamic};
+
+TEST(BrokerReentrancyTest, HandlersReenterDuringPublish) {
+  for (Algorithm algo : kReentrancyAlgorithms) {
+    SCOPED_TRACE(static_cast<int>(algo));
+    ReentrancyProbe p(algo);
+    p.self_id = p.Sub("x >= 0", &p.self, [&p] {
+      EXPECT_TRUE(p.broker.Unsubscribe(p.self_id).ok());
+    });
+    p.victim_id = p.Sub("x >= 0", &p.victim);
+    p.Sub("x >= 0", &p.killer, [&p] {
+      EXPECT_TRUE(p.broker.Unsubscribe(p.victim_id).ok());
+    });
+    p.Sub("x >= 0", &p.republisher, [&p] { p.PublishNested(); });
+    p.Sub("y = 7", &p.nested);
+    p.Sub("x = 1 OR x <= 5 OR y = 7", &p.dnf);
+    ASSERT_EQ(p.broker.subscription_count(), 6u);
+
+    auto first = p.broker.PublishExpression("x = 1");
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first.value().event_id, 1u);
+    EXPECT_EQ(first.value().matches, 5u);  // S, V, K, R, D
+    EXPECT_EQ(p.nested_event, 2u);
+    EXPECT_EQ(p.nested_matches, 2u);  // N, D
+    EXPECT_EQ(p.self, 1);
+    EXPECT_EQ(p.victim, 1);
+    EXPECT_EQ(p.killer, 1);
+    EXPECT_EQ(p.republisher, 1);
+    EXPECT_EQ(p.nested, 1);
+    EXPECT_EQ(p.dnf, 2);
+    EXPECT_EQ(p.broker.subscription_count(), 4u);
+
+    auto second = p.broker.PublishExpression("x = 1");
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(second.value().event_id, 3u);
+    EXPECT_EQ(second.value().matches, 3u);  // K, R, D
+    EXPECT_EQ(p.self, 1);
+    EXPECT_EQ(p.victim, 1);
+    EXPECT_EQ(p.killer, 2);
+    EXPECT_EQ(p.republisher, 2);
+    EXPECT_EQ(p.nested, 1);
+    EXPECT_EQ(p.dnf, 3);
+    EXPECT_EQ(p.broker.stored_event_count(), 3u);
+  }
+}
+
+TEST(BrokerReentrancyTest, HandlersReenterDuringPublishBatch) {
+  for (Algorithm algo : kReentrancyAlgorithms) {
+    SCOPED_TRACE(static_cast<int>(algo));
+    ReentrancyProbe p(algo);
+    p.self_id = p.Sub("x >= 0", &p.self, [&p] {
+      EXPECT_TRUE(p.broker.Unsubscribe(p.self_id).ok());
+    });
+    // The victim matches only lane 1; the killer only lane 0.
+    p.victim_id = p.Sub("x = 2", &p.victim);
+    p.Sub("x = 1", &p.killer, [&p] {
+      EXPECT_TRUE(p.broker.Unsubscribe(p.victim_id).ok());
+    });
+    p.Sub("x >= 0", &p.republisher, [&p] { p.PublishNested(); });
+    p.Sub("y = 7", &p.nested);
+    p.Sub("x = 1 OR x <= 5 OR y = 7", &p.dnf);
+
+    std::vector<Event> events;
+    for (const char* text : {"x = 1", "x = 2"}) {
+      auto e = ParseEvent(text, &p.broker.schema());
+      ASSERT_TRUE(e.ok());
+      events.push_back(std::move(e).value());
+    }
+    const std::vector<PublishResult> results = p.broker.PublishBatch(events);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].event_id, 1u);
+    EXPECT_EQ(results[0].matches, 4u);  // S, K, R, D
+    EXPECT_EQ(p.nested_event, 2u);      // published during lane 0
+    EXPECT_EQ(p.nested_matches, 2u);    // N, D
+    EXPECT_EQ(results[1].event_id, 3u);
+    EXPECT_EQ(results[1].matches, 4u);  // S, V, R, D
+    EXPECT_EQ(p.self, 2);
+    EXPECT_EQ(p.victim, 1);
+    EXPECT_EQ(p.killer, 1);
+    EXPECT_EQ(p.republisher, 2);
+    EXPECT_EQ(p.nested, 1);
+    EXPECT_EQ(p.dnf, 3);
+    EXPECT_EQ(p.broker.subscription_count(), 4u);
+
+    const std::vector<PublishResult> again = p.broker.PublishBatch(events);
+    ASSERT_EQ(again.size(), 2u);
+    EXPECT_EQ(again[0].matches, 3u);  // K, R, D
+    EXPECT_EQ(again[1].matches, 2u);  // R, D
+    EXPECT_EQ(p.self, 2);
+    EXPECT_EQ(p.victim, 1);
+    EXPECT_EQ(p.killer, 2);
+    EXPECT_EQ(p.republisher, 4);
+    EXPECT_EQ(p.dnf, 5);
+  }
 }
 
 TEST(BrokerTest, ExpressionSharesSchemaWithTypedApi) {

@@ -70,11 +70,11 @@ TEST(SyncTest, IncreasingRankOrderIsLegal) {
   // The full legal chain of today's hierarchy, nested in order: the
   // validator must stay silent.
   Mutex verify(LockRank::kVerifyHarness, "verify");
-  Mutex pool(LockRank::kThreadPool, "pool");
+  Mutex worker(LockRank::kMatchWorker, "worker");
   Mutex fail(LockRank::kFailPoints, "failpoints");
   Mutex telemetry(LockRank::kTelemetry, "telemetry");
   MutexLock l1(verify);
-  MutexLock l2(pool);
+  MutexLock l2(worker);
   MutexLock l3(fail);
   MutexLock l4(telemetry);
   SUCCEED();
@@ -217,7 +217,7 @@ TEST(SyncDeathTest, OutOfOrderAcquisitionAborts) {
   EXPECT_DEATH(
       {
         Mutex high(LockRank::kTelemetry, "high_rank");
-        Mutex low(LockRank::kThreadPool, "low_rank");
+        Mutex low(LockRank::kMatchWorker, "low_rank");
         MutexLock l1(high);
         MutexLock l2(low);  // rank 200 after rank 400: must abort
       },

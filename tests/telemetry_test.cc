@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/matcher/clustered_base.h"
 #include "src/pubsub/broker.h"
 #include "src/telemetry/metrics.h"
 #include "src/workload/workload_generator.h"
@@ -202,7 +203,8 @@ TEST_P(MatcherTelemetryBuildTest, MatchRecordsWorkCounters) {
   std::vector<Subscription> subs = gen.MakeSubscriptions(500, 1);
   std::unique_ptr<Matcher> matcher =
       MakeMatcher(Algorithm::kDynamic, /*concurrent=*/GetParam());
-  ASSERT_EQ(matcher->supports_concurrent_churn(), GetParam());
+  ASSERT_EQ(static_cast<const ClusteredMatcherBase&>(*matcher).concurrent(),
+            GetParam());
   for (const Subscription& s : subs) {
     ASSERT_TRUE(matcher->AddSubscription(s).ok());
   }

@@ -43,6 +43,10 @@ class AttributeSet {
   /// Sorted, duplicate-free ids.
   const std::vector<AttributeId>& ids() const { return ids_; }
 
+  /// The 64-bit Bloom signature: bit (a & 63) for every member a.
+  uint64_t bloom() const { return bloom_; }
+  static uint64_t BloomBit(AttributeId a) { return 1ULL << (a & 63); }
+
   /// Membership test (binary search).
   bool Contains(AttributeId a) const {
     return std::binary_search(ids_.begin(), ids_.end(), a);
@@ -101,8 +105,6 @@ class AttributeSet {
   }
 
  private:
-  static uint64_t BloomBit(AttributeId a) { return 1ULL << (a & 63); }
-
   void Normalize() {
     std::sort(ids_.begin(), ids_.end());
     ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());

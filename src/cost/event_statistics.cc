@@ -35,6 +35,7 @@ void EventStatistics::Observe(const Event& event) {
     s->value_counts[pair.value] += 1;
   }
   total_weight_ += 1;
+  ++observed_count_;
   if (decay_window_ != 0 && ++observed_since_decay_ >= decay_window_) {
     Decay();
     observed_since_decay_ = 0;
@@ -44,6 +45,7 @@ void EventStatistics::Observe(const Event& event) {
 void EventStatistics::SeedPseudoEvents(double weight) {
   VFPS_CHECK(weight > 0);
   total_weight_ += weight;
+  seeded_ = true;
 }
 
 void EventStatistics::SeedAttributeUniform(AttributeId a, Value lo, Value hi,

@@ -50,6 +50,15 @@ class EventStatistics {
   /// Total weight observed (events + seeded pseudo-events), after decay.
   double total_weight() const { return total_weight_; }
 
+  /// Events folded by Observe since construction (not decayed).
+  uint64_t observed_count() const { return observed_count_; }
+
+  /// True once SeedPseudoEvents described the workload up front.
+  bool seeded() const { return seeded_; }
+
+  /// Observed events per decay halving (0: no decay).
+  uint64_t decay_window() const { return decay_window_; }
+
   /// P(an event carries attribute `a`).
   double PresenceProbability(AttributeId a) const;
 
@@ -100,6 +109,8 @@ class EventStatistics {
 
   std::vector<std::unique_ptr<AttrStats>> by_attribute_;
   double total_weight_ = 0;
+  uint64_t observed_count_ = 0;
+  bool seeded_ = false;
   uint64_t observed_since_decay_ = 0;
   uint64_t decay_window_;
 };

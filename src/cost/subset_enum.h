@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/core/types.h"
+#include "src/util/macros.h"
 
 namespace vfps {
 
@@ -46,13 +47,30 @@ size_t EnumerateSubsets(const std::vector<AttributeId>& attrs, size_t k,
   }
 }
 
-/// Enumerates subsets of sizes [2, max_size], smaller sizes first, within a
-/// total budget.
+/// Enumerates the subsets of sizes [2, max_size] of `n` sorted items,
+/// smaller sizes first and each size in lexicographic order, within a
+/// total budget, invoking `fn(const size_t* positions, size_t k)` with the
+/// ascending item positions of each. Allocation-free: max_size is at most
+/// kMaxEnumeratedSubsetSize.
+inline constexpr size_t kMaxEnumeratedSubsetSize = 8;
 template <typename Fn>
-void EnumerateMultiAttrSubsets(const std::vector<AttributeId>& attrs,
-                               size_t max_size, size_t budget, Fn&& fn) {
-  for (size_t k = 2; k <= max_size && budget > 0; ++k) {
-    budget -= EnumerateSubsets(attrs, k, budget, fn);
+void EnumerateMultiAttrSubsets(size_t n, size_t max_size, size_t budget,
+                               Fn&& fn) {
+  VFPS_CHECK(max_size <= kMaxEnumeratedSubsetSize);
+  size_t pos[kMaxEnumeratedSubsetSize];
+  for (size_t k = 2; k <= max_size && k <= n; ++k) {
+    for (size_t i = 0; i < k; ++i) pos[i] = i;
+    while (true) {
+      if (budget == 0) return;
+      --budget;
+      fn(static_cast<const size_t*>(pos), k);
+      // Advance the combination odometer (see EnumerateSubsets).
+      size_t i = k;
+      while (i > 0 && pos[i - 1] == i - 1 + n - k) --i;
+      if (i == 0) break;
+      ++pos[i - 1];
+      for (size_t j = i; j < k; ++j) pos[j] = pos[j - 1] + 1;
+    }
   }
 }
 

@@ -223,16 +223,6 @@ Subscription ClusteredMatcherBase::ReconstructSubscription(
   return Subscription::Create(id, std::move(preds));
 }
 
-AttributeSet ClusteredMatcherBase::EqualityAttributesOf(
-    const SubRecord& record) const {
-  std::vector<AttributeId> attrs;
-  attrs.reserve(record.eq_count);
-  for (uint16_t i = 0; i < record.eq_count; ++i) {
-    attrs.push_back(predicate_table_.Get(record.preds[i]).attribute);
-  }
-  return AttributeSet(std::move(attrs));
-}
-
 Value ClusteredMatcherBase::EqualityValueOf(const SubRecord& record,
                                             AttributeId a) const {
   for (uint16_t i = 0; i < record.eq_count; ++i) {
@@ -247,7 +237,14 @@ double ClusteredMatcherBase::NuUnderSchema(const SubRecord& record,
                                            const AttributeSet& schema) const {
   double nu = 1.0;
   for (AttributeId a : schema.ids()) {
-    nu *= stats_model_.ValueProbability(a, EqualityValueOf(record, a));
+    uint16_t i = 0;
+    while (i < record.eq_count &&
+           predicate_table_.Get(record.preds[i]).attribute != a) {
+      ++i;
+    }
+    if (i == record.eq_count) return -1;
+    const Predicate& p = predicate_table_.Get(record.preds[i]);
+    nu *= stats_model_.ValueProbability(p.attribute, p.value);
   }
   return nu;
 }
@@ -262,6 +259,7 @@ uint32_t ClusteredMatcherBase::GetOrCreateTable(const AttributeSet& schema) {
   published_tables_.Publish(index, table, manager());
   table_count_.store(index + 1);
   tables_.push_back(table);
+  live_tables_.fetch_add(1);
   table_lookup_.emplace(schema, index);
   return index;
 }
@@ -425,6 +423,7 @@ size_t ClusteredMatcherBase::DropTable(uint32_t t) {
   // Detached from the writer's view (ChooseBestPlacement skips it) while
   // readers still reach it.
   tables_[t] = nullptr;
+  live_tables_.fetch_sub(1);
   table_lookup_.erase(table->schema());
   std::vector<SubscriptionId> ids;
   ids.reserve(table->subscription_count());
@@ -455,6 +454,7 @@ void ClusteredMatcherBase::ClearPlacements() {
   }
   table_count_.store(0);
   tables_.clear();
+  live_tables_.store(0);
   table_lookup_.clear();
   for (PredicateId pid = 0; pid < predicate_table_.capacity(); ++pid) {
     if (eq_lists_.Load(pid) != nullptr) eq_lists_.Publish(pid, nullptr, nullptr);
@@ -499,16 +499,24 @@ ClusteredMatcherBase::Placement ClusteredMatcherBase::ChooseBestPlacement(
       best = Placement{kSingletonTable, pid};
     }
   }
-  // Multi-attribute tables whose schema applies.
-  const AttributeSet eq_attrs = EqualityAttributesOf(record);
+  // Multi-attribute tables whose schema applies: the Bloom signature of
+  // the record's equality attributes rejects most, and NuUnderSchema finds
+  // the value of each schema attribute or proves one missing.
+  if (table_count() == 0) return best;
+  uint64_t eq_bloom = 0;
+  for (uint16_t i = 0; i < record.eq_count; ++i) {
+    eq_bloom |= AttributeSet::BloomBit(
+        predicate_table_.Get(record.preds[i]).attribute);
+  }
   for (uint32_t t = 0; t < table_count(); ++t) {
     const MultiAttrHashTable* table = tables_[t];
     if (table == nullptr) continue;
     const AttributeSet& schema = table->schema();
-    if (!schema.IsSubsetOf(eq_attrs)) continue;
+    if ((schema.bloom() & eq_bloom) != schema.bloom()) continue;
+    const double nu = NuUnderSchema(record, schema);
+    if (nu < 0) continue;  // the schema is no option for this record
     const double cost =
-        NuUnderSchema(record, schema) *
-        CheckingCost(record.preds.size() - schema.size(), cost_params_);
+        nu * CheckingCost(record.preds.size() - schema.size(), cost_params_);
     if (cost < best_cost) {
       best_cost = cost;
       best = Placement{t, kInvalidPredicateId};
@@ -631,6 +639,7 @@ void ClusteredMatcherBase::Match(const Event& event,
   }
 #endif
   ObserveSampled(event, ctx);
+  if (publisher_ == nullptr) AfterMatch();
 }
 
 namespace {
@@ -675,6 +684,7 @@ void ClusteredMatcherBase::MatchBatch(std::span<const Event> events,
   }
 #endif
   for (const Event& event : events) ObserveSampled(event, ctx);
+  if (publisher_ == nullptr) AfterMatch();
 }
 
 void ClusteredMatcherBase::MatchChunk(ReaderContext* ctx,
@@ -827,7 +837,13 @@ void ClusteredMatcherBase::ResetStats() {
 
 void ClusteredMatcherBase::AttachTelemetry(MetricsRegistry* registry) {
   Matcher::AttachTelemetry(registry);
-  if (registry == nullptr || publisher_ == nullptr) return;
+  if (registry == nullptr) return;
+#if VFPS_TELEMETRY
+  registry->RegisterGauge("vfps_matcher_tables", [this] {
+    return static_cast<int64_t>(live_tables_.load());
+  });
+#endif
+  if (publisher_ == nullptr) return;
   // Epoch-domain health gauges (docs/OBSERVABILITY.md). Sampled with the
   // registry lock released, so limbo_depth's brief lock is rank-legal.
   const EpochManager* epoch = publisher_->manager();

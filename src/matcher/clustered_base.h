@@ -93,7 +93,8 @@ class ClusteredMatcherBase : public Matcher {
   void ResetStats() override;
 
   /// Attaches the vfps_matcher_* instruments (recorded per event in both
-  /// builds); a concurrent matcher also registers the vfps_epoch_* gauges.
+  /// builds) and the vfps_matcher_tables gauge; a concurrent matcher also
+  /// registers the vfps_epoch_* gauges.
   void AttachTelemetry(MetricsRegistry* registry) override;
 
   /// The event statistics the matcher maintains (ν and μ estimates). Can be
@@ -165,6 +166,13 @@ class ClusteredMatcherBase : public Matcher {
   /// removed subscription left, nullptr after an addition.
   virtual void AfterChange(const Placement* vacated) { (void)vacated; }
 
+  /// Serial build only: called at the end of every Match and MatchBatch
+  /// call, after its events were sampled into the statistics, without
+  /// writer_mu_ (callers serialize Match against mutation). Maintenance
+  /// that reacts to events steps here; an override takes writer_mu_ before
+  /// it mutates. A concurrent matcher's readers never call it.
+  virtual void AfterMatch() {}
+
   /// Called after a subscription lands in a cluster list. For singleton
   /// placements `key` is empty and placement.access_pred set; for table
   /// placements `key` is the entry key (aliasing a scratch buffer — copy
@@ -182,13 +190,11 @@ class ClusteredMatcherBase : public Matcher {
   Subscription ReconstructSubscription(SubscriptionId id,
                                        const SubRecord& record) const;
 
-  /// Equality attributes of a record.
-  AttributeSet EqualityAttributesOf(const SubRecord& record) const;
-
   /// Value of the first equality predicate on `a` in the record.
   Value EqualityValueOf(const SubRecord& record, AttributeId a) const;
 
-  /// ν of the access predicate `record` would use under `schema`.
+  /// ν of the access predicate `record` would use under `schema`, or -1
+  /// when the record has no equality predicate on some schema attribute.
   double NuUnderSchema(const SubRecord& record,
                        const AttributeSet& schema) const;
 
@@ -344,6 +350,9 @@ class ClusteredMatcherBase : public Matcher {
   EpochSlotArray<MultiAttrHashTable> published_tables_;
   std::atomic<uint32_t> table_count_{0};
   std::vector<MultiAttrHashTable*> tables_;
+  /// Live tables (the vfps_matcher_tables gauge samples it from any
+  /// thread).
+  std::atomic<uint32_t> live_tables_{0};
   EpochPtr<ClusterList> fallback_;
 
   /// Odd while a MoveAll or DropTable has a subscription in two lists; a

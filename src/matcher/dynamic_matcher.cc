@@ -3,6 +3,7 @@
 #include "src/matcher/dynamic_matcher.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "src/cost/subset_enum.h"
 #include "src/util/hash.h"
@@ -12,10 +13,14 @@ namespace vfps {
 
 namespace {
 
-/// Largest schema considered for potential tables.
-constexpr size_t kMaxSchemaSize = 4;
 /// Bound on subset enumeration per subscription when voting.
 constexpr size_t kMaxSubsetsPerSubscription = 64;
+/// Bound on the candidate clusters one potential table remembers.
+constexpr size_t kMaxCandidates = 8192;
+/// Subscriptions an incremental sweep step redistributes, at most, before
+/// it yields (the list it is on is always finished), so a step's cost does
+/// not grow with the population.
+constexpr size_t kSweepStepRows = 1024;
 /// A cluster is re-distributed only after growing by this factor since its
 /// last distribution (guards against O(n^2) re-scans).
 constexpr double kRedistributeGrowth = 2.0;
@@ -24,18 +29,57 @@ constexpr double kRedistributeGrowth = 2.0;
 /// between statistically equivalent placements under noisy ν estimates.
 constexpr double kMoveHysteresis = 0.7;
 /// An unproductive sweep (moves below this fraction of the population,
-/// nothing created or deleted) doubles the effective sweep period, up to
-/// sweep_period * kSweepBackoffMax; a productive one resets it. Converged
-/// systems thus stop paying for sweeps.
+/// nothing created or deleted) doubles the effective sweep periods, up to
+/// kSweepBackoffMax times; a productive one resets them. Converged systems
+/// thus stop paying for sweeps.
 constexpr double kSweepBackoffFraction = 0.01;
 constexpr uint64_t kSweepBackoffMax = 16;
 
 }  // namespace
 
+uint64_t DynamicMatcher::SchemaKey::Hash() const {
+  uint64_t h = Mix64(ids[0]);
+  for (size_t i = 1; i < kMaxSchemaSize; ++i) h = HashCombine(h, ids[i]);
+  return h;
+}
+
+AttributeSet DynamicMatcher::SchemaKey::ToSet() const {
+  std::vector<AttributeId> set;
+  for (AttributeId a : ids) {
+    if (a != kInvalidAttributeId) set.push_back(a);
+  }
+  return AttributeSet(std::move(set));
+}
+
 DynamicMatcher::DynamicMatcher(DynamicOptions options, bool use_prefetch,
                                uint32_t observe_sample_rate, bool concurrent)
     : ClusteredMatcherBase(use_prefetch, observe_sample_rate, concurrent),
       options_(options) {}
+
+void DynamicMatcher::AttachTelemetry(MetricsRegistry* registry) {
+  ClusteredMatcherBase::AttachTelemetry(registry);
+  MutexLock lock(writer_mu_);
+  series_ = Series();
+#if VFPS_TELEMETRY
+  if (registry == nullptr) return;
+  series_.tables_created =
+      registry->GetCounter("vfps_matcher_tables_created_total");
+  series_.tables_deleted =
+      registry->GetCounter("vfps_matcher_tables_deleted_total");
+  series_.subscriptions_moved =
+      registry->GetCounter("vfps_matcher_subscriptions_moved_total");
+  series_.sweeps = registry->GetCounter("vfps_matcher_sweeps_total");
+#endif
+}
+
+void DynamicMatcher::Count(uint64_t* stat, Counter* series, uint64_t n) {
+  *stat += n;
+#if VFPS_TELEMETRY
+  if (series != nullptr) series->Inc(n);
+#else
+  (void)series;
+#endif
+}
 
 void DynamicMatcher::BeforeRemove(const SubRecord& record) {
   if (record.marked) WithdrawVotes(record);
@@ -49,20 +93,53 @@ void DynamicMatcher::AfterChange(const Placement* vacated) {
   CountChangeAndMaybeSweep();
 }
 
+void DynamicMatcher::AfterMatch() {
+  if (options_.sweep_period == 0) return;
+  if (!sweep_active_ && !EventSweepDue()) return;
+  MutexLock lock(writer_mu_);
+  if (sweep_active_) {
+    IncrementalSweepStep();
+  } else {
+    StartSweep(/*full=*/false);
+  }
+}
+
+bool DynamicMatcher::EventSweepDue() const {
+  const uint64_t observed = stats_model_.observed_count();
+  if (blind_placements_ > 0 && observed >= kColdCensusSamples) return true;
+  const uint64_t window = stats_model_.decay_window();
+  return window != 0 && !stats_model_.seeded() &&
+         observed - observed_at_sweep_ >= window * sweep_backoff_;
+}
+
 void DynamicMatcher::CountChangeAndMaybeSweep() {
   if (options_.sweep_period == 0 || in_maintenance_) return;
   if (sweep_active_) {
     IncrementalSweepStep();
     return;
   }
-  if (++changes_since_sweep_ < options_.sweep_period * sweep_backoff_) {
+  const bool change_due =
+      ++changes_since_sweep_ >= options_.sweep_period * sweep_backoff_;
+  if (!change_due && !EventSweepDue()) return;
+  if (stats_model_.total_weight() <= 0) {
+    // No event seen yet: every ν reads 1, so a census would price nothing
+    // but predicate counts. Skip it; the sampled events re-arm it.
+    changes_since_sweep_ = 0;
     return;
   }
+  // A serial matcher runs a change-driven sweep in full; event-driven ones
+  // (and every sweep of a concurrent matcher) go incrementally.
+  StartSweep(/*full=*/change_due && !concurrent());
+}
+
+void DynamicMatcher::StartSweep(bool full) {
   changes_since_sweep_ = 0;
+  blind_placements_ = 0;
+  observed_at_sweep_ = stats_model_.observed_count();
   sweep_moved_base_ = maintenance_stats_.subscriptions_moved;
   sweep_created_base_ = maintenance_stats_.tables_created;
   sweep_deleted_base_ = maintenance_stats_.tables_deleted;
-  if (!concurrent()) {
+  if (full) {
     MaintenanceSweep();
     FinishSweepAccounting();
   } else {
@@ -89,6 +166,11 @@ void DynamicMatcher::FinishSweepAccounting() {
 
 void DynamicMatcher::ResetCensus() {
   potential_.clear();
+  potential_.shrink_to_fit();
+  potential_slots_.clear();
+  potential_slots_.shrink_to_fit();
+  vote_sources_.clear();
+  vote_sources_.shrink_to_fit();
   for (auto& [id, record] : records_) {
     (void)id;
     record.marked = false;
@@ -104,7 +186,7 @@ std::vector<DynamicMatcher::ClusterRef> DynamicMatcher::SingletonRefs()
     ClusterRef ref;
     ref.table_index = kSingletonTable;
     ref.access_pred = pid;
-    refs.push_back(std::move(ref));
+    refs.push_back(ref);
   }
   return refs;
 }
@@ -117,22 +199,22 @@ std::vector<DynamicMatcher::ClusterRef> DynamicMatcher::TableRefs(
   table->ForEachEntry([&](std::span<const Value> key, const ClusterList&) {
     ClusterRef ref;
     ref.table_index = table_index;
-    ref.access_pred = kInvalidPredicateId;
-    ref.key.assign(key.begin(), key.end());
-    refs.push_back(std::move(ref));
+    ref.key_size = static_cast<uint32_t>(key.size());
+    std::copy(key.begin(), key.end(), ref.key.begin());
+    refs.push_back(ref);
   });
   return refs;
 }
 
 void DynamicMatcher::BeginIncrementalSweep() {
-  ++maintenance_stats_.sweeps;
+  Count(&maintenance_stats_.sweeps, series_.sweeps, 1);
   // Same fresh census as MaintenanceSweep, but the redistribution work is
   // deferred: snapshot the refs and let IncrementalSweepStep pay them off
-  // a chunk per subscription change.
+  // a step at a time.
   ResetCensus();
   sweep_refs_ = SingletonRefs();
   for (uint32_t t = 0; t < table_count(); ++t) {
-    for (ClusterRef& ref : TableRefs(t)) sweep_refs_.push_back(std::move(ref));
+    for (const ClusterRef& ref : TableRefs(t)) sweep_refs_.push_back(ref);
   }
   sweep_pos_ = 0;
   sweep_active_ = true;
@@ -142,16 +224,20 @@ void DynamicMatcher::IncrementalSweepStep() {
   in_maintenance_ = true;
   // Refs may have gone stale since the snapshot (clusters emptied, tables
   // deleted, predicate ids recycled); ClusterDistribute resolves each ref
-  // afresh and skips the vanished ones.
-  size_t done = 0;
-  while (sweep_pos_ < sweep_refs_.size() && done < kIncrementalSweepChunk) {
-    ClusterDistribute(sweep_refs_[sweep_pos_++], /*census=*/true);
-    ++done;
+  // afresh and skips the vanished ones. A concurrent matcher also bounds
+  // the lists per step: each one's moves wait out the pinned readers.
+  const size_t max_refs = concurrent() ? kIncrementalSweepChunk : SIZE_MAX;
+  size_t refs = 0, rows = 0;
+  while (sweep_pos_ < sweep_refs_.size() && refs < max_refs &&
+         rows < kSweepStepRows) {
+    rows += ClusterDistribute(sweep_refs_[sweep_pos_++], /*census=*/true);
+    ++refs;
   }
   CreateReadyTables();
   if (sweep_pos_ >= sweep_refs_.size()) {
     for (uint32_t t = 0; t < table_count(); ++t) MaybeDeleteTable(t);
     sweep_refs_.clear();
+    sweep_refs_.shrink_to_fit();
     sweep_pos_ = 0;
     sweep_active_ = false;
     FinishSweepAccounting();
@@ -160,7 +246,7 @@ void DynamicMatcher::IncrementalSweepStep() {
 }
 
 void DynamicMatcher::MaintenanceSweep() {
-  ++maintenance_stats_.sweeps;
+  Count(&maintenance_stats_.sweeps, series_.sweeps, 1);
   in_maintenance_ = true;
   ResetCensus();
   // Every singleton cluster list (including lists the moves create)...
@@ -185,29 +271,55 @@ void DynamicMatcher::MaintenanceSweep() {
   in_maintenance_ = false;
 }
 
-std::vector<DynamicMatcher::PotentialSnapshot>
-DynamicMatcher::PotentialTables() const {
-  std::vector<PotentialSnapshot> out;
-  out.reserve(potential_.size());
-  for (const auto& [schema, pot] : potential_) {
-    out.push_back(PotentialSnapshot{schema, pot.benefit, pot.votes});
+DynamicMatcher::PotentialTable* DynamicMatcher::FindPotential(
+    const SchemaKey& schema) {
+  if (potential_slots_.empty()) return nullptr;
+  const size_t mask = potential_slots_.size() - 1;
+  for (size_t s = schema.Hash() & mask;; s = (s + 1) & mask) {
+    const uint32_t biased = potential_slots_[s];
+    if (biased == 0) return nullptr;
+    if (potential_[biased - 1].schema == schema) {
+      return &potential_[biased - 1];
+    }
   }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.benefit > b.benefit;
-  });
-  return out;
+}
+
+DynamicMatcher::PotentialTable& DynamicMatcher::PotentialFor(
+    const SchemaKey& schema) {
+  if (PotentialTable* pot = FindPotential(schema)) return *pot;
+  // Keep the index at most half full: grow and re-seat every entry.
+  if (2 * (potential_.size() + 1) > potential_slots_.size()) {
+    potential_slots_.assign(
+        std::max<size_t>(64, 2 * potential_slots_.size()), 0);
+    const size_t mask = potential_slots_.size() - 1;
+    for (size_t i = 0; i < potential_.size(); ++i) {
+      size_t s = potential_[i].schema.Hash() & mask;
+      while (potential_slots_[s] != 0) s = (s + 1) & mask;
+      potential_slots_[s] = static_cast<uint32_t>(i + 1);
+    }
+  }
+  const size_t mask = potential_slots_.size() - 1;
+  size_t s = schema.Hash() & mask;
+  while (potential_slots_[s] != 0) s = (s + 1) & mask;
+  potential_slots_[s] = static_cast<uint32_t>(potential_.size() + 1);
+  PotentialTable& pot = potential_.emplace_back();
+  pot.schema = schema;
+  pot.has_table = FindTable(schema.ToSet()) != kFallbackTable;
+  return pot;
 }
 
 uint64_t DynamicMatcher::CooldownKey(const ClusterRef& ref) const {
   uint64_t h = Mix64(ref.table_index);
   h = HashCombine(h, ref.access_pred);
-  for (Value v : ref.key) h = HashCombine(h, static_cast<uint64_t>(v));
+  for (uint32_t i = 0; i < ref.key_size; ++i) {
+    h = HashCombine(h, static_cast<uint64_t>(ref.key[i]));
+  }
   return h;
 }
 
 const ClusterList* DynamicMatcher::ResolveCluster(
     const ClusterRef& ref, double* nu, size_t* structure_population,
-    size_t* absorbed_preds) const {
+    size_t* absorbed_preds) {
   if (ref.table_index == kSingletonTable) {
     const ClusterList* list = SingletonList(ref.access_pred);
     if (list == nullptr) return nullptr;
@@ -221,9 +333,10 @@ const ClusterList* DynamicMatcher::ResolveCluster(
   }
   const MultiAttrHashTable* table = Table(ref.table_index);
   if (table == nullptr) return nullptr;
-  const ClusterList* list = table->Probe(ref.key);
+  probe_key_.assign(ref.key.begin(), ref.key.begin() + ref.key_size);
+  const ClusterList* list = table->Probe(probe_key_);
   if (list == nullptr) return nullptr;
-  *nu = stats_model_.NuConjunction(table->schema(), ref.key);
+  *nu = stats_model_.NuConjunction(table->schema(), probe_key_);
   *structure_population = table->subscription_count();
   *absorbed_preds = table->schema().size();
   return list;
@@ -232,12 +345,17 @@ const ClusterList* DynamicMatcher::ResolveCluster(
 void DynamicMatcher::OnPlaced(const Placement& placement,
                               const std::vector<Value>& key) {
   if (in_maintenance_ || placement.table_index == kFallbackTable) return;
+  if (stats_model_.total_weight() <= 0) {
+    // No event weight: no benefit can be priced, so the placement stands
+    // until the cold-start census re-takes it.
+    ++blind_placements_;
+    return;
+  }
   ClusterRef ref;
   ref.table_index = placement.table_index;
   ref.access_pred = placement.access_pred;
-  // `key` aliases the base class's scratch buffer; the redistribution below
-  // reuses that buffer, so copy.
-  ref.key = key;
+  ref.key_size = static_cast<uint32_t>(key.size());
+  std::copy(key.begin(), key.end(), ref.key.begin());
 
   double nu;
   size_t structure_population, absorbed;
@@ -265,43 +383,70 @@ void DynamicMatcher::OnPlaced(const Placement& placement,
   in_maintenance_ = false;
 }
 
+void DynamicMatcher::LoadEqualityAttributes(const SubRecord& record,
+                                            bool with_nu) {
+  // Equality predicates come first in attribute order, so repeats of one
+  // attribute are adjacent; the first one is the attribute's value.
+  eq_attrs_.clear();
+  eq_nu_.clear();
+  AttributeId prev_attr = kInvalidAttributeId;
+  for (uint16_t i = 0; i < record.eq_count; ++i) {
+    const Predicate& p = predicate_table_.Get(record.preds[i]);
+    if (p.attribute == prev_attr) continue;
+    prev_attr = p.attribute;
+    eq_attrs_.push_back(p.attribute);
+    if (with_nu) {
+      eq_nu_.push_back(stats_model_.ValueProbability(p.attribute, p.value));
+    }
+  }
+}
+
+DynamicMatcher::SchemaKey DynamicMatcher::SubsetKey(const size_t* pos,
+                                                    size_t k) const {
+  SchemaKey key;
+  key.ids.fill(kInvalidAttributeId);
+  for (size_t i = 0; i < k; ++i) key.ids[i] = eq_attrs_[pos[i]];
+  return key;
+}
+
 void DynamicMatcher::WithdrawVotes(const SubRecord& record) {
   // Enumerate the record's own subsets (the same ones it voted for) and
   // withdraw from each; iterating potential_ instead would make every
   // move O(|potential_|), which dominates maintenance at scale.
-  const AttributeSet eq_attrs = EqualityAttributesOf(record);
+  LoadEqualityAttributes(record, /*with_nu=*/false);
   EnumerateMultiAttrSubsets(
-      eq_attrs.ids(), std::min(kMaxSchemaSize, eq_attrs.size()),
-      kMaxSubsetsPerSubscription,
-      [&](const std::vector<AttributeId>& ids_subset) {
-        auto it = potential_.find(AttributeSet(ids_subset));
-        if (it == potential_.end() || it->second.votes == 0) return;
+      eq_attrs_.size(), std::min(kMaxSchemaSize, eq_attrs_.size()),
+      kMaxSubsetsPerSubscription, [&](const size_t* pos, size_t k) {
+        PotentialTable* pot = FindPotential(SubsetKey(pos, k));
+        if (pot == nullptr || pot->votes == 0) return;
         // The per-subscription contribution was not recorded; withdraw the
         // average contribution instead.
-        it->second.benefit -=
-            it->second.benefit / static_cast<double>(it->second.votes);
-        --it->second.votes;
+        pot->benefit -= pot->benefit / static_cast<double>(pot->votes);
+        --pot->votes;
       });
 }
 
-void DynamicMatcher::ClusterDistribute(const ClusterRef& ref, bool census) {
+size_t DynamicMatcher::ClusterDistribute(const ClusterRef& ref, bool census) {
   double nu;
   size_t structure_population, absorbed;
   const ClusterList* list =
       ResolveCluster(ref, &nu, &structure_population, &absorbed);
-  if (list == nullptr) return;
+  if (list == nullptr) return 0;
 
-  // Snapshot ids first: moving subscriptions mutates the cluster rows.
-  std::vector<SubscriptionId> ids;
-  ids.reserve(list->subscription_count());
-  list->ForEachId([&](SubscriptionId id) { ids.push_back(id); });
-
-  ++maintenance_stats_.clusters_distributed;
-  std::vector<MoveTo> moves;
-  for (SubscriptionId id : ids) {
+  // Snapshot the rows first: moving subscriptions mutates the cluster
+  // rows. Record addresses are stable (nothing is erased meanwhile).
+  std::vector<std::pair<SubscriptionId, SubRecord*>>& rows = scratch_rows_;
+  rows.clear();
+  list->ForEachId([&](SubscriptionId id) {
     auto it = records_.find(id);
     VFPS_DCHECK(it != records_.end());
-    SubRecord* record = &it->second;
+    rows.emplace_back(id, &it->second);
+  });
+
+  ++maintenance_stats_.clusters_distributed;
+  std::vector<MoveTo>& moves = scratch_moves_;
+  moves.clear();
+  for (const auto& [id, record] : rows) {
     const Placement best = ChooseBestPlacement(*record);
     if (best.table_index == record->placement.table_index &&
         best.access_pred == record->placement.access_pred) {
@@ -320,7 +465,8 @@ void DynamicMatcher::ClusterDistribute(const ClusterRef& ref, bool census) {
     }
   }
   MoveAll(moves);
-  maintenance_stats_.subscriptions_moved += moves.size();
+  Count(&maintenance_stats_.subscriptions_moved, series_.subscriptions_moved,
+        moves.size());
 
   // Whatever redistribution could not fix now votes for potential tables.
   // Votes carry the expected per-event saving, so cheap clusters naturally
@@ -328,37 +474,31 @@ void DynamicMatcher::ClusterDistribute(const ClusterRef& ref, bool census) {
   list = ResolveCluster(ref, &nu, &structure_population, &absorbed);
   const size_t remaining = list == nullptr ? 0 : list->subscription_count();
   last_distributed_size_[CooldownKey(ref)] = remaining;
-  if (list == nullptr) return;
+  if (list == nullptr) return rows.size();
   if (!census) {
     const double cluster_margin = nu * static_cast<double>(remaining);
     const double table_margin =
         nu * static_cast<double>(structure_population);
     if (cluster_margin < options_.bm_max &&
         table_margin < options_.table_bm_max) {
-      return;
+      return rows.size();
     }
   }
 
-  std::vector<AttributeId> eq_attrs;
-  std::vector<double> eq_probs;
-  list->ForEachId([&](SubscriptionId id) {
-    auto it = records_.find(id);
-    VFPS_DCHECK(it != records_.end());
-    SubRecord* record = &it->second;
-    if (record->marked) return;
+  // This cluster's index among the census's vote sources, assigned at its
+  // first vote.
+  uint32_t source = 0xffffffffu;
+  for (const auto& [id, record] : rows) {
+    (void)id;
+    // The rows still here: moved ones left this cluster.
+    if (record->marked ||
+        record->placement.table_index != ref.table_index ||
+        record->placement.access_pred != ref.access_pred) {
+      continue;
+    }
     // Cache ν(a = v_s(a)) per equality attribute once; subset ν values
     // are then products of cached factors instead of fresh hash lookups.
-    eq_attrs.clear();
-    eq_probs.clear();
-    AttributeId prev_attr = kInvalidAttributeId;
-    for (uint16_t i = 0; i < record->eq_count; ++i) {
-      const Predicate& p = predicate_table_.Get(record->preds[i]);
-      if (p.attribute == prev_attr) continue;
-      prev_attr = p.attribute;
-      eq_attrs.push_back(p.attribute);
-      eq_probs.push_back(
-          stats_model_.ValueProbability(p.attribute, p.value));
-    }
+    LoadEqualityAttributes(*record, /*with_nu=*/true);
     // Expected checks per event this subscription costs where it is now.
     const double cur_cost =
         nu * CheckingCost(record->preds.size() - absorbed, cost_params_);
@@ -366,71 +506,84 @@ void DynamicMatcher::ClusterDistribute(const ClusterRef& ref, bool census) {
     // equality set; if even it cannot beat the current placement, no
     // subset can.
     double full_nu = 1.0;
-    for (double p : eq_probs) full_nu *= p;
-    if (full_nu * CheckingCost(record->preds.size() - eq_attrs.size(),
+    for (double p : eq_nu_) full_nu *= p;
+    if (full_nu * CheckingCost(record->preds.size() - eq_attrs_.size(),
                                cost_params_) >=
         cur_cost) {
-      return;
+      continue;
     }
     bool voted = false;
     EnumerateMultiAttrSubsets(
-        eq_attrs, std::min(kMaxSchemaSize, eq_attrs.size()),
-        kMaxSubsetsPerSubscription,
-        [&](const std::vector<AttributeId>& ids_subset) {
+        eq_attrs_.size(), std::min(kMaxSchemaSize, eq_attrs_.size()),
+        kMaxSubsetsPerSubscription, [&](const size_t* pos, size_t k) {
           double subset_nu = 1.0;
-          for (AttributeId a : ids_subset) {
-            for (size_t k = 0; k < eq_attrs.size(); ++k) {
-              if (eq_attrs[k] == a) {
-                subset_nu *= eq_probs[k];
-                break;
-              }
-            }
-          }
+          for (size_t i = 0; i < k; ++i) subset_nu *= eq_nu_[pos[i]];
           const double alt_cost =
-              subset_nu * CheckingCost(
-                              record->preds.size() - ids_subset.size(),
-                              cost_params_);
+              subset_nu *
+              CheckingCost(record->preds.size() - k, cost_params_);
           if (alt_cost >= cur_cost) return;  // no saving: no vote
-          AttributeSet schema(ids_subset);
-          if (FindTable(schema) != kFallbackTable) return;  // exists
-          PotentialTable& pot = potential_[schema];
+          PotentialTable& pot = PotentialFor(SubsetKey(pos, k));
+          if (pot.has_table) return;
           pot.benefit += cur_cost - alt_cost;
           ++pot.votes;
           voted = true;
-          // Register this cluster as a candidate source (deduplicated by
-          // hash, bounded in size).
-          constexpr size_t kMaxCandidates = 8192;
-          if (pot.candidates.size() < kMaxCandidates &&
-              pot.candidate_keys.insert(CooldownKey(ref)).second) {
-            pot.candidates.push_back(ref);
+          // Register this cluster as a candidate source, once per table
+          // and within the cap.
+          if (source == 0xffffffffu) {
+            source = static_cast<uint32_t>(vote_sources_.size());
+            vote_sources_.push_back(ref);
+          }
+          if (pot.last_source != source &&
+              pot.candidates.size() < kMaxCandidates) {
+            pot.last_source = source;
+            pot.candidates.push_back(source);
           }
         });
     if (voted) record->marked = true;
-  });
+  }
+  return rows.size();
 }
 
 void DynamicMatcher::CreateReadyTables() {
   while (true) {
     // Pick the ripest potential table: highest expected-saving headroom
     // over its own per-event probe overhead.
-    const AttributeSet* best_schema = nullptr;
+    PotentialTable* best = nullptr;
+    AttributeSet best_schema;
     double best_headroom = 0;
-    for (const auto& [schema, pot] : potential_) {
+    for (PotentialTable& pot : potential_) {
+      if (pot.has_table || pot.votes == 0) continue;
+      // The overhead is at least K_r; skip what cannot beat the best so far
+      // before paying for the schema's μ.
+      if (pot.benefit -
+              options_.create_cost_factor * cost_params_.k_index_retrieve <=
+          best_headroom) {
+        continue;
+      }
+      const AttributeSet schema = pot.schema.ToSet();
       const double threshold =
           options_.create_cost_factor *
           TableOverheadCost(schema, stats_model_, cost_params_);
       const double headroom = pot.benefit - threshold;
       if (headroom >= 0 && headroom > best_headroom) {
         best_headroom = headroom;
-        best_schema = &schema;
+        best = &pot;
+        best_schema = schema;
       }
     }
-    if (best_schema == nullptr) return;
-    auto node = potential_.extract(*best_schema);
-    PotentialTable pot = std::move(node.mapped());
-    GetOrCreateTable(node.key());
-    ++maintenance_stats_.tables_created;
-    for (const ClusterRef& ref : pot.candidates) {
+    if (best == nullptr) return;
+    // The entry stays, marked as a live table, so later votes for the
+    // schema are recognised without a table lookup.
+    best->has_table = true;
+    best->benefit = 0;
+    best->votes = 0;
+    const std::vector<uint32_t> candidates = std::move(best->candidates);
+    best->candidates.clear();
+    GetOrCreateTable(best_schema);
+    Count(&maintenance_stats_.tables_created, series_.tables_created, 1);
+    for (uint32_t source : candidates) {
+      // Copied: a distribution may append to vote_sources_.
+      const ClusterRef ref = vote_sources_[source];
       ClusterDistribute(ref, /*census=*/false);
     }
   }
@@ -443,10 +596,19 @@ void DynamicMatcher::MaybeDeleteTable(uint32_t table_index) {
           options_.b_delete) {
     return;
   }
-  ++maintenance_stats_.tables_deleted;
+  // The schema is open for votes again.
+  SchemaKey schema;
+  schema.ids.fill(kInvalidAttributeId);
+  if (table->schema().size() <= kMaxSchemaSize) {
+    std::copy(table->schema().ids().begin(), table->schema().ids().end(),
+              schema.ids.begin());
+    if (PotentialTable* pot = FindPotential(schema)) pot->has_table = false;
+  }
+  Count(&maintenance_stats_.tables_deleted, series_.tables_deleted, 1);
   const bool was_in_maintenance = in_maintenance_;
   in_maintenance_ = true;
-  maintenance_stats_.subscriptions_moved += DropTable(table_index);
+  Count(&maintenance_stats_.subscriptions_moved, series_.subscriptions_moved,
+        DropTable(table_index));
   in_maintenance_ = was_in_maintenance;
 }
 

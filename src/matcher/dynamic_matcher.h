@@ -12,13 +12,20 @@
 // Bdelete is dropped. A periodic full sweep (the paper: metrics are
 // "updated periodically after a certain number of subscription changes")
 // re-takes the vote census so drifting workloads always converge.
+//
+// Cold start. Benefits are expected checks saved per event, which means
+// nothing before an event has been seen (every ν would read 1). While the
+// observed event weight is zero a subscription therefore stays on its
+// singleton placement and votes for nothing, and a due sweep is skipped.
+// Once kColdCensusSamples events have been sampled, a census re-takes
+// those placements; after that, the event count drives a sweep every decay
+// window of samples as the change count does every sweep_period changes.
 
 #ifndef VFPS_MATCHER_DYNAMIC_MATCHER_H_
 #define VFPS_MATCHER_DYNAMIC_MATCHER_H_
 
+#include <array>
 #include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "src/matcher/clustered_base.h"
@@ -53,21 +60,24 @@ struct DynamicOptions {
   /// the vote census restarts from scratch and every cluster is
   /// redistributed once. The incremental OnPlaced reaction alone only ever
   /// polls the clusters that happen to grow past the guard, so its census
-  /// is partial; the sweep guarantees convergence. An unproductive sweep
-  /// doubles the effective period, up to a bound (dynamic_matcher.cc). 0
-  /// disables sweeps.
+  /// is partial; the sweep guarantees convergence. Sampled events make a
+  /// sweep due too (see the file comment). An unproductive sweep doubles
+  /// the effective periods, up to a bound (dynamic_matcher.cc). 0 disables
+  /// every sweep.
   uint64_t sweep_period = 50000;
 };
 
 /// Adaptive clustered matcher.
 ///
-/// A serial matcher runs each due sweep in full, between two subscription
-/// changes. A concurrent one (see ClusteredMatcherBase) spreads it over
-/// the following changes instead: the vote census is reset once when the
-/// sweep becomes due, then each change redistributes at most
-/// kIncrementalSweepChunk cluster lists until the pass completes, so no
-/// single writer call stalls for a whole pass. Clusters that appear
-/// mid-pass are caught by the next sweep.
+/// A serial matcher runs a sweep made due by subscription changes in full,
+/// between two changes; one made due by sampled events is spread over the
+/// following Match/MatchBatch calls (and changes), a bounded number of
+/// subscriptions per call (dynamic_matcher.cc), so the matching thread never
+/// stalls for a whole pass. A concurrent one (see ClusteredMatcherBase)
+/// spreads every sweep over the following changes, at most
+/// kIncrementalSweepChunk cluster lists per change; its readers never
+/// maintain. An incremental sweep resets the vote census once when it
+/// becomes due; clusters that appear mid-pass are caught by the next one.
 class DynamicMatcher : public ClusteredMatcherBase {
  public:
   explicit DynamicMatcher(DynamicOptions options = {},
@@ -77,7 +87,12 @@ class DynamicMatcher : public ClusteredMatcherBase {
 
   const char* name() const override { return "dynamic"; }
 
-  /// Cluster lists an incremental sweep redistributes per change.
+  /// Sampled events after which placements made at zero event weight are
+  /// re-taken by a census (~8k events at the broker's sampling rate 16):
+  /// enough to price ν within ~25% for a few dozen values per attribute.
+  static constexpr uint64_t kColdCensusSamples = 512;
+  /// Cluster lists a concurrent matcher's incremental sweep redistributes
+  /// per change.
   static constexpr size_t kIncrementalSweepChunk = 16;
 
   /// Maintenance counters (for the Figure 4 benches and tests). Writer
@@ -93,40 +108,57 @@ class DynamicMatcher : public ClusteredMatcherBase {
     return maintenance_stats_;
   }
 
-  /// Snapshot of the pending potential tables (schema, accumulated benefit,
-  /// votes), sorted by descending benefit. For tests and diagnostics.
-  struct PotentialSnapshot {
-    AttributeSet schema;
-    double benefit;
-    uint64_t votes;
-  };
-  std::vector<PotentialSnapshot> PotentialTables() const;
+  /// True while an incremental sweep has cluster lists left to visit.
+  bool sweep_in_progress() const { return sweep_active_; }
+
+  /// Also exports the maintenance counters as vfps_matcher_* series
+  /// (docs/OBSERVABILITY.md); they count the work done while attached.
+  void AttachTelemetry(MetricsRegistry* registry) override;
 
  protected:
   void BeforeRemove(const SubRecord& record) override;
   void AfterChange(const Placement* vacated) override;
   void OnPlaced(const Placement& placement,
                 const std::vector<Value>& key) override;
+  void AfterMatch() override;
 
  private:
+  /// Largest schema considered for potential (hence created) tables.
+  static constexpr size_t kMaxSchemaSize = 4;
+
   /// Identifies one cluster list: either a singleton list (access_pred set)
   /// or a multi-attribute table entry (table_index + key).
   struct ClusterRef {
     uint32_t table_index = kSingletonTable;
     PredicateId access_pred = kInvalidPredicateId;
-    std::vector<Value> key;
+    uint32_t key_size = 0;
+    std::array<Value, kMaxSchemaSize> key{};
+  };
+
+  /// A schema of at most kMaxSchemaSize attributes, ascending, padded with
+  /// kInvalidAttributeId: the flat key of the potential-table map.
+  struct SchemaKey {
+    std::array<AttributeId, kMaxSchemaSize> ids;
+    bool operator==(const SchemaKey&) const = default;
+    uint64_t Hash() const;
+    AttributeSet ToSet() const;
   };
 
   struct PotentialTable {
+    SchemaKey schema;
     /// Accumulated expected checks saved per event (cost-model units).
     double benefit = 0;
     /// Number of subscriptions that contributed to `benefit`.
     uint64_t votes = 0;
-    /// Candidate clusters, deduplicated via `candidate_keys` (hashes) and
-    /// capped — clusters missed by the cap are picked up by the next
-    /// maintenance sweep.
-    std::vector<ClusterRef> candidates;
-    std::unordered_set<uint64_t> candidate_keys;
+    /// A live table has this schema (looked up once, then kept current by
+    /// table creation and deletion): votes for it are not counted.
+    bool has_table = false;
+    /// Candidate clusters as indexes into vote_sources_, capped; clusters
+    /// missed by the cap are picked up by the next maintenance sweep.
+    /// `last_source` deduplicates: one cluster's subscriptions register
+    /// it once.
+    uint32_t last_source = 0xffffffffu;
+    std::vector<uint32_t> candidates;
   };
 
   /// The cluster list `ref` denotes, or nullptr if it vanished. Also
@@ -135,13 +167,14 @@ class DynamicMatcher : public ClusteredMatcherBase {
   /// count) used by the table margin.
   const ClusterList* ResolveCluster(const ClusterRef& ref, double* nu,
                                     size_t* structure_population,
-                                    size_t* absorbed_preds) const;
+                                    size_t* absorbed_preds);
 
   /// Redistributes the subscriptions of one cluster list into better
   /// placements; votes for potential tables. In the event-driven path
   /// (census=false) voting is gated on the margins staying excessive after
   /// redistribution; during a sweep census every positive saving counts.
-  void ClusterDistribute(const ClusterRef& ref, bool census);
+  /// Returns the subscriptions examined.
+  size_t ClusterDistribute(const ClusterRef& ref, bool census);
 
   /// Creates every potential table whose benefit reached the creation
   /// threshold and redistributes its candidate clusters.
@@ -155,16 +188,25 @@ class DynamicMatcher : public ClusteredMatcherBase {
   /// every cluster, table creation and deletion.
   void MaintenanceSweep();
 
-  /// Bumps the change counter and runs MaintenanceSweep when due (or, in a
-  /// concurrent matcher, advances the in-progress incremental sweep).
+  /// Bumps the change counter and starts a sweep when one is due (or
+  /// advances the in-progress incremental sweep).
   void CountChangeAndMaybeSweep();
+
+  /// True when sampled events make a sweep due: the cold-start census, or
+  /// a decay window of samples since the last sweep (unseeded statistics
+  /// only: seeded ones describe the workload up front).
+  bool EventSweepDue() const;
+
+  /// Starts a sweep: backoff baselines, trigger bookkeeping, then either
+  /// the full pass (`full`, serial only) or the first incremental step.
+  void StartSweep(bool full);
 
   /// Starts an incremental sweep: resets the census and snapshots the
   /// cluster refs to visit.
   void BeginIncrementalSweep();
 
-  /// Redistributes up to kIncrementalSweepChunk pending refs; finishes the
-  /// sweep (table deletion, backoff accounting) when the list drains.
+  /// Redistributes pending refs up to the step budget; finishes the sweep
+  /// (table deletion, backoff accounting) when the list drains.
   void IncrementalSweepStep();
 
   /// Fresh census: forgets votes, marks and growth-guard entries so every
@@ -182,27 +224,68 @@ class DynamicMatcher : public ClusteredMatcherBase {
   /// When a marked subscription finally moves, withdraw its votes.
   void WithdrawVotes(const SubRecord& record);
 
+  /// Fills eq_attrs_ with the record's distinct equality attributes
+  /// (ascending) and, if `with_nu`, eq_nu_ with ν(a = v) of each.
+  void LoadEqualityAttributes(const SubRecord& record, bool with_nu);
+
+  /// The schema of the eq_attrs_ positions `pos[0..k)`.
+  SchemaKey SubsetKey(const size_t* pos, size_t k) const;
+
+  /// The potential table for `schema`, or nullptr.
+  PotentialTable* FindPotential(const SchemaKey& schema);
+  /// The potential table for `schema`, created empty if absent.
+  PotentialTable& PotentialFor(const SchemaKey& schema);
+
   uint64_t CooldownKey(const ClusterRef& ref) const;
 
+  /// Adds `n` to one maintenance counter and to its exported series.
+  static void Count(uint64_t* stat, Counter* series, uint64_t n);
+
   DynamicOptions options_;
-  std::unordered_map<AttributeSet, PotentialTable, AttributeSetHash>
-      potential_;
+  /// Potential tables, densely stored, with an open-addressing index of
+  /// `potential_.size() + 1`-biased positions (0 = empty slot).
+  std::vector<PotentialTable> potential_;
+  std::vector<uint32_t> potential_slots_;
+  /// The clusters that cast votes this census (PotentialTable::candidates
+  /// point here).
+  std::vector<ClusterRef> vote_sources_;
   /// Cluster-list size at its last distribution, keyed by a hash of the
   /// ClusterRef. Collisions only make the growth guard conservative.
   std::unordered_map<uint64_t, size_t> last_distributed_size_;
   MaintenanceStats maintenance_stats_;
   uint64_t changes_since_sweep_ = 0;
-  uint64_t sweep_backoff_ = 1;  // multiplier on sweep_period
+  uint64_t sweep_backoff_ = 1;  // multiplier on both sweep periods
+  /// Subscriptions placed while no event weight was known; a census
+  /// re-takes them once kColdCensusSamples events have been sampled.
+  uint64_t blind_placements_ = 0;
+  /// statistics().observed_count() when the last sweep started.
+  uint64_t observed_at_sweep_ = 0;
   bool in_maintenance_ = false;
-  /// Incremental-sweep state (concurrent matcher): pending cluster refs,
-  /// progress cursor, and the maintenance-stat baselines the backoff rule
-  /// compares against once the pass completes.
+  /// Incremental-sweep state: pending cluster refs, progress cursor, and
+  /// the maintenance-stat baselines the backoff rule compares against once
+  /// the pass completes.
   bool sweep_active_ = false;
   std::vector<ClusterRef> sweep_refs_;
   size_t sweep_pos_ = 0;
   uint64_t sweep_moved_base_ = 0;
   uint64_t sweep_created_base_ = 0;
   uint64_t sweep_deleted_base_ = 0;
+
+  // Scratch reused across distributions and votes.
+  std::vector<std::pair<SubscriptionId, SubRecord*>> scratch_rows_;
+  std::vector<MoveTo> scratch_moves_;
+  std::vector<AttributeId> eq_attrs_;
+  std::vector<double> eq_nu_;
+  std::vector<Value> probe_key_;
+
+  /// Exported maintenance counters (null while detached).
+  struct Series {
+    Counter* tables_created = nullptr;
+    Counter* tables_deleted = nullptr;
+    Counter* subscriptions_moved = nullptr;
+    Counter* sweeps = nullptr;
+  };
+  Series series_;
 };
 
 }  // namespace vfps

@@ -6,9 +6,11 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <unordered_map>
 
+#include "src/matcher/dynamic_matcher.h"
 #include "src/matcher/naive_matcher.h"
 #include "src/pubsub/broker.h"
 #include "src/util/macros.h"
@@ -88,6 +90,19 @@ std::vector<DiffVariant> DefaultDiffVariants() {
   variants.push_back({"dynamic-concurrent", [] {
                         return MakeMatcher(Algorithm::kDynamic,
                                            /*concurrent=*/true);
+                      }});
+  // Dynamic sampling every event instead of every 16th, so its cold-start
+  // census (DynamicMatcher::kColdCensusSamples) runs after 512 matched
+  // events, inside the verifier's runs; and creating and keeping tables on
+  // the faintest saving, so that census moves subscriptions even among the
+  // verifier's few hundred.
+  variants.push_back({"dynamic-eager", [] {
+                        DynamicOptions options;
+                        options.create_cost_factor = 0.002;
+                        options.b_delete = 2;
+                        return std::make_unique<DynamicMatcher>(
+                            options, /*use_prefetch=*/true,
+                            /*observe_sample_rate=*/1);
                       }});
   return variants;
 }

@@ -30,7 +30,9 @@ struct DiffVariant {
 };
 
 /// The full verification matrix: counting, propagation (with and without
-/// prefetch), static, dynamic, tree, and the concurrent build of dynamic.
+/// prefetch), static, dynamic, tree, the concurrent build of dynamic, and
+/// dynamic sampling every event ("dynamic-eager", whose cold-start census
+/// runs within 512 matched events).
 std::vector<DiffVariant> DefaultDiffVariants();
 
 /// Workload shape for one differential run. All randomness derives from

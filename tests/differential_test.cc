@@ -17,7 +17,9 @@
 #include <utility>
 #include <vector>
 
+#include "src/matcher/dynamic_matcher.h"
 #include "src/pubsub/broker.h"
+#include "src/util/rng.h"
 
 namespace vfps {
 namespace {
@@ -81,6 +83,48 @@ TEST(DifferentialHarnessTest, CleanOnEmptyAndNearEmptyEvents) {
                     .churn = false};
   report = RunDifferential(sparse, variants);
   ASSERT_FALSE(report.divergence.has_value());
+}
+
+// dynamic-eager samples every event, so its cold-start census (placements
+// made before any event, re-taken once DynamicMatcher::kColdCensusSamples
+// events were sampled) runs inside a run of this length, and the oracle
+// checks every event before, during and after the moves it makes.
+TEST(DifferentialHarnessTest, EagerDynamicCrossesItsColdStartCensus) {
+  std::optional<DiffVariant> v = DefaultVariantNamed("dynamic-eager");
+  ASSERT_TRUE(v.has_value());
+  const DiffConfig config{.seed = 701, .attrs = 6, .domain = 4,
+                          .subscriptions = 600, .events = 1000,
+                          .p_present = 0.8, .churn = false};
+  {
+    std::unique_ptr<Matcher> matcher = v->factory();
+    Rng rng(config.seed);
+    for (int i = 0; i < config.subscriptions; ++i) {
+      ASSERT_TRUE(matcher
+                      ->AddSubscription(RandomDiffSubscription(
+                          &rng, static_cast<SubscriptionId>(i + 1),
+                          config.attrs, config.domain))
+                      .ok());
+    }
+    std::vector<SubscriptionId> out;
+    for (int e = 0; e < config.events; ++e) {
+      matcher->Match(RandomDiffEvent(&rng, config.attrs, config.domain,
+                                     config.p_present),
+                     &out);
+    }
+    const auto& stats =
+        dynamic_cast<const DynamicMatcher&>(*matcher).maintenance_stats();
+    EXPECT_GE(stats.sweeps, 1u);
+    EXPECT_GE(stats.tables_created, 1u);
+    EXPECT_GT(stats.subscriptions_moved, 0u);
+  }
+  DiffReport report = RunDifferential(config, {*v});
+  ASSERT_FALSE(report.divergence.has_value())
+      << MinimizeDivergence(config, *report.divergence, *v);
+  EXPECT_EQ(report.events_run, config.events);
+  report = RunBatchDifferential(config, {*v}, /*batch_size=*/64);
+  ASSERT_FALSE(report.divergence.has_value())
+      << MinimizeDivergence(config, *report.divergence, *v);
+  EXPECT_EQ(report.events_run, config.events);
 }
 
 // Concurrent subscribe/unsubscribe/match traffic over the two variants

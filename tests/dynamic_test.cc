@@ -94,8 +94,9 @@ TEST(DynamicMatcherTest, StaysCorrectWhileReorganizing) {
   EXPECT_GT(m.maintenance_stats().clusters_distributed, 0u);
 }
 
-// Phase 2 with many live tables, as an unseeded dynamic matcher builds on
-// W0 (the served default): per-event Match, MatchBatch in batches of 100
+// Phase 2 with many live tables: seeded statistics and a low creation
+// threshold make maintenance build dozens of 3- and 4-attribute tables on
+// a small-domain W0. Per-event Match, MatchBatch in batches of 100
 // (crossing a 64-lane mask word) and in one 300-event span (crossing the
 // 256-lane chunk) and the naive oracle agree on every event, in both
 // builds. Events carry 26 of the 32 attributes, so some lanes lack a
@@ -104,7 +105,7 @@ TEST(DynamicMatcherTest, ManyTablesBatchEqualsMatchEqualsNaive) {
   DynamicOptions options;
   options.bm_max = 0.25;
   options.table_bm_max = 2.0;
-  options.create_cost_factor = 0.25;
+  options.create_cost_factor = 0.01;
   options.b_delete = 4.0;
   options.sweep_period = 1000;
   WorkloadSpec spec = workloads::W0(5000, /*seed=*/1);
@@ -132,6 +133,7 @@ TEST(DynamicMatcherTest, ManyTablesBatchEqualsMatchEqualsNaive) {
     SCOPED_TRACE(concurrent ? "concurrent" : "serial");
     DynamicMatcher m(options, /*use_prefetch=*/true,
                      /*observe_sample_rate=*/16, concurrent);
+    gen.SeedStatistics(m.mutable_statistics(), 10000.0);
     for (const Subscription& s : subs) ASSERT_TRUE(m.AddSubscription(s).ok());
     size_t by_arity[5] = {};
     for (const AttributeSet& schema : m.TableSchemas()) {
@@ -263,6 +265,80 @@ TEST(DynamicMatcherTest, ReducesChecksVersusSingletonClustering) {
   EXPECT_LT(dynamic.stats().subscription_checks,
             singleton.stats().subscription_checks / 2)
       << "dynamic clustering did not reduce checks";
+}
+
+// The served configuration from a cold start: subscriptions loaded before
+// any event stay on singleton placement (no benefit can be priced at zero
+// event weight), and events alone — MatchBatch, no subscription change —
+// then drive the census that builds a table. The naive oracle checks every
+// event before, during and after it.
+TEST(DynamicMatcherTest, ColdStartConvergesFromEventsAlone) {
+  constexpr size_t kSubs = 6000;
+  constexpr size_t kBatch = 100;
+  WorkloadSpec spec = workloads::W0(kSubs, /*seed=*/11);
+  spec.value_hi = 8;  // small domain: events do match
+  spec.event_value_hi = 8;
+  WorkloadGenerator gen(spec);
+  const std::vector<Subscription> subs = gen.MakeSubscriptions(kSubs, 1);
+  // A pool of events replayed until the census has run; its oracle answers
+  // are computed once.
+  const std::vector<Event> pool = gen.MakeEvents(1000);
+  NaiveMatcher oracle;
+  for (const Subscription& s : subs) {
+    ASSERT_TRUE(oracle.AddSubscription(s).ok());
+  }
+  std::vector<std::vector<SubscriptionId>> expected(pool.size());
+  for (size_t e = 0; e < pool.size(); ++e) {
+    oracle.Match(pool[e], &expected[e]);
+    expected[e] = Sorted(expected[e]);
+  }
+  // Enough events to sample kColdCensusSamples of them, plus the census.
+  const uint64_t kSampleRate = 16;
+  const size_t kEvents =
+      DynamicMatcher::kColdCensusSamples * kSampleRate + 40 * kBatch;
+
+  for (const uint64_t sweep_period : {DynamicOptions{}.sweep_period,
+                                      uint64_t{0}}) {
+    SCOPED_TRACE(sweep_period == 0 ? "sweeps disabled" : "default options");
+    DynamicOptions options;
+    options.sweep_period = sweep_period;
+    DynamicMatcher m(options, /*use_prefetch=*/true, kSampleRate);
+    for (const Subscription& s : subs) ASSERT_TRUE(m.AddSubscription(s).ok());
+    EXPECT_TRUE(m.TableSchemas().empty());
+    EXPECT_EQ(m.singleton_placed_count(), kSubs);
+    EXPECT_EQ(m.maintenance_stats().clusters_distributed, 0u);
+
+    BatchResult batch;
+    std::vector<Event> events;
+    // Subscription checks of the pool's first batch.
+    auto checks_of_first_batch = [&] {
+      const uint64_t before = m.stats().subscription_checks;
+      m.MatchBatch(std::span<const Event>(pool).first(kBatch), &batch);
+      return m.stats().subscription_checks - before;
+    };
+    const uint64_t first_checks = checks_of_first_batch();
+    for (size_t done = 0; done < kEvents; done += kBatch) {
+      const size_t base = done % pool.size();
+      m.MatchBatch(std::span<const Event>(pool).subspan(base, kBatch),
+                   &batch);
+      for (size_t e = 0; e < kBatch; ++e) {
+        ASSERT_EQ(Sorted(batch.matches(e)), expected[base + e])
+            << "event " << done + e;
+      }
+    }
+    const uint64_t last_checks = checks_of_first_batch();
+    if (sweep_period == 0) {
+      EXPECT_EQ(m.maintenance_stats().sweeps, 0u);
+      EXPECT_TRUE(m.TableSchemas().empty());
+      EXPECT_EQ(last_checks, first_checks);
+    } else {
+      EXPECT_EQ(m.maintenance_stats().sweeps, 1u);
+      EXPECT_GE(m.TableSchemas().size(), 1u);
+      EXPECT_GT(m.maintenance_stats().subscriptions_moved, 0u);
+      EXPECT_LT(last_checks, first_checks / 2)
+          << "the census did not cut checks per event";
+    }
+  }
 }
 
 TEST(DynamicMatcherTest, MaintenanceDisabledBehavesLikePropagation) {

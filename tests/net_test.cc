@@ -406,6 +406,16 @@ TEST_F(ServerClientTest, MetricsEndpoint) {
   EXPECT_NE(json.find("\"vfps_matcher_events_total\":1"), std::string::npos);
   EXPECT_NE(json.find("\"vfps_matcher_phase1_ns\":"), std::string::npos);
   EXPECT_NE(json.find("\"vfps_matcher_phase2_ns\":"), std::string::npos);
+  // The served dynamic matcher's maintenance: one subscription and one
+  // event price nothing, so nothing was built or moved.
+  EXPECT_NE(json.find("\"vfps_matcher_tables_created_total\":0"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"vfps_matcher_tables_deleted_total\":0"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"vfps_matcher_subscriptions_moved_total\":0"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"vfps_matcher_sweeps_total\":0"), std::string::npos);
+  EXPECT_NE(json.find("\"vfps_matcher_tables\":0"), std::string::npos);
 #endif
 
   // STATS output stays in the exact legacy key=value format.

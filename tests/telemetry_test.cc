@@ -10,7 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "src/core/batch_result.h"
 #include "src/matcher/clustered_base.h"
+#include "src/matcher/dynamic_matcher.h"
 #include "src/pubsub/broker.h"
 #include "src/telemetry/metrics.h"
 #include "src/workload/workload_generator.h"
@@ -243,6 +245,48 @@ INSTANTIATE_TEST_SUITE_P(SerialAndConcurrent, MatcherTelemetryBuildTest,
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Concurrent" : "Serial";
                          });
+
+// The dynamic matcher's maintenance work is exported as it happens: a
+// cold-start census driven by MatchBatch alone builds tables and moves
+// subscriptions, and the series agree with maintenance_stats().
+TEST(MatcherTelemetryTest, DynamicMaintenanceSeriesTrackMaintenanceStats) {
+  WorkloadSpec spec = workloads::W0(3000, /*seed=*/9);
+  spec.value_hi = 8;
+  spec.event_value_hi = 8;
+  WorkloadGenerator gen(spec);
+  DynamicMatcher matcher(DynamicOptions{}, /*use_prefetch=*/true,
+                         /*observe_sample_rate=*/1);
+  MetricsRegistry reg;
+  matcher.AttachTelemetry(&reg);
+  for (const Subscription& s : gen.MakeSubscriptions(3000, 1)) {
+    ASSERT_TRUE(matcher.AddSubscription(s).ok());
+  }
+  EXPECT_EQ(reg.GetCounter("vfps_matcher_sweeps_total")->value(), 0u);
+  EXPECT_EQ(reg.GaugeValue("vfps_matcher_tables"), 0);
+
+  const std::vector<Event> events = gen.MakeEvents(100);
+  BatchResult out;
+  for (uint64_t done = 0;
+       done < DynamicMatcher::kColdCensusSamples + 40 * events.size();
+       done += events.size()) {
+    matcher.MatchBatch(events, &out);
+  }
+  const DynamicMatcher::MaintenanceStats& ms = matcher.maintenance_stats();
+  ASSERT_GE(ms.tables_created, 1u);
+  ASSERT_GT(ms.subscriptions_moved, 0u);
+  EXPECT_EQ(reg.GetCounter("vfps_matcher_sweeps_total")->value(), ms.sweeps);
+  EXPECT_EQ(reg.GetCounter("vfps_matcher_tables_created_total")->value(),
+            ms.tables_created);
+  EXPECT_EQ(reg.GetCounter("vfps_matcher_tables_deleted_total")->value(),
+            ms.tables_deleted);
+  EXPECT_EQ(
+      reg.GetCounter("vfps_matcher_subscriptions_moved_total")->value(),
+      ms.subscriptions_moved);
+  EXPECT_EQ(reg.GaugeValue("vfps_matcher_tables"),
+            static_cast<int64_t>(matcher.TableSchemas().size()));
+  EXPECT_EQ(reg.GaugeValue("vfps_matcher_tables"),
+            static_cast<int64_t>(ms.tables_created - ms.tables_deleted));
+}
 
 TEST(MatcherTelemetryTest, ClusteredMatcherCountsClustersScanned) {
   WorkloadGenerator gen(workloads::W0(2000, /*seed=*/13));

@@ -9,7 +9,7 @@
 //   vfps_verify --seeds=20 --events=1000
 //   vfps_verify --seed=42 --variant=tree --churn   # replay one config
 //   vfps_verify --concurrent            # TSan target: threaded churn over
-//                                       # the dynamic and
+//                                       # the dynamic, dynamic-eager and
 //                                       # dynamic-concurrent variants
 //   vfps_verify --batch=64              # batched pipeline (MatchBatch)
 
@@ -49,6 +49,8 @@ DiffConfig ConfigForSeed(uint64_t seed, const tools::Flags& flags) {
   }
   config.subscriptions =
       static_cast<int>(flags.GetInt("subscriptions", 600));
+  // The default crosses dynamic-eager's cold-start census (512 sampled
+  // events) on every seed.
   config.events = static_cast<int>(flags.GetInt("events", 1000));
   config.churn = flags.GetBool("churn", seed % 2 == 1);
   // Explicit flags override the per-seed shape.
@@ -131,10 +133,14 @@ int RunConcurrent(const tools::Flags& flags,
   config.p_present = flags.GetDouble("p-present", 0.7);
   for (const DiffVariant& v : variants) {
     // Only the mutable-under-load variants matter here: dynamic (the
-    // paper's adaptive algorithm) and its concurrent build (epoch-published
-    // snapshots; its truly lock-free overlap — Match with no harness lock —
-    // is soaked by tests/churn_test.cc).
-    if (v.name != "dynamic" && v.name != "dynamic-concurrent") continue;
+    // paper's adaptive algorithm), its eager-sampling twin (whose
+    // event-driven census then runs amid the churn), and its concurrent
+    // build (epoch-published snapshots; its truly lock-free overlap —
+    // Match with no harness lock — is soaked by tests/churn_test.cc).
+    if (v.name != "dynamic" && v.name != "dynamic-eager" &&
+        v.name != "dynamic-concurrent") {
+      continue;
+    }
     auto divergence = RunConcurrentDifferential(
         config, v, /*writer_threads=*/2, /*reader_threads=*/2, mutations,
         /*reader_batch=*/static_cast<size_t>(flags.GetInt("batch", 0)));

@@ -8,9 +8,12 @@
 // should pull well ahead of the per-event path once batches reach
 // cache-friendly sizes. Two "lang" rows time the served path's ingest,
 // ParseEvent and ParseCondition, on the text of the same events and
-// subscriptions. CI's bench-smoke job runs this with --subs=50000
-// --events=2000 and gates on the recorded events/s (parses/s for the lang
-// rows).
+// subscriptions, and two "framing" rows time the server's line framing
+// (LineBuffer::TakeLines + PopLine) of 10k pipelined SUB lines, drained in
+// one read round and 4 KiB per round: linear framing reads the same in
+// both. CI's bench-smoke job runs this with --subs=50000 --events=2000 and
+// gates on the recorded events/s (parses/s for the lang rows, lines/s for
+// the framing rows).
 
 #include <algorithm>
 #include <cstdio>
@@ -23,6 +26,7 @@
 #include "src/lang/parser.h"
 #include "src/matcher/clustered_base.h"
 #include "src/matcher/dynamic_matcher.h"
+#include "src/net/line_buffer.h"
 #include "src/util/macros.h"
 #include "src/util/timer.h"
 
@@ -87,6 +91,43 @@ void MeasureParse(const char* mode, const std::vector<std::string>& texts,
   report->Set("n_subscriptions", static_cast<double>(n_subs));
   report->Set("ns_per_parse", ns_per_parse);
   report->Set("events_per_second", 1e9 / ns_per_parse);
+}
+
+// Frames `stream` the way the server's loop and worker do: `round_bytes`
+// arrive per read round, each round's complete lines leave as one block,
+// and the block is split into lines. Fastest pass, on MeasureParse's
+// policy.
+void MeasureFraming(const char* mode, const std::string& stream,
+                    size_t round_bytes, BenchReport* report) {
+  uint64_t passes = 0;
+  double best_pass_s = 0;
+  size_t lines = 0;
+  Timer timer;
+  do {
+    Timer pass;
+    LineBuffer buffer;
+    std::string block;
+    lines = 0;
+    for (size_t at = 0; at < stream.size(); at += round_bytes) {
+      buffer.Feed(std::string_view(stream).substr(at, round_bytes));
+      if (!buffer.TakeLines(&block)) continue;
+      std::string_view rest = block;
+      std::string_view line;
+      while (PopLine(&rest, &line)) ++lines;
+    }
+    const double pass_s = pass.ElapsedSeconds();
+    if (passes == 0 || pass_s < best_pass_s) best_pass_s = pass_s;
+    ++passes;
+  } while (timer.ElapsedSeconds() < 0.3 || passes < 3);
+  const double ns_per_line = best_pass_s * 1e9 / static_cast<double>(lines);
+  std::printf("%-16s %-16s %12.1f %12.1f %10zu\n", "framing", mode,
+              ns_per_line, 1e9 / ns_per_line, stream.size());
+  report->BeginRow();
+  report->SetText("algorithm", "framing");
+  report->SetText("mode", mode);
+  report->Set("n_subscriptions", static_cast<double>(lines));
+  report->Set("ns_per_line", ns_per_line);
+  report->Set("events_per_second", 1e9 / ns_per_line);
 }
 
 int Run(int argc, char** argv) {
@@ -256,6 +297,19 @@ int Run(int argc, char** argv) {
           return ParseCondition(text, schema).ok();
         },
         &report);
+
+    // 10k SUB lines pipelined back to back, as servbench loads them.
+    constexpr size_t kFramedLines = 10000;
+    std::string stream;
+    for (size_t i = 0; i < kFramedLines; ++i) {
+      stream.append("SUB ")
+          .append(condition_texts[i % condition_texts.size()])
+          .append("\n");
+    }
+    std::printf("\n%-16s %-16s %12s %12s %10s\n", "algorithm", "mode",
+                "ns/line", "lines/s", "bytes");
+    MeasureFraming("one_round", stream, stream.size(), &report);
+    MeasureFraming("4k_rounds", stream, 4096, &report);
   }
   const std::string report_path = report.WriteJson();
   if (!report_path.empty()) {

@@ -1,5 +1,6 @@
 // Copyright 2026 The vfps Authors.
-// Fuzzes the server-side wire path: byte stream → LineBuffer framing →
+// Fuzzes the server-side wire path: byte stream → LineBuffer framing into
+// blocks of complete lines → PopLine →
 // ParseRequest → per-verb body parsing, including the stateful PUBBATCH
 // collection (count-prefixed frames whose payload lines are events, not
 // requests). Lines that fail request parsing are retried as responses,
@@ -30,32 +31,40 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // Small line cap so the overlong-line truncation path is reachable;
   // feeding in two chunks exercises reassembly of split lines.
   vfps::LineBuffer buffer(1 << 12);
-  buffer.Feed(input.substr(0, size / 2));
-  buffer.Feed(input.substr(size / 2));
+  std::string blocks;
+  std::string block;
+  for (const std::string_view half : {input.substr(0, size / 2),
+                                      input.substr(size / 2)}) {
+    buffer.Feed(half);
+    if (buffer.TakeLines(&block)) blocks += block;
+  }
 
   vfps::SchemaRegistry schema;
+  vfps::Event slot_event;
   size_t batch_expected = 0;
   size_t lines = 0;
-  while (auto line = buffer.NextLine()) {
+  std::string_view rest = blocks;
+  std::string_view line;
+  while (vfps::PopLine(&rest, &line)) {
     if (++lines > kMaxLines) break;
     if (batch_expected > 0) {
       // PUBBATCH payload slot: always an event text, never a request.
       --batch_expected;
-      vfps::Result<vfps::Event> event = vfps::ParseEvent(*line, &schema);
-      if (event.ok()) {
+      // Into one reused event, as the server parses batch slots.
+      if (vfps::ParseEvent(line, &schema, &slot_event).ok()) {
         // Round-trip: a formatted event must re-parse without crashing.
-        (void)vfps::ParseEvent(
-            vfps::FormatEventText(event.value(), schema), &schema);
+        (void)vfps::ParseEvent(vfps::FormatEventText(slot_event, schema),
+                               &schema);
       }
       continue;
     }
-    if (line->empty()) continue;
-    vfps::Result<vfps::Request> request = vfps::ParseRequest(*line);
+    if (line.empty()) continue;
+    vfps::Result<vfps::Request> request = vfps::ParseRequest(line);
     if (!request.ok()) {
       // Not a request: cover the response/push side of the framing.
       bool ok = false;
       std::string detail;
-      (void)vfps::ParseResponse(*line, &ok, &detail);
+      (void)vfps::ParseResponse(line, &ok, &detail);
       continue;
     }
     switch (request.value().kind) {

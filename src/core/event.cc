@@ -17,31 +17,45 @@ struct PairAttrLess {
 };
 }  // namespace
 
-Event::Event(std::vector<EventPair> pairs) : pairs_(std::move(pairs)) {
-  std::sort(pairs_.begin(), pairs_.end(), PairAttrLess());
-  std::vector<AttributeId> attrs;
-  attrs.reserve(pairs_.size());
-  for (const EventPair& p : pairs_) attrs.push_back(p.attribute);
-  schema_ = AttributeSet(std::move(attrs));
+Status Event::SortAndCheck() {
+  // Parsed and generated events arrive sorted or nearly so: insertion sort
+  // is linear on such input. Long events fall back to std::sort, so no
+  // input can make this quadratic.
+  constexpr size_t kInsertionSortMax = 64;
+  if (pairs_.size() <= kInsertionSortMax) {
+    for (size_t i = 1; i < pairs_.size(); ++i) {
+      const EventPair p = pairs_[i];
+      size_t j = i;
+      for (; j > 0 && p.attribute < pairs_[j - 1].attribute; --j) {
+        pairs_[j] = pairs_[j - 1];
+      }
+      pairs_[j] = p;
+    }
+  } else {
+    std::sort(pairs_.begin(), pairs_.end(), PairAttrLess());
+  }
+  for (size_t i = 1; i < pairs_.size(); ++i) {
+    if (pairs_[i].attribute == pairs_[i - 1].attribute) {
+      return Status::InvalidArgument("event has two pairs for attribute " +
+                                     std::to_string(pairs_[i].attribute));
+    }
+  }
+  return Status::OK();
 }
 
 Result<Event> Event::Create(std::vector<EventPair> pairs) {
-  Event e(std::move(pairs));
-  for (size_t i = 1; i < e.pairs_.size(); ++i) {
-    if (e.pairs_[i].attribute == e.pairs_[i - 1].attribute) {
-      return Status::InvalidArgument(
-          "event has two pairs for attribute " +
-          std::to_string(e.pairs_[i].attribute));
-    }
-  }
+  Event e;
+  e.pairs_ = std::move(pairs);
+  VFPS_RETURN_NOT_OK(e.SortAndCheck());
   return e;
 }
 
 Event Event::CreateUnchecked(std::vector<EventPair> pairs) {
-  Event e(std::move(pairs));
-  for (size_t i = 1; i < e.pairs_.size(); ++i) {
-    VFPS_DCHECK(e.pairs_[i].attribute != e.pairs_[i - 1].attribute);
-  }
+  Event e;
+  e.pairs_ = std::move(pairs);
+  const Status status = e.SortAndCheck();
+  VFPS_DCHECK(status.ok());
+  (void)status;
   return e;
 }
 

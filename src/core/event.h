@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/attribute_set.h"
 #include "src/core/types.h"
 #include "src/util/status.h"
 
@@ -28,7 +27,9 @@ struct EventPair {
 
 /// An immutable event. Pairs are stored sorted by attribute so that value
 /// lookup is a binary search and the event schema is directly an ordered
-/// attribute sequence.
+/// attribute sequence. Rebuild() refills an event in place, so a reader
+/// that parses a stream of events into the same few Event objects stops
+/// allocating once their storage has grown.
 class Event {
  public:
   Event() = default;
@@ -41,15 +42,25 @@ class Event {
   /// generators that construct pairs they know are unique.
   static Event CreateUnchecked(std::vector<EventPair> pairs);
 
+  /// Replaces the pairs with those `fill` appends to an empty vector that
+  /// reuses this event's storage. `fill` returns a Status; on error, or if
+  /// two pairs share an attribute (InvalidArgument), the event is left
+  /// empty and the error returned.
+  template <typename Fill>
+  Status Rebuild(Fill&& fill) {
+    pairs_.clear();
+    Status status = fill(&pairs_);
+    if (status.ok()) status = SortAndCheck();
+    if (!status.ok()) pairs_.clear();
+    return status;
+  }
+
   /// Number of pairs (the paper's n_A for generated events).
   size_t size() const { return pairs_.size(); }
   bool empty() const { return pairs_.empty(); }
 
   /// Pairs sorted by attribute id.
   const std::vector<EventPair>& pairs() const { return pairs_; }
-
-  /// The event schema: the set of attributes the event carries.
-  const AttributeSet& schema() const { return schema_; }
 
   /// Value for `attribute`, or nullopt if the event has no such pair.
   std::optional<Value> Find(AttributeId attribute) const;
@@ -58,10 +69,10 @@ class Event {
   std::string ToString() const;
 
  private:
-  explicit Event(std::vector<EventPair> pairs);
+  /// Sorts pairs_ by attribute; InvalidArgument on a repeated attribute.
+  Status SortAndCheck();
 
   std::vector<EventPair> pairs_;
-  AttributeSet schema_;
 };
 
 }  // namespace vfps

@@ -7,10 +7,9 @@
 #ifndef VFPS_CORE_SCHEMA_REGISTRY_H_
 #define VFPS_CORE_SCHEMA_REGISTRY_H_
 
-#include <functional>
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/types.h"
@@ -33,6 +32,19 @@ class SchemaRegistry {
   /// Id for `name` if known, kInvalidAttributeId otherwise.
   AttributeId FindAttribute(std::string_view name) const;
 
+  /// FindAttribute, trying `guess` before hashing: a reader that expects
+  /// names in registry order (an event listing its attributes sorted, as
+  /// the one before it did) guesses the previous id + 1.
+  AttributeId FindAttribute(std::string_view name, AttributeId guess) const {
+    if (guess < attribute_names_.size() &&
+        attribute_names_[guess].size() == name.size() &&
+        std::char_traits<char>::compare(attribute_names_[guess].data(),
+                                        name.data(), name.size()) == 0) {
+      return guess;
+    }
+    return FindAttribute(name);
+  }
+
   /// Name of `id`. Requires a previously interned id.
   const std::string& AttributeName(AttributeId id) const;
 
@@ -47,25 +59,40 @@ class SchemaRegistry {
   /// equality predicate.
   Result<Value> FindValue(std::string_view text) const;
 
+  /// The same lookup without building an error: false if `text` was never
+  /// interned (the event path asks this of every unseen string).
+  bool FindValue(std::string_view text, Value* value) const;
+
   /// The string interned as `value`, or empty if `value` was never interned
   /// (e.g. it is a plain numeric value).
   const std::string& ValueText(Value value) const;
 
  private:
-  /// Hashes std::string and std::string_view alike, so lookups by a view
-  /// into the input build no std::string.
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view name) const {
-      return std::hash<std::string_view>{}(name);
-    }
-  };
-  template <typename V>
-  using NameMap = std::unordered_map<std::string, V, NameHash, std::equal_to<>>;
+  /// Open-addressing hash index from a name to its position in a name
+  /// vector (attribute_names_ or value_texts_). A lookup hashes the view
+  /// once, probes a flat power-of-two table and compares in place: no
+  /// per-name node, no modulo.
+  class NameIndex {
+   public:
+    /// Position of `name` in `names`, or -1.
+    int64_t Find(std::string_view name,
+                 const std::vector<std::string>& names) const;
+    /// Records `names.back()` at position names.size() - 1.
+    void InsertLast(const std::vector<std::string>& names);
 
-  NameMap<AttributeId> attribute_ids_;
+   private:
+    static uint64_t Hash(std::string_view name);
+    void Place(uint64_t hash, uint32_t position);
+
+    /// Slot: high 32 bits of the name's hash, low 32 bits position + 1;
+    /// 0 is empty. Kept at most half full.
+    std::vector<uint64_t> slots_;
+    size_t size_ = 0;
+  };
+
+  NameIndex attribute_index_;
   std::vector<std::string> attribute_names_;
-  NameMap<Value> value_ids_;
+  NameIndex value_index_;
   std::vector<std::string> value_texts_;
 };
 

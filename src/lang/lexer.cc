@@ -2,7 +2,6 @@
 
 #include "src/lang/lexer.h"
 
-#include <array>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -52,46 +51,12 @@ const char* TokenKindToString(TokenKind kind) {
 
 namespace {
 
-// Character classes of the "C" locale, so bytes >= 0x80 are in none.
-enum : uint8_t {
-  kSpace = 1,       // ' ' \t \n \v \f \r
-  kDigit = 2,       // 0-9
-  kIdentStart = 4,  // letters and '_'
-  kIdentBody = 8,   // letters, digits, '_', '.', '-'
-};
-
-constexpr std::array<uint8_t, 256> MakeClasses() {
-  std::array<uint8_t, 256> classes{};
-  for (unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
-    classes[c] = kSpace;
-  }
-  for (int c = '0'; c <= '9'; ++c) classes[c] = kDigit | kIdentBody;
-  for (int c = 'a'; c <= 'z'; ++c) {
-    classes[c] = kIdentStart | kIdentBody;
-    classes[c - 'a' + 'A'] = kIdentStart | kIdentBody;
-  }
-  classes['_'] = kIdentStart | kIdentBody;
-  classes['.'] = kIdentBody;
-  classes['-'] = kIdentBody;
-  return classes;
-}
-
-constexpr std::array<uint8_t, 256> kClasses = MakeClasses();
-
-bool Is(char c, uint8_t cls) {
-  return (kClasses[static_cast<unsigned char>(c)] & cls) != 0;
-}
-
-/// Case-insensitive match of an identifier-shaped `word` against a
-/// lowercase keyword. OR-ing 0x20 lowers ASCII letters and maps no other
-/// identifier character onto a letter.
-bool IsKeyword(std::string_view word, std::string_view keyword) {
-  if (word.size() != keyword.size()) return false;
-  for (size_t i = 0; i < word.size(); ++i) {
-    if ((word[i] | 0x20) != keyword[i]) return false;
-  }
-  return true;
-}
+using lex::Is;
+using lex::IsKeyword;
+using lex::kDigit;
+using lex::kIdentBody;
+using lex::kIdentStart;
+using lex::kSpace;
 
 }  // namespace
 

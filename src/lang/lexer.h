@@ -6,6 +6,7 @@
 #ifndef VFPS_LANG_LEXER_H_
 #define VFPS_LANG_LEXER_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -39,6 +40,53 @@ enum class TokenKind : uint8_t {
 /// Human-readable name of a token kind (for error messages).
 const char* TokenKindToString(TokenKind kind);
 
+/// The token rules' character classes, shared by the Lexer and the event
+/// scanner in parser.cc. They are the "C" locale's, so bytes >= 0x80 are
+/// in none.
+namespace lex {
+
+enum : uint8_t {
+  kSpace = 1,       // ' ' \t \n \v \f \r
+  kDigit = 2,       // 0-9
+  kIdentStart = 4,  // letters and '_'
+  kIdentBody = 8,   // letters, digits, '_', '.', '-'
+};
+
+constexpr std::array<uint8_t, 256> MakeClasses() {
+  std::array<uint8_t, 256> classes{};
+  for (unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    classes[c] = kSpace;
+  }
+  for (int c = '0'; c <= '9'; ++c) classes[c] = kDigit | kIdentBody;
+  for (int c = 'a'; c <= 'z'; ++c) {
+    classes[c] = kIdentStart | kIdentBody;
+    classes[c - 'a' + 'A'] = kIdentStart | kIdentBody;
+  }
+  classes['_'] = kIdentStart | kIdentBody;
+  classes['.'] = kIdentBody;
+  classes['-'] = kIdentBody;
+  return classes;
+}
+
+inline constexpr std::array<uint8_t, 256> kClasses = MakeClasses();
+
+inline bool Is(char c, uint8_t cls) {
+  return (kClasses[static_cast<unsigned char>(c)] & cls) != 0;
+}
+
+/// Case-insensitive match of an identifier-shaped `word` against a
+/// lowercase keyword. OR-ing 0x20 lowers ASCII letters and maps no other
+/// identifier character onto a letter.
+inline bool IsKeyword(std::string_view word, std::string_view keyword) {
+  if (word.size() != keyword.size()) return false;
+  for (size_t i = 0; i < word.size(); ++i) {
+    if ((word[i] | 0x20) != keyword[i]) return false;
+  }
+  return true;
+}
+
+}  // namespace lex
+
 /// One lexed token. `text` views the identifier or the unquoted string
 /// body inside the lexer's input (string literals have no escapes, so the
 /// body is always a substring); `integer` holds the value for kInteger.
@@ -56,11 +104,17 @@ struct Token {
 class Lexer {
  public:
   explicit Lexer(std::string_view input) : input_(input) {}
+  /// Starts lexing at byte `pos` of `input`; offsets stay relative to the
+  /// whole input.
+  Lexer(std::string_view input, size_t pos) : input_(input), pos_(pos) {}
 
   Token Next();
 
   /// OK unless Next() has returned kError.
   const Status& status() const { return status_; }
+
+  /// Byte offset just past the last token returned.
+  size_t position() const { return pos_; }
 
  private:
   Token Fail(size_t offset, std::string what);

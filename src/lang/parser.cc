@@ -3,7 +3,7 @@
 #include "src/lang/parser.h"
 
 #include <algorithm>
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -16,31 +16,451 @@ namespace vfps {
 
 namespace {
 
-/// Boolean expression tree over comparisons. Internal to the parser; the
-/// public result is the flattened DNF.
+/// Boolean expression tree over comparisons, kept flat: every node of one
+/// parse lives in one vector and names its first child and next sibling
+/// by index, so a conjunction of n comparisons allocates no node of its
+/// own. Internal to the parser; the public result is the flattened DNF.
 struct ExprNode {
-  enum class Kind { kComparison, kAnd, kOr, kNot };
+  enum class Kind : uint8_t { kComparison, kAnd, kOr, kNot };
   Kind kind;
-  size_t comparison = 0;  // kComparison only: index into the predicates
-  std::vector<std::unique_ptr<ExprNode>> children;
+  uint32_t comparison = 0;  // kComparison only: index into the comparisons
+  int32_t first_child = -1;
+  int32_t next_sibling = -1;
 };
 
-using NodePtr = std::unique_ptr<ExprNode>;
+// Parse errors both parsers report.
+constexpr const char* kStringOpError =
+    "string values support only = and != (interned order is not "
+    "lexicographic)";
+constexpr const char* kValueError = "expected value after operator";
 
-NodePtr MakeComparison(size_t comparison) {
-  auto node = std::make_unique<ExprNode>();
-  node->kind = ExprNode::Kind::kComparison;
-  node->comparison = comparison;
-  return node;
+/// One parsed comparison, still in the input's words.
+struct Comparison {
+  std::string_view attribute;
+  RelOp op;
+  Token value;  // kInteger or kString
+};
+
+/// Interns a comparison's names: the string value first, then the
+/// attribute, the order the registry numbers them in.
+Predicate InternComparison(const Comparison& c, SchemaRegistry* schema) {
+  const Value value = c.value.kind == TokenKind::kString
+                          ? schema->InternValue(c.value.text)
+                          : c.value.integer;
+  return Predicate(schema->InternAttribute(c.attribute), c.op, value);
 }
 
-NodePtr MakeNary(ExprNode::Kind kind, std::vector<NodePtr> children) {
-  if (children.size() == 1) return std::move(children[0]);
-  auto node = std::make_unique<ExprNode>();
-  node->kind = kind;
-  node->children = std::move(children);
-  return node;
+/// The comparison operator a token stands for; false if it is none.
+bool ToRelOp(TokenKind kind, RelOp* op) {
+  switch (kind) {
+    case TokenKind::kLt:
+      *op = RelOp::kLt;
+      return true;
+    case TokenKind::kLe:
+      *op = RelOp::kLe;
+      return true;
+    case TokenKind::kEq:
+      *op = RelOp::kEq;
+      return true;
+    case TokenKind::kNe:
+      *op = RelOp::kNe;
+      return true;
+    case TokenKind::kGe:
+      *op = RelOp::kGe;
+      return true;
+    case TokenKind::kGt:
+      *op = RelOp::kGt;
+      return true;
+    default:
+      return false;
+  }
 }
+
+/// An event pair whose names were not in the registry when it was parsed:
+/// they are interned once the whole text has lexed.
+struct UnresolvedPair {
+  size_t index;  // into the event's pairs
+  Comparison comparison;
+  bool attribute_known;
+  bool value_known;
+};
+
+/// Recursive-descent parser for conditions, pulling tokens from a Lexer.
+/// Names are interned only once the input has lexed to its end: the
+/// registry is untouched by input that fails to lex, and a lex error
+/// anywhere outranks a parse error.
+class Parser {
+ public:
+  Parser(std::string_view text, SchemaRegistry* schema)
+      : lexer_(text), schema_(schema), text_size_(text.size()) {
+    Advance();
+  }
+
+  /// Parses a whole condition into nodes(), returning its root.
+  Status ParseCondition(int32_t* root) {
+    // The shortest comparison plus separator ("a=1 ") is four bytes: room
+    // for every comparison of a short text, and for 64 of a long one.
+    const size_t expected = std::min<size_t>((text_size_ + 1) / 4, 64);
+    comparisons_.reserve(expected);
+    nodes_.reserve(2 * expected);
+    VFPS_RETURN_NOT_OK(ParseOr(root));
+    return ExpectEnd();
+  }
+
+  /// Settles a parse that ended with `parse_status`. A failed parse stops
+  /// early, so the rest of the input is lexed first: a lex error there is
+  /// what the caller must report, and nothing may be interned. Otherwise
+  /// every comparison is interned into `*predicates`, in input order.
+  Status FinishCondition(const Status& parse_status,
+                         std::vector<Predicate>* predicates) {
+    VFPS_RETURN_NOT_OK(LexStatus(parse_status));
+    predicates->reserve(comparisons_.size());
+    for (const Comparison& c : comparisons_) {
+      predicates->push_back(InternComparison(c, schema_));
+    }
+    return parse_status;
+  }
+
+  const std::vector<ExprNode>& nodes() const { return nodes_; }
+
+ private:
+  const Token& Peek() const { return token_; }
+  void Advance() { token_ = lexer_.Next(); }
+
+  Status Error(const std::string& what) const {
+    return Status::InvalidArgument("parse error at offset " +
+                                   std::to_string(Peek().offset) + ": " +
+                                   what);
+  }
+
+  /// Error if anything but kEnd remains.
+  Status ExpectEnd() const {
+    if (Peek().kind != TokenKind::kEnd) {
+      return Error("unexpected " + std::string(TokenKindToString(Peek().kind)));
+    }
+    return Status::OK();
+  }
+
+  /// Lexes the rest of a failed parse; the lexer's status.
+  Status LexStatus(const Status& parse_status) {
+    if (!parse_status.ok()) {
+      while (Peek().kind != TokenKind::kEnd &&
+             Peek().kind != TokenKind::kError) {
+        Advance();
+      }
+    }
+    return lexer_.status();
+  }
+
+  /// Parses one comparison, IDENT op value.
+  Status ParseComparison(Comparison* c) {
+    if (Peek().kind != TokenKind::kIdentifier) {
+      return Error("expected attribute name, got " +
+                   std::string(TokenKindToString(Peek().kind)));
+    }
+    c->attribute = Peek().text;
+    Advance();
+    if (!ToRelOp(Peek().kind, &c->op)) {
+      return Error(std::string("expected comparison operator after '")
+                       .append(c->attribute)
+                       .append("'"));
+    }
+    Advance();
+    if (Peek().kind == TokenKind::kString) {
+      if (c->op != RelOp::kEq && c->op != RelOp::kNe) {
+        return Error(kStringOpError);
+      }
+    } else if (Peek().kind != TokenKind::kInteger) {
+      return Error(kValueError);
+    }
+    c->value = Peek();
+    Advance();
+    return Status::OK();
+  }
+
+  int32_t AddNode(ExprNode::Kind kind, int32_t first_child = -1) {
+    ExprNode node{};
+    node.kind = kind;
+    node.first_child = first_child;
+    nodes_.push_back(node);
+    return static_cast<int32_t>(nodes_.size() - 1);
+  }
+
+  /// Parses `term (op term)*` into `*out`: the lone term itself, or a
+  /// `kind` node over all of them.
+  template <Status (Parser::*kTerm)(int32_t*)>
+  Status ParseNary(TokenKind op, ExprNode::Kind kind, int32_t* out) {
+    VFPS_RETURN_NOT_OK((this->*kTerm)(out));
+    if (Peek().kind != op) return Status::OK();
+    const int32_t first = *out;
+    int32_t last = first;
+    while (Peek().kind == op) {
+      Advance();
+      int32_t next;
+      VFPS_RETURN_NOT_OK((this->*kTerm)(&next));
+      nodes_[last].next_sibling = next;
+      last = next;
+    }
+    *out = AddNode(kind, first);
+    return Status::OK();
+  }
+
+  Status ParseOr(int32_t* out) {
+    return ParseNary<&Parser::ParseAnd>(TokenKind::kOr, ExprNode::Kind::kOr,
+                                        out);
+  }
+
+  Status ParseAnd(int32_t* out) {
+    return ParseNary<&Parser::ParseUnary>(TokenKind::kAnd,
+                                          ExprNode::Kind::kAnd, out);
+  }
+
+  Status ParseUnary(int32_t* out) {
+    if (Peek().kind == TokenKind::kNot) {
+      Advance();
+      int32_t operand;
+      VFPS_RETURN_NOT_OK(ParseUnary(&operand));
+      *out = AddNode(ExprNode::Kind::kNot, operand);
+      return Status::OK();
+    }
+    if (Peek().kind == TokenKind::kLParen) {
+      Advance();
+      VFPS_RETURN_NOT_OK(ParseOr(out));
+      if (Peek().kind != TokenKind::kRParen) {
+        return Error("expected ')'");
+      }
+      Advance();
+      return Status::OK();
+    }
+    Comparison c;
+    VFPS_RETURN_NOT_OK(ParseComparison(&c));
+    comparisons_.push_back(c);
+    *out = AddNode(ExprNode::Kind::kComparison);
+    nodes_.back().comparison = static_cast<uint32_t>(comparisons_.size() - 1);
+    return Status::OK();
+  }
+
+  Lexer lexer_;
+  Token token_;
+  SchemaRegistry* schema_;
+  size_t text_size_;
+  std::vector<Comparison> comparisons_;
+  std::vector<ExprNode> nodes_;
+};
+
+/// Parses an event, comma-separated '=' pairs up to the end of input, in
+/// one pass over the text:
+///
+///   event := [ pair { ',' pair } ]    pair := NAME '=' value
+///
+/// The tokens an event is made of (names, '=', integers of up to 18
+/// digits, quoted strings, ',') are matched in place. At any other byte
+/// the Lexer lexes the token there, so the tokens, the lex errors and the
+/// parse errors are those of the token grammar ParseCondition uses, and
+/// the same rules settle a failure: a lex error anywhere outranks a parse
+/// error and interns nothing; a parse error interns the pairs before it.
+/// Names the registry already holds are looked up as they are parsed; the
+/// others are interned, in input order, once the whole text has lexed.
+class EventParser {
+ public:
+  EventParser(std::string_view text, SchemaRegistry* schema,
+              std::vector<EventPair>* pairs)
+      : text_(text), schema_(schema), pairs_(pairs) {}
+
+  Status Parse() {
+    // The shortest pair plus separator ("a=1,") is four bytes. A reused
+    // event already has the room.
+    pairs_->reserve(std::min<size_t>((text_.size() + 1) / 4, 64));
+    size_t pos = SkipSpace(0);
+    if (pos == text_.size()) return Status::OK();
+    while (true) {
+      Comparison c;
+      // Name
+      size_t end = ScanName(pos);
+      if (end == pos) {
+        const Token t = TokenAt(pos, &end);
+        return Fail(pos, t, "expected attribute name, got " +
+                                std::string(TokenKindToString(t.kind)));
+      }
+      c.attribute = text_.substr(pos, end - pos);
+      pos = SkipSpace(end);
+      // Operator: '=' is the only one an event may use, but the others
+      // still parse, so the error names them.
+      if (pos < text_.size() && text_[pos] == '=') {
+        c.op = RelOp::kEq;
+        pos += pos + 1 < text_.size() && text_[pos + 1] == '=' ? 2 : 1;
+      } else {
+        const Token t = TokenAt(pos, &end);
+        if (!ToRelOp(t.kind, &c.op)) {
+          return Fail(pos, t,
+                      std::string("expected comparison operator after '")
+                          .append(c.attribute)
+                          .append("'"));
+        }
+        pos = end;
+      }
+      pos = SkipSpace(pos);
+      // Value
+      if (!ScanValue(pos, &c.value, &end)) {
+        const Token t = TokenAt(pos, &end);
+        if (t.kind != TokenKind::kInteger && t.kind != TokenKind::kString) {
+          return Fail(pos, t, kValueError);
+        }
+        c.value = t;
+      }
+      if (c.value.kind == TokenKind::kString && c.op != RelOp::kEq &&
+          c.op != RelOp::kNe) {
+        return Fail(pos, c.value, kStringOpError);
+      }
+      Resolve(c);
+      pos = SkipSpace(end);
+      if (c.op != RelOp::kEq) {
+        return Fail(pos, Status::InvalidArgument(
+                             "events use '=' pairs only, got operator " +
+                             std::string(RelOpToString(c.op))));
+      }
+      if (pos == text_.size()) break;
+      if (text_[pos] != ',') {
+        const Token t = TokenAt(pos, &end);
+        return Fail(pos, t,
+                    "unexpected " + std::string(TokenKindToString(t.kind)));
+      }
+      pos = SkipSpace(pos + 1);
+      if (pos == text_.size()) {
+        return Fail(pos, Status::InvalidArgument(
+                             "trailing ',' without a following pair"));
+      }
+    }
+    InternUnresolved();
+    return Status::OK();
+  }
+
+ private:
+  size_t SkipSpace(size_t pos) const {
+    while (pos < text_.size() && lex::Is(text_[pos], lex::kSpace)) ++pos;
+    return pos;
+  }
+
+  /// The length of the run of class-`cls` bytes at `pos`.
+  size_t RunLength(size_t pos, uint8_t cls) const {
+    size_t n = 0;
+    while (pos + n < text_.size() && lex::Is(text_[pos + n], cls)) ++n;
+    return n;
+  }
+
+  /// The end of the attribute name at `pos`, or `pos` if none starts
+  /// there (a keyword is no name).
+  size_t ScanName(size_t pos) const {
+    if (!lex::Is(text_[pos], lex::kIdentStart)) return pos;
+    const size_t end = pos + 1 + RunLength(pos + 1, lex::kIdentBody);
+    const std::string_view word = text_.substr(pos, end - pos);
+    if (word.size() <= 3 &&
+        (lex::IsKeyword(word, "and") || lex::IsKeyword(word, "or") ||
+         lex::IsKeyword(word, "not"))) {
+      return pos;
+    }
+    return end;
+  }
+
+  /// Matches an integer of up to 18 digits (it cannot overflow) or a
+  /// terminated quoted string at `pos`. False for anything else.
+  bool ScanValue(size_t pos, Token* value, size_t* end) const {
+    if (pos == text_.size()) return false;
+    const char c = text_[pos];
+    value->offset = pos;
+    if (lex::Is(c, lex::kDigit)) {
+      const size_t digits = RunLength(pos, lex::kDigit);
+      if (digits > 18) return false;
+      value->kind = TokenKind::kInteger;
+      int64_t v = 0;
+      for (size_t i = pos; i < pos + digits; ++i) v = v * 10 + (text_[i] - '0');
+      value->integer = v;
+      *end = pos + digits;
+      return true;
+    }
+    if (c == '\'' || c == '"') {
+      const size_t close = text_.find(c, pos + 1);
+      if (close == std::string_view::npos) return false;
+      value->kind = TokenKind::kString;
+      value->text = text_.substr(pos + 1, close - pos - 1);
+      *end = close + 1;
+      return true;
+    }
+    return false;
+  }
+
+  /// The token at `pos` by the Lexer's full rules; `*end` is the offset
+  /// past it. A lex error is kept for Fail() to report.
+  Token TokenAt(size_t pos, size_t* end) {
+    Lexer lexer(text_, pos);
+    const Token t = lexer.Next();
+    *end = lexer.position();
+    if (t.kind == TokenKind::kError) lex_status_ = lexer.status();
+    return t;
+  }
+
+  /// Fails at token `t` (which starts at `pos`) with parse error `what`,
+  /// unless `t` is itself a lex error.
+  Status Fail(size_t pos, const Token& t, const std::string& what) {
+    if (t.kind == TokenKind::kError) return lex_status_;
+    return Fail(pos, Status::InvalidArgument("parse error at offset " +
+                                             std::to_string(t.offset) + ": " +
+                                             what));
+  }
+
+  /// Settles a parse that failed with `parse_error` at byte `pos`: the
+  /// rest of the text is lexed, and a lex error there is the outcome;
+  /// otherwise the pairs parsed so far are interned.
+  Status Fail(size_t pos, Status parse_error) {
+    Lexer lexer(text_, pos);
+    TokenKind kind;
+    do {
+      kind = lexer.Next().kind;
+    } while (kind != TokenKind::kEnd && kind != TokenKind::kError);
+    VFPS_RETURN_NOT_OK(lexer.status());
+    InternUnresolved();
+    return parse_error;
+  }
+
+  /// Appends `c` as a pair, looking its names up in the registry; a name
+  /// it does not hold yet leaves the pair to InternUnresolved().
+  void Resolve(const Comparison& c) {
+    bool value_known = true;
+    Value value = c.value.integer;
+    if (c.value.kind == TokenKind::kString) {
+      value_known = schema_->FindValue(c.value.text, &value);
+    }
+    const AttributeId attribute =
+        schema_->FindAttribute(c.attribute, guess_);
+    guess_ = attribute + 1;
+    const bool attribute_known = attribute != kInvalidAttributeId;
+    if (!value_known || !attribute_known) {
+      unresolved_.push_back(
+          UnresolvedPair{pairs_->size(), c, attribute_known, value_known});
+    }
+    pairs_->push_back(EventPair{attribute, value});
+  }
+
+  /// Interns the names Resolve() did not find, in input order, so the
+  /// registry numbers them as if every name had been interned where it
+  /// stood.
+  void InternUnresolved() {
+    for (const UnresolvedPair& u : unresolved_) {
+      const Predicate p = InternComparison(u.comparison, schema_);
+      EventPair& pair = (*pairs_)[u.index];
+      if (!u.value_known) pair.value = p.value;
+      if (!u.attribute_known) pair.attribute = p.attribute;
+    }
+  }
+
+  std::string_view text_;
+  SchemaRegistry* schema_;
+  std::vector<EventPair>* pairs_;
+  std::vector<UnresolvedPair> unresolved_;
+  /// The attribute id the next pair likely names (see FindAttribute).
+  AttributeId guess_ = 0;
+  Status lex_status_;
+};
 
 /// The comparison operator of a negated comparison.
 RelOp NegateOp(RelOp op) {
@@ -61,287 +481,121 @@ RelOp NegateOp(RelOp op) {
   return op;
 }
 
-/// One parsed comparison, still in the input's words.
-struct Comparison {
-  std::string_view attribute;
-  RelOp op;
-  Token value;  // kInteger or kString
-};
+Status TooManyDisjuncts(const ParseOptions& options) {
+  return Status::ResourceExhausted("condition expands to more than " +
+                                   std::to_string(options.max_disjuncts) +
+                                   " DNF disjuncts");
+}
 
-/// Recursive-descent parser pulling tokens from a Lexer. Comparisons are
-/// kept as views into the input and interned only by Intern(), once the
-/// input has lexed to its end: the registry is untouched by input that
-/// fails to lex, and a lex error anywhere outranks a parse error.
-class Parser {
+Status ConjunctionTooLong(const ParseOptions& options) {
+  return Status::ResourceExhausted(
+      "conjunction longer than " +
+      std::to_string(options.max_conjunction_size) + " predicates");
+}
+
+/// Expands the tree under `node` to DNF with size guards, appending its
+/// disjuncts to `*out`. NOT is pushed down on the way (De Morgan):
+/// `negated` says whether an odd number of NOTs wraps the node.
+class DnfBuilder {
  public:
-  Parser(std::string_view text, SchemaRegistry* schema)
-      : lexer_(text), schema_(schema) {
-    // The shortest comparison plus separator ("a=1 ") is four bytes: room
-    // for every comparison of a short text, and for 64 of a long one.
-    comparisons_.reserve(std::min<size_t>((text.size() + 1) / 4, 64));
-    Advance();
-  }
+  DnfBuilder(const std::vector<ExprNode>& nodes,
+             const std::vector<Predicate>& predicates,
+             const ParseOptions& options)
+      : nodes_(nodes), predicates_(predicates), options_(options) {}
 
-  Result<NodePtr> ParseExpression() { return ParseOr(); }
-
-  /// Error if anything but kEnd remains.
-  Status ExpectEnd() const {
-    if (Peek().kind != TokenKind::kEnd) {
-      return Error("unexpected " + std::string(TokenKindToString(Peek().kind)));
+  Status Expand(int32_t node, bool negated,
+                std::vector<std::vector<Predicate>>* out) const {
+    const ExprNode& n = Strip(&node, &negated);
+    if (n.kind == ExprNode::Kind::kComparison) {
+      out->push_back({Leaf(n, negated)});
+      return Status::OK();
+    }
+    // Negation swaps the connective.
+    if ((n.kind == ExprNode::Kind::kAnd) == negated) {
+      for (int32_t c = n.first_child; c >= 0; c = nodes_[c].next_sibling) {
+        VFPS_RETURN_NOT_OK(Expand(c, negated, out));
+        if (out->size() > options_.max_disjuncts) {
+          return TooManyDisjuncts(options_);
+        }
+      }
+      return Status::OK();
+    }
+    // Cross product of the children's DNFs.
+    std::vector<std::vector<Predicate>> acc(1);
+    size_t children = 0;
+    for (int32_t c = n.first_child; c >= 0; c = nodes_[c].next_sibling) {
+      ++children;
+    }
+    acc[0].reserve(children);
+    for (int32_t c = n.first_child; c >= 0; c = nodes_[c].next_sibling) {
+      int32_t child = c;
+      bool child_negated = negated;
+      const ExprNode& cn = Strip(&child, &child_negated);
+      if (cn.kind == ExprNode::Kind::kComparison) {
+        // A comparison's DNF is the one predicate: extend in place.
+        const Predicate p = Leaf(cn, child_negated);
+        for (size_t i = 0; i < acc.size(); ++i) {
+          acc[i].push_back(p);
+          if (acc[i].size() > options_.max_conjunction_size) {
+            return ConjunctionTooLong(options_);
+          }
+          if (i + 1 > options_.max_disjuncts) {
+            return TooManyDisjuncts(options_);
+          }
+        }
+        continue;
+      }
+      std::vector<std::vector<Predicate>> child_dnf;
+      VFPS_RETURN_NOT_OK(Expand(child, child_negated, &child_dnf));
+      std::vector<std::vector<Predicate>> next;
+      next.reserve(acc.size() * child_dnf.size());
+      for (const auto& left : acc) {
+        for (const auto& right : child_dnf) {
+          std::vector<Predicate> merged = left;
+          merged.insert(merged.end(), right.begin(), right.end());
+          if (merged.size() > options_.max_conjunction_size) {
+            return ConjunctionTooLong(options_);
+          }
+          next.push_back(std::move(merged));
+          if (next.size() > options_.max_disjuncts) {
+            return TooManyDisjuncts(options_);
+          }
+        }
+      }
+      acc = std::move(next);
+    }
+    if (out->empty()) {
+      out->swap(acc);
+    } else {
+      out->insert(out->end(), std::make_move_iterator(acc.begin()),
+                  std::make_move_iterator(acc.end()));
+    }
+    if (out->size() > options_.max_disjuncts) {
+      return TooManyDisjuncts(options_);
     }
     return Status::OK();
-  }
-
-  const Token& Peek() const { return token_; }
-  void Advance() { token_ = lexer_.Next(); }
-
-  Status Error(const std::string& what) const {
-    return Status::InvalidArgument("parse error at offset " +
-                                   std::to_string(Peek().offset) + ": " +
-                                   what);
-  }
-
-  /// Parses one comparison, IDENT op value, onto comparisons().
-  Status ParseComparison() {
-    if (Peek().kind != TokenKind::kIdentifier) {
-      return Error("expected attribute name, got " +
-                   std::string(TokenKindToString(Peek().kind)));
-    }
-    const std::string_view attribute = Peek().text;
-    Advance();
-    RelOp op;
-    switch (Peek().kind) {
-      case TokenKind::kLt:
-        op = RelOp::kLt;
-        break;
-      case TokenKind::kLe:
-        op = RelOp::kLe;
-        break;
-      case TokenKind::kEq:
-        op = RelOp::kEq;
-        break;
-      case TokenKind::kNe:
-        op = RelOp::kNe;
-        break;
-      case TokenKind::kGe:
-        op = RelOp::kGe;
-        break;
-      case TokenKind::kGt:
-        op = RelOp::kGt;
-        break;
-      default:
-        return Error(std::string("expected comparison operator after '")
-                         .append(attribute)
-                         .append("'"));
-    }
-    Advance();
-    if (Peek().kind == TokenKind::kString) {
-      if (op != RelOp::kEq && op != RelOp::kNe) {
-        return Error(
-            "string values support only = and != (interned order is not "
-            "lexicographic)");
-      }
-    } else if (Peek().kind != TokenKind::kInteger) {
-      return Error("expected value after operator");
-    }
-    comparisons_.push_back(Comparison{attribute, op, Peek()});
-    Advance();
-    return Status::OK();
-  }
-
-  /// Parses an event: comma-separated '=' pairs up to the end of input.
-  Status ParsePairs() {
-    while (Peek().kind != TokenKind::kEnd) {
-      VFPS_RETURN_NOT_OK(ParseComparison());
-      const RelOp op = comparisons_.back().op;
-      if (op != RelOp::kEq) {
-        return Status::InvalidArgument(
-            "events use '=' pairs only, got operator " +
-            std::string(RelOpToString(op)));
-      }
-      if (Peek().kind != TokenKind::kComma) break;
-      Advance();
-      if (Peek().kind == TokenKind::kEnd) {
-        return Status::InvalidArgument(
-            "trailing ',' without a following pair");
-      }
-    }
-    return ExpectEnd();
-  }
-
-  /// Settles a parse that ended with `parse_status`. A failed parse stops
-  /// early, so the rest of the input is lexed first: a lex error there
-  /// is what the caller must report, and nothing may be interned.
-  Status LexStatus(const Status& parse_status) {
-    if (!parse_status.ok()) {
-      while (Peek().kind != TokenKind::kEnd &&
-             Peek().kind != TokenKind::kError) {
-        Advance();
-      }
-    }
-    return lexer_.status();
-  }
-
-  /// The comparisons parsed so far, in input order.
-  const std::vector<Comparison>& comparisons() const { return comparisons_; }
-
-  /// Interns a comparison's names: the string value first, then the
-  /// attribute, the order the registry numbers them in.
-  Predicate Intern(const Comparison& c) {
-    const Value value = c.value.kind == TokenKind::kString
-                            ? schema_->InternValue(c.value.text)
-                            : c.value.integer;
-    return Predicate(schema_->InternAttribute(c.attribute), c.op, value);
   }
 
  private:
-  Result<NodePtr> ParseOr() {
-    std::vector<NodePtr> terms;
-    Result<NodePtr> first = ParseAnd();
-    if (!first.ok()) return first;
-    terms.push_back(std::move(first).value());
-    while (Peek().kind == TokenKind::kOr) {
-      Advance();
-      Result<NodePtr> next = ParseAnd();
-      if (!next.ok()) return next;
-      terms.push_back(std::move(next).value());
+  /// Skips NOT nodes from `*node`, flipping `*negated` for each.
+  const ExprNode& Strip(int32_t* node, bool* negated) const {
+    while (nodes_[*node].kind == ExprNode::Kind::kNot) {
+      *negated = !*negated;
+      *node = nodes_[*node].first_child;
     }
-    return MakeNary(ExprNode::Kind::kOr, std::move(terms));
+    return nodes_[*node];
   }
 
-  Result<NodePtr> ParseAnd() {
-    std::vector<NodePtr> terms;
-    Result<NodePtr> first = ParseUnary();
-    if (!first.ok()) return first;
-    terms.push_back(std::move(first).value());
-    while (Peek().kind == TokenKind::kAnd) {
-      Advance();
-      Result<NodePtr> next = ParseUnary();
-      if (!next.ok()) return next;
-      terms.push_back(std::move(next).value());
-    }
-    return MakeNary(ExprNode::Kind::kAnd, std::move(terms));
+  Predicate Leaf(const ExprNode& n, bool negated) const {
+    Predicate p = predicates_[n.comparison];
+    if (negated) p.op = NegateOp(p.op);
+    return p;
   }
 
-  Result<NodePtr> ParseUnary() {
-    if (Peek().kind == TokenKind::kNot) {
-      Advance();
-      Result<NodePtr> operand = ParseUnary();
-      if (!operand.ok()) return operand;
-      auto node = std::make_unique<ExprNode>();
-      node->kind = ExprNode::Kind::kNot;
-      node->children.push_back(std::move(operand).value());
-      return NodePtr(std::move(node));
-    }
-    if (Peek().kind == TokenKind::kLParen) {
-      Advance();
-      Result<NodePtr> inner = ParseOr();
-      if (!inner.ok()) return inner;
-      if (Peek().kind != TokenKind::kRParen) {
-        return Error("expected ')'");
-      }
-      Advance();
-      return inner;
-    }
-    VFPS_RETURN_NOT_OK(ParseComparison());
-    return MakeComparison(comparisons_.size() - 1);
-  }
-
-  Lexer lexer_;
-  Token token_;
-  std::vector<Comparison> comparisons_;
-  SchemaRegistry* schema_;
+  const std::vector<ExprNode>& nodes_;
+  const std::vector<Predicate>& predicates_;
+  const ParseOptions& options_;
 };
-
-/// Pushes NOT down to the comparisons (negation normal form), negating
-/// the operators in `predicates`. `negated` says whether an odd number of
-/// NOTs wraps the node.
-NodePtr ToNnf(NodePtr node, bool negated, std::vector<Predicate>* predicates) {
-  switch (node->kind) {
-    case ExprNode::Kind::kComparison:
-      if (negated) {
-        Predicate& p = (*predicates)[node->comparison];
-        p.op = NegateOp(p.op);
-      }
-      return node;
-    case ExprNode::Kind::kNot:
-      return ToNnf(std::move(node->children[0]), !negated, predicates);
-    case ExprNode::Kind::kAnd:
-    case ExprNode::Kind::kOr: {
-      // De Morgan: negation swaps the connective.
-      const bool is_and = (node->kind == ExprNode::Kind::kAnd);
-      node->kind = (is_and != negated) ? ExprNode::Kind::kAnd
-                                       : ExprNode::Kind::kOr;
-      for (NodePtr& child : node->children) {
-        child = ToNnf(std::move(child), negated, predicates);
-      }
-      return node;
-    }
-  }
-  return node;
-}
-
-/// Expands an NNF tree over `predicates` to DNF with size guards.
-Status ToDnf(const ExprNode& node, const std::vector<Predicate>& predicates,
-             const ParseOptions& options,
-             std::vector<std::vector<Predicate>>* out) {
-  switch (node.kind) {
-    case ExprNode::Kind::kComparison:
-      out->push_back({predicates[node.comparison]});
-      return Status::OK();
-    case ExprNode::Kind::kOr: {
-      for (const NodePtr& child : node.children) {
-        VFPS_RETURN_NOT_OK(ToDnf(*child, predicates, options, out));
-        if (out->size() > options.max_disjuncts) {
-          return Status::ResourceExhausted(
-              "condition expands to more than " +
-              std::to_string(options.max_disjuncts) + " DNF disjuncts");
-        }
-      }
-      return Status::OK();
-    }
-    case ExprNode::Kind::kAnd: {
-      // Cross product of the children's DNFs.
-      std::vector<std::vector<Predicate>> acc{{}};
-      for (const NodePtr& child : node.children) {
-        std::vector<std::vector<Predicate>> child_dnf;
-        VFPS_RETURN_NOT_OK(ToDnf(*child, predicates, options, &child_dnf));
-        std::vector<std::vector<Predicate>> next;
-        next.reserve(acc.size() * child_dnf.size());
-        for (const auto& left : acc) {
-          for (const auto& right : child_dnf) {
-            std::vector<Predicate> merged = left;
-            merged.insert(merged.end(), right.begin(), right.end());
-            if (merged.size() > options.max_conjunction_size) {
-              return Status::ResourceExhausted(
-                  "conjunction longer than " +
-                  std::to_string(options.max_conjunction_size) +
-                  " predicates");
-            }
-            next.push_back(std::move(merged));
-            if (next.size() > options.max_disjuncts) {
-              return Status::ResourceExhausted(
-                  "condition expands to more than " +
-                  std::to_string(options.max_disjuncts) + " DNF disjuncts");
-            }
-          }
-        }
-        acc = std::move(next);
-      }
-      out->insert(out->end(), std::make_move_iterator(acc.begin()),
-                  std::make_move_iterator(acc.end()));
-      if (out->size() > options.max_disjuncts) {
-        return Status::ResourceExhausted(
-            "condition expands to more than " +
-            std::to_string(options.max_disjuncts) + " DNF disjuncts");
-      }
-      return Status::OK();
-    }
-    case ExprNode::Kind::kNot:
-      return Status::Internal("NOT survived NNF conversion");
-  }
-  return Status::Internal("unknown expression node kind");
-}
 
 }  // namespace
 
@@ -349,35 +603,28 @@ Result<ParsedCondition> ParseCondition(std::string_view text,
                                        SchemaRegistry* schema,
                                        const ParseOptions& options) {
   Parser parser(text, schema);
-  Result<NodePtr> tree = parser.ParseExpression();
-  const Status status = tree.ok() ? parser.ExpectEnd() : tree.status();
-  VFPS_RETURN_NOT_OK(parser.LexStatus(status));
+  int32_t root = -1;
+  const Status status = parser.ParseCondition(&root);
   std::vector<Predicate> predicates;
-  predicates.reserve(parser.comparisons().size());
-  for (const Comparison& c : parser.comparisons()) {
-    predicates.push_back(parser.Intern(c));
-  }
-  VFPS_RETURN_NOT_OK(status);
-
-  NodePtr nnf =
-      ToNnf(std::move(tree).value(), /*negated=*/false, &predicates);
+  VFPS_RETURN_NOT_OK(parser.FinishCondition(status, &predicates));
   ParsedCondition condition;
-  VFPS_RETURN_NOT_OK(ToDnf(*nnf, predicates, options, &condition.disjuncts));
+  VFPS_RETURN_NOT_OK(DnfBuilder(parser.nodes(), predicates, options)
+                         .Expand(root, /*negated=*/false,
+                                 &condition.disjuncts));
   return condition;
 }
 
+Status ParseEvent(std::string_view text, SchemaRegistry* schema,
+                  Event* event) {
+  return event->Rebuild([&](std::vector<EventPair>* pairs) {
+    return EventParser(text, schema, pairs).Parse();
+  });
+}
+
 Result<Event> ParseEvent(std::string_view text, SchemaRegistry* schema) {
-  Parser parser(text, schema);
-  const Status status = parser.ParsePairs();
-  VFPS_RETURN_NOT_OK(parser.LexStatus(status));
-  std::vector<EventPair> pairs;
-  pairs.reserve(parser.comparisons().size());
-  for (const Comparison& c : parser.comparisons()) {
-    const Predicate p = parser.Intern(c);
-    pairs.push_back(EventPair{p.attribute, p.value});
-  }
-  VFPS_RETURN_NOT_OK(status);
-  return Event::Create(std::move(pairs));
+  Event event;
+  VFPS_RETURN_NOT_OK(ParseEvent(text, schema, &event));
+  return event;
 }
 
 }  // namespace vfps

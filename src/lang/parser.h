@@ -54,6 +54,12 @@ Result<ParsedCondition> ParseCondition(std::string_view text,
 /// are interned as ParseCondition interns them.
 Result<Event> ParseEvent(std::string_view text, SchemaRegistry* schema);
 
+/// The same parse into `*event`, reusing its storage (Event::Rebuild): a
+/// caller that parses a stream into the same events allocates nothing per
+/// event once every name is known. On error `*event` is left empty.
+Status ParseEvent(std::string_view text, SchemaRegistry* schema,
+                  Event* event);
+
 }  // namespace vfps
 
 #endif  // VFPS_LANG_PARSER_H_

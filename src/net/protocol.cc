@@ -50,7 +50,7 @@ Result<Request> ParseRequest(std::string_view line) {
   request.number = Request::kNoDeadline;
   if (verb == "SUB") {
     request.kind = Request::Kind::kSubscribe;
-    request.body = std::string(TrimLeft(rest));
+    request.body = TrimLeft(rest);
     if (request.body.empty()) {
       return Status::InvalidArgument("SUB needs a condition");
     }
@@ -62,7 +62,7 @@ Result<Request> ParseRequest(std::string_view line) {
     if (!ParseInt(deadline, &request.number)) {
       return Status::InvalidArgument("SUBUNTIL needs a numeric deadline");
     }
-    request.body = std::string(TrimLeft(rest));
+    request.body = TrimLeft(rest);
     if (request.body.empty()) {
       return Status::InvalidArgument("SUBUNTIL needs a condition");
     }
@@ -81,7 +81,7 @@ Result<Request> ParseRequest(std::string_view line) {
   }
   if (verb == "PUB") {
     request.kind = Request::Kind::kPublish;
-    request.body = std::string(TrimLeft(rest));
+    request.body = TrimLeft(rest);
     return request;
   }
   if (verb == "PUBUNTIL") {
@@ -90,7 +90,7 @@ Result<Request> ParseRequest(std::string_view line) {
     if (!ParseInt(deadline, &request.number)) {
       return Status::InvalidArgument("PUBUNTIL needs a numeric deadline");
     }
-    request.body = std::string(TrimLeft(rest));
+    request.body = TrimLeft(rest);
     return request;
   }
   if (verb == "PUBBATCH") {
@@ -126,7 +126,7 @@ Result<Request> ParseRequest(std::string_view line) {
     if (!TrimLeft(rest).empty()) {
       return Status::InvalidArgument("METRICS takes one optional argument");
     }
-    request.body = std::string(format);
+    request.body = format;
     return request;
   }
   if (verb == "PING") {
@@ -135,7 +135,7 @@ Result<Request> ParseRequest(std::string_view line) {
   }
   if (verb == "FAILPOINT") {
     request.kind = Request::Kind::kFailPoint;
-    request.body = std::string(TrimLeft(rest));
+    request.body = TrimLeft(rest);
     if (request.body.empty()) {
       return Status::InvalidArgument(
           "FAILPOINT needs arguments: <name> <mode> | LIST | CLEAR");

@@ -68,8 +68,9 @@ struct Request {
   Kind kind = Kind::kPing;
   /// Condition text (kSubscribe), event text (kPublish), export format
   /// (kMetrics: "JSON" or "PROM"), or failpoint arguments (kFailPoint:
-  /// "<name> <mode>" | "LIST" | "CLEAR").
-  std::string body;
+  /// "<name> <mode>" | "LIST" | "CLEAR"). Views the parsed line, so the
+  /// request must not outlive it.
+  std::string_view body;
   /// Subscription id (kUnsubscribe), logical time (kTime), validity
   /// deadline (SUBUNTIL / PUBUNTIL; kNoDeadline when absent), or batch
   /// size (kPublishBatch).

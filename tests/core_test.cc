@@ -108,14 +108,12 @@ TEST(AttributeSetTest, UnionHashEquality) {
 
 // --- Event ------------------------------------------------------------------------
 
-TEST(EventTest, CreateSortsPairsAndBuildsSchema) {
+TEST(EventTest, CreateSortsPairsByAttribute) {
   auto r = Event::Create({{7, 70}, {2, 20}, {5, 50}});
   ASSERT_TRUE(r.ok());
   const Event& e = r.value();
   EXPECT_EQ(e.size(), 3u);
-  EXPECT_EQ(e.pairs()[0].attribute, 2u);
-  EXPECT_EQ(e.pairs()[2].attribute, 7u);
-  EXPECT_EQ(e.schema(), (AttributeSet{2, 5, 7}));
+  EXPECT_EQ(e.pairs(), (std::vector<EventPair>{{2, 20}, {5, 50}, {7, 70}}));
 }
 
 TEST(EventTest, CreateRejectsDuplicateAttribute) {

@@ -63,8 +63,8 @@ def near_miss(key, runs, differing_key):
 
     Used to turn a generic "row disappeared" into an explicit refusal when
     the only difference is a key whose values are not comparable across
-    configurations (churn_rate, or the churn bench's threaded/interleaved
-    mode, which follows the runner's hardware concurrency)."""
+    configurations (churn_rate, or conn_scaling's mt/1core mode, which
+    follows the runner's hardware concurrency)."""
     base = dict(key)
     for _, rows in runs:
         for other in rows:
@@ -237,8 +237,8 @@ def main():
                     warnings.append(
                         f"{name}: mode changed for {fmt_identity(key)} "
                         "(benches derive their mode from the runner's "
-                        "hardware concurrency: churn picks threaded vs "
-                        "interleaved, conn_scaling stamps mt vs 1core); "
+                        "hardware concurrency: conn_scaling stamps mt vs "
+                        "1core); "
                         "skipping — refresh the baseline on the target "
                         "runner to re-arm this row"
                     )

@@ -19,13 +19,12 @@
 # src/util/sync.h. New escapes require a docs/CONCURRENCY.md waiver-table
 # entry and a sync-raw-ok comment; today the budget is zero.
 #
-# Rule 4 — no naked atomic pointers outside src/util/. Lock-free pointer
-# publication must go through the epoch wrappers (src/util/epoch.h:
-# EpochPtr / EpochSlotArray / ReaderLocal), which pair every swap with
-# epoch-based reclamation of the superseded object. A bare
-# std::atomic<T*> is a use-after-free waiting for its first concurrent
-# reader. Waiver: `sync-epoch-ok: <reason>` on the same line or within
-# the two preceding lines.
+# Rule 4 — no naked atomic pointers outside src/util/. A pointer shared
+# between threads is handed over under a Mutex (src/util/sync.h); a bare
+# std::atomic<T*> swap with no reclamation scheme behind it is a
+# use-after-free waiting for its first concurrent reader. Waiver:
+# `sync-epoch-ok: <reason>` on the same line or within the two preceding
+# lines.
 #
 # Exit 0 when clean; exit 1 listing every violation.
 
@@ -67,10 +66,10 @@ check_file() {
             bad = 1
           }
         }
-        # Rule 4: naked atomic pointer outside the epoch wrappers.
+        # Rule 4: naked atomic pointer.
         if (line ~ /std::atomic<[^>]*\*/) {
           if (!waived(i, "sync-epoch-ok")) {
-            printf "%s:%d: naked std::atomic<T*> (use src/util/epoch.h EpochPtr/EpochSlotArray or add // sync-epoch-ok: <reason>)\n", file, i
+            printf "%s:%d: naked std::atomic<T*> (share the pointer under a Mutex, or add // sync-epoch-ok: <reason>)\n", file, i
             bad = 1
           }
         }

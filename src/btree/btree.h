@@ -32,21 +32,8 @@ class BPlusTree {
   BPlusTree() = default;
   ~BPlusTree() { Clear(); }
 
-  /// Deep copy via bulk re-insertion of the leaf chain in ascending order
-  /// (keys arrive sorted, so rebuild cost is O(n log n) node walks with no
-  /// rebalancing churn). Needed by the concurrent clustered matchers'
-  /// copy-on-write index planes, which clone one attribute's indexes per
-  /// mutation.
-  BPlusTree(const BPlusTree& other) {
-    other.ScanAll([this](const K& k, const V& v) { Insert(k, v); });
-  }
-  BPlusTree& operator=(const BPlusTree& other) {
-    if (this != &other) {
-      Clear();
-      other.ScanAll([this](const K& k, const V& v) { Insert(k, v); });
-    }
-    return *this;
-  }
+  BPlusTree(const BPlusTree&) = delete;
+  BPlusTree& operator=(const BPlusTree&) = delete;
 
   /// Move transfers ownership of the whole tree; the source is left empty.
   BPlusTree(BPlusTree&& other) noexcept { Swap(other); }

@@ -19,22 +19,16 @@
 
 namespace vfps {
 
-Cluster* ClusterList::PrivateCluster(uint32_t size) {
-  if (size >= by_size_.size()) by_size_.resize(size + 1);
-  std::shared_ptr<Cluster>& cluster = by_size_[size];
-  if (cluster == nullptr) {
-    cluster = std::make_shared<Cluster>(size);
-    ++cluster_count_;
-  } else if (cluster.use_count() > 1) {
-    cluster = std::make_shared<Cluster>(*cluster);
-  }
-  return cluster.get();
-}
-
 ClusterSlot ClusterList::Add(SubscriptionId id,
                              std::span<const PredicateId> slots) {
   const auto size = static_cast<uint32_t>(slots.size());
-  const size_t row = PrivateCluster(size)->Add(id, slots);
+  if (size >= by_size_.size()) by_size_.resize(size + 1);
+  std::unique_ptr<Cluster>& cluster = by_size_[size];
+  if (cluster == nullptr) {
+    cluster = std::make_unique<Cluster>(size);
+    ++cluster_count_;
+  }
+  const size_t row = cluster->Add(id, slots);
   ++count_;
   for (PredicateId pid : slots) {
     if (pid >= id_bound_) id_bound_ = size_t{pid} + 1;
@@ -45,40 +39,28 @@ ClusterSlot ClusterList::Add(SubscriptionId id,
 
 SubscriptionId ClusterList::Remove(ClusterSlot slot) {
   VFPS_CHECK(slot.size < by_size_.size() && by_size_[slot.size] != nullptr);
-  const SubscriptionId moved = PrivateCluster(slot.size)->RemoveAt(slot.row);
+  std::unique_ptr<Cluster>& cluster = by_size_[slot.size];
+  const SubscriptionId moved = cluster->RemoveAt(slot.row);
   --count_;
-  if (by_size_[slot.size]->empty()) {
-    by_size_[slot.size].reset();
+  if (cluster->empty()) {
+    cluster.reset();
     --cluster_count_;
   }
   VFPS_DCHECK_INVARIANT(CheckInvariants());
   return moved;
 }
 
-namespace {
-
-ClusterList* CopyList(const ClusterList* cur) {
-  return cur == nullptr ? new ClusterList() : new ClusterList(*cur);
+ClusterSlot AddToList(std::unique_ptr<ClusterList>* list, SubscriptionId id,
+                      std::span<const PredicateId> slots) {
+  if (*list == nullptr) *list = std::make_unique<ClusterList>();
+  return (*list)->Add(id, slots);
 }
 
-}  // namespace
-
-ClusterSlot AddToList(EpochPtr<ClusterList>* list, SubscriptionId id,
-                      std::span<const PredicateId> slots,
-                      EpochPublisher* publisher) {
-  return ReplaceOrEdit(list, publisher, CopyList,
-                       [&](ClusterList& l) { return l.Add(id, slots); });
-}
-
-SubscriptionId RemoveFromList(EpochPtr<ClusterList>* list, ClusterSlot slot,
-                              EpochPublisher* publisher) {
-  VFPS_CHECK(WriterView(list, publisher) != nullptr);
-  const SubscriptionId moved =
-      ReplaceOrEdit(list, publisher, CopyList,
-                    [&](ClusterList& l) { return l.Remove(slot); });
-  if (WriterView(list, publisher)->empty()) {
-    ReplaceSlot<ClusterList>(list, nullptr, publisher);
-  }
+SubscriptionId RemoveFromList(std::unique_ptr<ClusterList>* list,
+                              ClusterSlot slot) {
+  VFPS_CHECK(*list != nullptr);
+  const SubscriptionId moved = (*list)->Remove(slot);
+  if ((*list)->empty()) list->reset();
   return moved;
 }
 

@@ -12,7 +12,6 @@
 
 #include "src/cluster/cluster.h"
 #include "src/core/types.h"
-#include "src/util/epoch.h"
 
 namespace vfps {
 
@@ -28,13 +27,6 @@ struct ClusterSlot {
 class ClusterList {
  public:
   ClusterList() = default;
-
-  /// Copy-on-write copy at cluster granularity: the copy shares every
-  /// per-size cluster with `other`, and Add/Remove deep-copy a shared
-  /// cluster before touching it, so readers keep scanning `other` while the
-  /// copy is edited (concurrent matchers; see docs/CONCURRENCY.md). In a
-  /// serial matcher no cluster is ever shared and nothing is copied.
-  ClusterList(const ClusterList& other) = default;
 
   /// Adds a subscription with the given residual predicate slots (already
   /// equality-first ordered). Returns its location.
@@ -61,8 +53,8 @@ class ClusterList {
 
   /// One past the largest residual predicate id any row has held: a result
   /// vector of at least this capacity covers every cell a Match over the
-  /// list reads. Never shrinks. Concurrent readers size their result
-  /// vectors by it, since a list may be newer than their phase-1 view.
+  /// list reads (rows may test predicates on attributes the event lacks,
+  /// which phase 1 never sized the vector for). Never shrinks.
   size_t id_bound() const { return id_bound_; }
 
   /// Allocated per-size clusters (the clusters a Match call scans).
@@ -96,36 +88,24 @@ class ClusterList {
   bool CheckInvariants() const;
 
  private:
-  /// The cluster for `size` (allocated if absent), deep-copied first if
-  /// another list version shares it.
-  Cluster* PrivateCluster(uint32_t size);
-
-  // shared_ptr, not unique_ptr: copy-on-write successors share all
-  // untouched clusters between the published snapshot and its successor.
-  // Only the writer copies or drops these pointers, so use_count() tells
-  // it exactly whether a cluster is shared.
-  std::vector<std::shared_ptr<Cluster>> by_size_;
+  std::vector<std::unique_ptr<Cluster>> by_size_;
   size_t count_ = 0;
   size_t cluster_count_ = 0;
   size_t id_bound_ = 0;
 };
 
-/// The two mutations of a published cluster list, shared by every list a
-/// clustered matcher owns (singleton, table entry, fallback). With a null
-/// `publisher` (serial matcher) the list is edited in place; otherwise a
-/// copy-on-write successor sharing all but the touched per-size cluster is
-/// published through `list` (see EpochPublisher). A missing list is
-/// created; an emptied one is unpublished.
+/// The two mutations of an owned cluster list, shared by every list a
+/// clustered matcher owns (singleton, table entry, fallback): a missing
+/// list is created, an emptied one is released.
 
 /// Adds `id` with residual `slots`; returns its row.
-ClusterSlot AddToList(EpochPtr<ClusterList>* list, SubscriptionId id,
-                      std::span<const PredicateId> slots,
-                      EpochPublisher* publisher);
+ClusterSlot AddToList(std::unique_ptr<ClusterList>* list, SubscriptionId id,
+                      std::span<const PredicateId> slots);
 
 /// Removes the row at `slot`; returns the id relocated into it (see
 /// ClusterList::Remove).
-SubscriptionId RemoveFromList(EpochPtr<ClusterList>* list, ClusterSlot slot,
-                              EpochPublisher* publisher);
+SubscriptionId RemoveFromList(std::unique_ptr<ClusterList>* list,
+                              ClusterSlot slot);
 
 }  // namespace vfps
 

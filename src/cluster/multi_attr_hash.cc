@@ -60,28 +60,17 @@ void LaneValueCache::Fill(std::span<const Event> events) {
   }
 }
 
-// --- MultiAttrHashTable::Entries --------------------------------------------
+// --- MultiAttrHashTable -----------------------------------------------------
 
-MultiAttrHashTable::Entries::Entries(size_t arity) : arity_(arity) {
+MultiAttrHashTable::MultiAttrHashTable(AttributeSet schema)
+    : schema_(std::move(schema)), arity_(schema_.size()) {
   Rehash(kMinCapacity);
 }
 
-MultiAttrHashTable::Entries::Entries(const Entries& other)
-    : arity_(other.arity_),
-      mask_(other.mask_),
-      size_(other.size_),
-      tags_(other.tags_),
-      keys_(other.keys_),
-      entries_(other.entries_) {}
-
-MultiAttrHashTable::Entries::~Entries() {
-  for (EpochPtr<ClusterList>* erased : erased_) delete erased;
-}
-
-void MultiAttrHashTable::Entries::Rehash(size_t capacity) {
+void MultiAttrHashTable::Rehash(size_t capacity) {
   std::vector<uint32_t> tags(capacity, kEmptyTag);
   std::vector<Value> keys(capacity * arity_);
-  std::vector<EpochPtr<ClusterList>*> entries(capacity, nullptr);
+  std::vector<std::unique_ptr<ClusterList>> entries(capacity);
   const size_t mask = capacity - 1;
   for (size_t i = 0; i < tags_.size(); ++i) {
     if (tags_[i] == kEmptyTag) continue;
@@ -89,7 +78,7 @@ void MultiAttrHashTable::Entries::Rehash(size_t capacity) {
     while (tags[j] != kEmptyTag) j = (j + 1) & mask;
     tags[j] = tags_[i];
     std::copy_n(keys_.data() + i * arity_, arity_, keys.data() + j * arity_);
-    entries[j] = entries_[i];
+    entries[j] = std::move(entries_[i]);
   }
   tags_ = std::move(tags);
   keys_ = std::move(keys);
@@ -97,27 +86,20 @@ void MultiAttrHashTable::Entries::Rehash(size_t capacity) {
   mask_ = mask;
 }
 
-void MultiAttrHashTable::Entries::Insert(const Value* key,
-                                         EpochPtr<ClusterList>* entry) {
-  VFPS_DCHECK(Find(key) == nullptr);
+size_t MultiAttrHashTable::Insert(const Value* key) {
+  VFPS_DCHECK(Find(key) == kNotFound);
   if (OverLoaded(size_ + 1, tags_.size())) Rehash(tags_.size() * 2);
   const uint32_t tag = TagOf(key);
   size_t i = tag & mask_;
   while (tags_[i] != kEmptyTag) i = (i + 1) & mask_;
   tags_[i] = tag;
   std::copy_n(key, arity_, keys_.data() + i * arity_);
-  entries_[i] = entry;
   ++size_;
+  return i;
 }
 
-EpochPtr<ClusterList>* MultiAttrHashTable::Entries::Erase(const Value* key) {
-  const uint32_t tag = TagOf(key);
-  size_t hole = tag & mask_;
-  while (tags_[hole] != tag || !KeyEquals(hole, key)) {
-    VFPS_CHECK(tags_[hole] != kEmptyTag);  // the key must be present
-    hole = (hole + 1) & mask_;
-  }
-  EpochPtr<ClusterList>* erased = entries_[hole];
+void MultiAttrHashTable::EraseAt(size_t hole) {
+  VFPS_DCHECK(tags_[hole] != kEmptyTag && entries_[hole] == nullptr);
   // Backward shift: pull each later member of the run whose home does not
   // lie cyclically in (hole, j] into the hole, so every key stays
   // reachable from its home without tombstones.
@@ -128,25 +110,48 @@ EpochPtr<ClusterList>* MultiAttrHashTable::Entries::Erase(const Value* key) {
     tags_[hole] = tags_[j];
     std::copy_n(keys_.data() + j * arity_, arity_,
                 keys_.data() + hole * arity_);
-    entries_[hole] = entries_[j];
+    entries_[hole] = std::move(entries_[j]);
     hole = j;
   }
   tags_[hole] = kEmptyTag;
-  entries_[hole] = nullptr;
   --size_;
   if (UnderLoaded(size_, tags_.size())) Rehash(tags_.size() / 2);
-  return erased;
 }
 
-size_t MultiAttrHashTable::Entries::MemoryUsage() const {
-  return tags_.capacity() * sizeof(uint32_t) +
-         keys_.capacity() * sizeof(Value) +
-         entries_.capacity() * sizeof(EpochPtr<ClusterList>*) +
-         erased_.capacity() * sizeof(EpochPtr<ClusterList>*) +
-         erased_.size() * sizeof(EpochPtr<ClusterList>);
+void MultiAttrHashTable::ExtractKey(const Subscription& s,
+                                    std::vector<Value>* key) const {
+  key->clear();
+  for (AttributeId a : schema_.ids()) {
+    VFPS_DCHECK(s.equality_attributes().Contains(a));
+    key->push_back(s.EqualityValue(a));
+  }
 }
 
-bool MultiAttrHashTable::Entries::CheckInvariants() const {
+ClusterSlot MultiAttrHashTable::Add(const std::vector<Value>& key,
+                                    SubscriptionId id,
+                                    std::span<const PredicateId> slots) {
+  VFPS_DCHECK(key.size() == schema_.size());
+  size_t i = Find(key.data());
+  if (i == kNotFound) i = Insert(key.data());  // a new access predicate
+  const ClusterSlot slot = AddToList(&entries_[i], id, slots);
+  ++subscription_count_;
+  VFPS_DCHECK_INVARIANT(CheckInvariants());
+  return slot;
+}
+
+SubscriptionId MultiAttrHashTable::Remove(const std::vector<Value>& key,
+                                          ClusterSlot slot) {
+  VFPS_DCHECK(key.size() == schema_.size());
+  const size_t i = Find(key.data());
+  VFPS_CHECK(i != kNotFound);
+  const SubscriptionId moved = RemoveFromList(&entries_[i], slot);
+  --subscription_count_;
+  if (entries_[i] == nullptr) EraseAt(i);
+  VFPS_DCHECK_INVARIANT(CheckInvariants());
+  return moved;
+}
+
+bool MultiAttrHashTable::CheckInvariants() const {
   const size_t capacity = tags_.size();
   VFPS_INVARIANT(capacity >= kMinCapacity && (capacity & mask_) == 0 &&
                      mask_ == capacity - 1,
@@ -159,6 +164,7 @@ bool MultiAttrHashTable::Entries::CheckInvariants() const {
                  "%zu",
                  capacity);
   size_t occupied = 0;
+  size_t total = 0;
   for (size_t i = 0; i < capacity; ++i) {
     if (tags_[i] == kEmptyTag) {
       VFPS_INVARIANT(entries_[i] == nullptr,
@@ -167,8 +173,12 @@ bool MultiAttrHashTable::Entries::CheckInvariants() const {
     }
     ++occupied;
     const Value* key = keys_.data() + i * arity_;
-    VFPS_INVARIANT(entries_[i] != nullptr,
-                   "MultiAttrHashTable: occupied slot %zu has no entry", i);
+    const ClusterList* list = entries_[i].get();
+    VFPS_INVARIANT(list != nullptr && !list->empty(),
+                   "MultiAttrHashTable: empty cluster list retained in slot "
+                   "%zu (access-predicate necessity: Remove must drop the "
+                   "entry)",
+                   i);
     VFPS_INVARIANT(tags_[i] == TagOf(key),
                    "MultiAttrHashTable: slot %zu tag %08x is not its key's "
                    "hash",
@@ -185,6 +195,8 @@ bool MultiAttrHashTable::Entries::CheckInvariants() const {
                      "slot %zu",
                      i, j);
     }
+    if (!list->CheckInvariants()) return false;
+    total += list->subscription_count();
   }
   VFPS_INVARIANT(occupied == size_,
                  "MultiAttrHashTable: %zu occupied slots, size counter %zu",
@@ -193,106 +205,6 @@ bool MultiAttrHashTable::Entries::CheckInvariants() const {
                  "MultiAttrHashTable: %zu entries in %zu slots break the "
                  "load bounds",
                  size_, capacity);
-  return true;
-}
-
-// --- MultiAttrHashTable -----------------------------------------------------
-
-MultiAttrHashTable::MultiAttrHashTable(AttributeSet schema)
-    : schema_(std::move(schema)) {
-  entries_.Publish(new Entries(schema_.size()), nullptr);
-}
-
-MultiAttrHashTable::~MultiAttrHashTable() {
-  // The current version's slots belong to the table (older versions were
-  // reclaimed before it; see Entries).
-  entries_.Load()->ForEach(
-      [](std::span<const Value>, EpochPtr<ClusterList>* entry) {
-        delete entry;
-      });
-}
-
-void MultiAttrHashTable::ExtractKey(const Subscription& s,
-                                    std::vector<Value>* key) const {
-  key->clear();
-  for (AttributeId a : schema_.ids()) {
-    VFPS_DCHECK(s.equality_attributes().Contains(a));
-    key->push_back(s.EqualityValue(a));
-  }
-}
-
-ClusterSlot MultiAttrHashTable::Add(const std::vector<Value>& key,
-                                    SubscriptionId id,
-                                    std::span<const PredicateId> slots,
-                                    EpochPublisher* publisher) {
-  VFPS_DCHECK(key.size() == schema_.size());
-  EpochPtr<ClusterList>* entry =
-      WriterView(&entries_, publisher)->Find(key.data());
-  ClusterSlot slot;
-  if (entry != nullptr) {
-    slot = AddToList(entry, id, slots, publisher);
-  } else {
-    // A new access predicate: fill its list before the directory that
-    // makes it reachable is published.
-    entry = new EpochPtr<ClusterList>();
-    slot = AddToList(entry, id, slots, publisher);
-    EditEntries(publisher, [&](Entries& e) { e.Insert(key.data(), entry); });
-  }
-  ++subscription_count_;
-  VFPS_DCHECK_INVARIANT(CheckInvariants(publisher));
-  return slot;
-}
-
-SubscriptionId MultiAttrHashTable::Remove(const std::vector<Value>& key,
-                                          ClusterSlot slot,
-                                          EpochPublisher* publisher) {
-  VFPS_DCHECK(key.size() == schema_.size());
-  EpochPtr<ClusterList>* entry =
-      WriterView(&entries_, publisher)->Find(key.data());
-  VFPS_CHECK(entry != nullptr);
-  const SubscriptionId moved = RemoveFromList(entry, slot, publisher);
-  --subscription_count_;
-  if (WriterView(entry, publisher) == nullptr) {
-    EditEntries(publisher, [&](Entries& e) {
-      e.Erase(key.data());
-      // A serial owner has no readers; a concurrent one edits a private
-      // copy, which keeps the slot for the readers of older versions.
-      if (publisher == nullptr) {
-        delete entry;
-      } else {
-        e.Keep(entry);
-      }
-    });
-  }
-  VFPS_DCHECK_INVARIANT(CheckInvariants(publisher));
-  return moved;
-}
-
-bool MultiAttrHashTable::CheckInvariants(
-    const EpochPublisher* publisher) const {
-  const Entries* entries = WriterView(&entries_, publisher);
-  if (!entries->CheckInvariants()) return false;
-  size_t total = 0;
-  bool ok = true;
-  entries->ForEach(
-      [&](std::span<const Value>, const EpochPtr<ClusterList>* entry) {
-        if (!ok) return;
-        const ClusterList* list = WriterView(entry, publisher);
-        if (list == nullptr || list->empty()) {
-          std::fprintf(stderr,
-                       "MultiAttrHashTable: empty cluster list retained "
-                       "(access-predicate necessity: Remove must drop the "
-                       "entry)\n");
-          ok = false;
-          return;
-        }
-        if (!list->CheckInvariants()) {
-          ok = false;
-          return;
-        }
-        total += list->subscription_count();
-      });
-  if (!ok) return false;
   VFPS_INVARIANT(total == subscription_count_,
                  "MultiAttrHashTable: entries hold %zu subscriptions, "
                  "|H| counter is %zu",
@@ -301,9 +213,9 @@ bool MultiAttrHashTable::CheckInvariants(
 }
 
 size_t MultiAttrHashTable::MemoryUsage() const {
-  const Entries* entries = entries_.Load();
-  size_t total = sizeof(Entries) + entries->MemoryUsage() +
-                 entries->size() * sizeof(EpochPtr<ClusterList>);
+  size_t total = tags_.capacity() * sizeof(uint32_t) +
+                 keys_.capacity() * sizeof(Value) +
+                 entries_.capacity() * sizeof(std::unique_ptr<ClusterList>);
   ForEachEntry([&](std::span<const Value>, const ClusterList& list) {
     total += sizeof(ClusterList) + list.MemoryUsage();
   });

@@ -10,8 +10,8 @@
 #ifndef VFPS_CLUSTER_MULTI_ATTR_HASH_H_
 #define VFPS_CLUSTER_MULTI_ATTR_HASH_H_
 
+#include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster_list.h"
@@ -87,21 +87,12 @@ inline uint32_t MultiAttrKeyTag(const Value* key, size_t arity) {
 /// One multi-attribute hashing structure <A, h>.
 ///
 /// The entry directory is a flat open-addressing table: keys are stored
-/// inline (stride = the schema's arity) beside a 32-bit hash tag and a
-/// pointer to the entry's published cluster list, probing is linear, and
-/// erase shifts the following run back, so there are no tombstones.
-///
-/// Mutations take the owner's publisher (nullptr for a serial owner, which
-/// edits in place). A concurrent owner publishes every change: an entry's
-/// cluster list through its own slot (copy-on-write, see AddToList), and
-/// the key set — which changes only when an access predicate appears or
-/// vanishes — by republishing the entry directory, whose copies share the
-/// entry slots. Probe is then safe under an epoch pin while one writer
-/// mutates.
+/// inline (stride = the schema's arity) beside a 32-bit hash tag and the
+/// entry's owned cluster list, probing is linear, and erase shifts the
+/// following run back, so there are no tombstones.
 class MultiAttrHashTable {
  public:
   explicit MultiAttrHashTable(AttributeSet schema);
-  ~MultiAttrHashTable();
 
   MultiAttrHashTable(const MultiAttrHashTable&) = delete;
   MultiAttrHashTable& operator=(const MultiAttrHashTable&) = delete;
@@ -117,45 +108,41 @@ class MultiAttrHashTable {
   /// nullptr if no subscription uses this value tuple as access predicate.
   const ClusterList* Probe(const std::vector<Value>& key) const {
     VFPS_DCHECK(key.size() == schema_.size());
-    const EpochPtr<ClusterList>* entry = entries_.Load()->Find(key.data());
-    return entry == nullptr ? nullptr : entry->Load();
+    const size_t i = Find(key.data());
+    return i == kNotFound ? nullptr : entries_[i].get();
   }
 
   /// Adds a subscription under `key`; creates the entry if needed.
   ClusterSlot Add(const std::vector<Value>& key, SubscriptionId id,
-                  std::span<const PredicateId> slots,
-                  EpochPublisher* publisher = nullptr);
+                  std::span<const PredicateId> slots);
 
   /// Removes the subscription at `slot` under `key`; drops the entry when
   /// it empties. Returns the id relocated into `slot` (see
   /// ClusterList::Remove), or kInvalidSubscriptionId.
-  SubscriptionId Remove(const std::vector<Value>& key, ClusterSlot slot,
-                        EpochPublisher* publisher = nullptr);
+  SubscriptionId Remove(const std::vector<Value>& key, ClusterSlot slot);
 
-  /// Visits every published (key, cluster list) entry, in slot order.
-  /// fn(std::span<const Value>, const ClusterList&). Writer side, with no
-  /// edit staged; entries must not be added or removed during the visit.
+  /// Visits every (key, cluster list) entry, in slot order.
+  /// fn(std::span<const Value>, const ClusterList&). Entries must not be
+  /// added or removed during the visit.
   template <typename Fn>
   void ForEachEntry(Fn&& fn) const {
-    entries_.Load()->ForEach(
-        [&](std::span<const Value> key, const EpochPtr<ClusterList>* entry) {
-          if (const ClusterList* list = entry->Load()) fn(key, *list);
-        });
+    for (size_t i = 0; i < tags_.size(); ++i) {
+      if (tags_[i] != kEmptyTag) fn(KeyAt(i), *entries_[i]);
+    }
   }
 
   /// Number of occupied entries (distinct access predicates).
-  size_t entry_count() const { return entries_.Load()->size(); }
+  size_t entry_count() const { return size_; }
 
-  /// Slots of the published directory (a power of two).
-  size_t slot_capacity() const { return entries_.Load()->capacity(); }
+  /// Slots of the directory (a power of two).
+  size_t slot_capacity() const { return tags_.size(); }
 
   /// |H|: subscriptions stored across all entries (drives the hash table
-  /// benefit metric of Section 4). Writer side.
+  /// benefit metric of Section 4).
   size_t subscription_count() const { return subscription_count_; }
 
-  /// Heap footprint in bytes: the published directory (slot capacity x
-  /// (tag + inline key + entry pointer), plus any erased slots it keeps),
-  /// its entry slots and their cluster lists.
+  /// Heap footprint in bytes: the directory (slot capacity x (tag +
+  /// inline key + entry pointer)) and the entries' cluster lists.
   size_t MemoryUsage() const;
 
   /// Validates the hashing-structure invariants (§3.1): every entry is
@@ -165,101 +152,55 @@ class MultiAttrHashTable {
   /// is a well-formed linear-probing table (each key's tag matches its
   /// hash, each key is reachable from its home slot without crossing an
   /// empty one, the load stays between the shrink and growth bounds,
-  /// 1/4 and 3/4). Recurses into
-  /// ClusterList::CheckInvariants. Reads the writer's view through
-  /// `publisher` (see EpochPublisher::Current). Prints the first violation
-  /// and returns false.
-  bool CheckInvariants(const EpochPublisher* publisher = nullptr) const;
+  /// 1/4 and 3/4). Recurses into ClusterList::CheckInvariants. Prints the
+  /// first violation and returns false.
+  bool CheckInvariants() const;
 
  private:
-  /// One version of the entry directory. Versions share the entry slots:
-  /// the table owns the slots of its current version, and a slot erased
-  /// while a concurrent owner edits its private copy is kept by that copy
-  /// (Keep) and freed with it. A copy is reclaimed only after it has been
-  /// superseded and every reader that might hold an older version (one
-  /// still containing the slot) has unpinned.
-  class Entries {
-   public:
-    explicit Entries(size_t arity);
-    /// Copies the slot arrays (sharing the entry slots), not the erased
-    /// slots `other` still holds.
-    Entries(const Entries& other);
-    ~Entries();
-    Entries& operator=(const Entries&) = delete;
+  static constexpr uint32_t kEmptyTag = 0;
+  static constexpr size_t kNotFound = ~size_t{0};
 
-    /// The entry slot stored under `key` (arity values), or nullptr.
-    EpochPtr<ClusterList>* Find(const Value* key) const {
-      const uint32_t tag = TagOf(key);
-      for (size_t i = tag & mask_;; i = (i + 1) & mask_) {
-        const uint32_t t = tags_[i];
-        if (t == tag && KeyEquals(i, key)) return entries_[i];
-        if (t == kEmptyTag) return nullptr;
-      }
+  uint32_t TagOf(const Value* key) const {
+    return MultiAttrKeyTag(key, arity_);
+  }
+  std::span<const Value> KeyAt(size_t i) const {
+    return {keys_.data() + i * arity_, arity_};
+  }
+  bool KeyEquals(size_t i, const Value* key) const {
+    const Value* stored = keys_.data() + i * arity_;
+    for (size_t k = 0; k < arity_; ++k) {
+      if (stored[k] != key[k]) return false;
     }
-
-    /// Stores `entry` under `key`, which must be absent.
-    void Insert(const Value* key, EpochPtr<ClusterList>* entry);
-
-    /// Removes `key`, which must be present, and returns its entry slot.
-    EpochPtr<ClusterList>* Erase(const Value* key);
-
-    /// Keeps an erased slot alive until this version is destroyed.
-    void Keep(EpochPtr<ClusterList>* erased) { erased_.push_back(erased); }
-
-    /// fn(std::span<const Value> key, EpochPtr<ClusterList>* entry) for
-    /// every occupied slot, in slot order.
-    template <typename Fn>
-    void ForEach(Fn&& fn) const {
-      for (size_t i = 0; i < tags_.size(); ++i) {
-        if (tags_[i] != kEmptyTag) fn(KeyAt(i), entries_[i]);
-      }
-    }
-
-    size_t size() const { return size_; }
-    size_t capacity() const { return tags_.size(); }
-    size_t MemoryUsage() const;
-    /// The linear-probing invariants (see CheckInvariants).
-    bool CheckInvariants() const;
-
-   private:
-    static constexpr uint32_t kEmptyTag = 0;
-
-    uint32_t TagOf(const Value* key) const {
-      return MultiAttrKeyTag(key, arity_);
-    }
-    std::span<const Value> KeyAt(size_t i) const {
-      return {keys_.data() + i * arity_, arity_};
-    }
-    bool KeyEquals(size_t i, const Value* key) const {
-      const Value* stored = keys_.data() + i * arity_;
-      for (size_t k = 0; k < arity_; ++k) {
-        if (stored[k] != key[k]) return false;
-      }
-      return true;
-    }
-    /// Rebuilds the slot arrays at `capacity` (a power of two).
-    void Rehash(size_t capacity);
-
-    size_t arity_;
-    size_t mask_ = 0;  // slot capacity - 1
-    size_t size_ = 0;
-    std::vector<uint32_t> tags_;
-    std::vector<Value> keys_;  // keys_[slot * arity_ + k]
-    std::vector<EpochPtr<ClusterList>*> entries_;
-    std::vector<EpochPtr<ClusterList>*> erased_;
-  };
-
-  /// Applies `edit` to the directory (in place, or on a published copy).
-  template <typename Edit>
-  void EditEntries(EpochPublisher* publisher, Edit&& edit) {
-    ReplaceOrEdit(
-        &entries_, publisher,
-        [](const Entries* cur) { return new Entries(*cur); },
-        std::forward<Edit>(edit));
+    return true;
   }
 
+  /// The slot holding `key` (arity values), or kNotFound.
+  size_t Find(const Value* key) const {
+    const uint32_t tag = TagOf(key);
+    for (size_t i = tag & mask_;; i = (i + 1) & mask_) {
+      const uint32_t t = tags_[i];
+      if (t == tag && KeyEquals(i, key)) return i;
+      if (t == kEmptyTag) return kNotFound;
+    }
+  }
+
+  /// Stores an empty entry under `key`, which must be absent; returns its
+  /// slot.
+  size_t Insert(const Value* key);
+
+  /// Removes the (emptied) entry in slot `hole`.
+  void EraseAt(size_t hole);
+
+  /// Rebuilds the slot arrays at `capacity` (a power of two).
+  void Rehash(size_t capacity);
+
   AttributeSet schema_;
-  EpochPtr<Entries> entries_;  // never null
+  size_t arity_;
+  size_t mask_ = 0;  // slot capacity - 1
+  size_t size_ = 0;
+  std::vector<uint32_t> tags_;
+  std::vector<Value> keys_;  // keys_[slot * arity_ + k]
+  std::vector<std::unique_ptr<ClusterList>> entries_;
   size_t subscription_count_ = 0;
 };
 

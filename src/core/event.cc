@@ -53,9 +53,7 @@ Result<Event> Event::Create(std::vector<EventPair> pairs) {
 Event Event::CreateUnchecked(std::vector<EventPair> pairs) {
   Event e;
   e.pairs_ = std::move(pairs);
-  const Status status = e.SortAndCheck();
-  VFPS_DCHECK(status.ok());
-  (void)status;
+  VFPS_CHECK(e.SortAndCheck().ok());
   return e;
 }
 

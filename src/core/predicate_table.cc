@@ -53,44 +53,14 @@ bool PredicateTable::Release(PredicateId id) {
   return true;
 }
 
-bool PredicateTable::ReleaseKeepId(PredicateId id) {
-  VFPS_DCHECK(id < slots_.size());
-  Slot& slot = slots_[id];
-  VFPS_DCHECK(slot.refcount > 0);
-  if (--slot.refcount > 0) return false;
-  by_content_.erase(slot.predicate);
-  slot.detached = true;
-  --live_count_;
-  VFPS_DCHECK_INVARIANT(CheckInvariants());
-  return true;
-}
-
-void PredicateTable::RecycleId(PredicateId id) {
-  VFPS_CHECK(id < slots_.size());
-  Slot& slot = slots_[id];
-  VFPS_CHECK(slot.refcount == 0 && slot.detached);
-  slot.detached = false;
-  free_ids_.push_back(id);
-  VFPS_DCHECK_INVARIANT(CheckInvariants());
-}
-
 bool PredicateTable::CheckInvariants() const {
   VFPS_INVARIANT(live_count_ == by_content_.size(),
                  "PredicateTable: live_count %zu but %zu interned "
                  "predicates",
                  live_count_, by_content_.size());
-  size_t detached = 0;
-  for (const Slot& slot : slots_) {
-    if (slot.detached) {
-      VFPS_INVARIANT(slot.refcount == 0,
-                     "PredicateTable: detached slot still referenced");
-      ++detached;
-    }
-  }
-  VFPS_INVARIANT(live_count_ + free_ids_.size() + detached == slots_.size(),
-                 "PredicateTable: %zu live + %zu free + %zu detached slots "
-                 "!= %zu total",
-                 live_count_, free_ids_.size(), detached, slots_.size());
+  VFPS_INVARIANT(live_count_ + free_ids_.size() == slots_.size(),
+                 "PredicateTable: %zu live + %zu free slots != %zu total",
+                 live_count_, free_ids_.size(), slots_.size());
   for (const auto& [predicate, id] : by_content_) {
     VFPS_INVARIANT(id < slots_.size(),
                    "PredicateTable: interned id %u out of range", id);
@@ -108,8 +78,6 @@ bool PredicateTable::CheckInvariants() const {
                    "PredicateTable: free id %u out of range", id);
     VFPS_INVARIANT(slots_[id].refcount == 0,
                    "PredicateTable: free id %u still referenced", id);
-    VFPS_INVARIANT(!slots_[id].detached,
-                   "PredicateTable: id %u free and detached at once", id);
     VFPS_INVARIANT(freed.insert(id).second,
                    "PredicateTable: id %u on the free list twice", id);
   }

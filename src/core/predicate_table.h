@@ -37,19 +37,6 @@ class PredicateTable {
   /// (the slot is recycled by subsequent Intern calls).
   bool Release(PredicateId id);
 
-  /// Like Release, but on the last drop the id is parked as *detached*
-  /// instead of joining the free list, so Intern cannot hand it out again
-  /// yet. A concurrent clustered matcher releases ids this way and
-  /// recycles them through the epoch limbo list: a concurrent reader may
-  /// still hold a snapshot whose result vector has the old predicate's bit
-  /// set, and reusing the id before that snapshot drains would false-match
-  /// the new predicate. Returns true on the last drop.
-  bool ReleaseKeepId(PredicateId id);
-
-  /// Moves a detached id (see ReleaseKeepId) onto the free list. Called
-  /// from an epoch deleter once no reader can observe the old id.
-  void RecycleId(PredicateId id);
-
   /// Id of `p` if interned, kInvalidPredicateId otherwise.
   PredicateId Lookup(const Predicate& p) const;
 
@@ -84,9 +71,6 @@ class PredicateTable {
   struct Slot {
     Predicate predicate;
     uint32_t refcount = 0;
-    /// Dead but not yet reusable (ReleaseKeepId happened, RecycleId has
-    /// not). Dead slots are on the free list XOR detached.
-    bool detached = false;
   };
 
   std::unordered_map<Predicate, PredicateId, PredicateHash> by_content_;

@@ -37,30 +37,21 @@ void AttrIndexes::Probe(Value value, ResultVector* results) const {
   not_equal.Probe(value, results);
 }
 
-namespace {
-
-AttrIndexes* CopyIndexes(const AttrIndexes* cur) {
-  return cur == nullptr ? new AttrIndexes() : new AttrIndexes(*cur);
-}
-
-}  // namespace
-
 void PredicateIndex::Insert(const Predicate& p, PredicateId id) {
-  if (p.attribute >= attribute_bound_) attribute_bound_ = p.attribute + 1;
-  const bool inserted =
-      ReplaceOrEdit(by_attribute_.Slot(p.attribute), publisher_, CopyIndexes,
-                    [&](AttrIndexes& idx) { return idx.Insert(p, id); });
-  VFPS_CHECK(inserted);  // interning guarantees first registration
+  if (p.attribute >= by_attribute_.size()) {
+    by_attribute_.resize(size_t{p.attribute} + 1);
+  }
+  std::unique_ptr<AttrIndexes>& idx = by_attribute_[p.attribute];
+  if (idx == nullptr) idx = std::make_unique<AttrIndexes>();
+  VFPS_CHECK(idx->Insert(p, id));  // interning guarantees first registration
   ++size_;
 }
 
 void PredicateIndex::Remove(const Predicate& p, PredicateId id) {
   (void)id;
-  VFPS_CHECK(by_attribute_.Load(p.attribute) != nullptr);
-  const bool removed =
-      ReplaceOrEdit(by_attribute_.Slot(p.attribute), publisher_, CopyIndexes,
-                    [&](AttrIndexes& idx) { return idx.Remove(p); });
-  VFPS_CHECK(removed);
+  VFPS_CHECK(p.attribute < by_attribute_.size() &&
+             by_attribute_[p.attribute] != nullptr);
+  VFPS_CHECK(by_attribute_[p.attribute]->Remove(p));
   --size_;
 }
 
@@ -73,14 +64,15 @@ void PredicateIndex::MatchEvent(const Event& event,
 
 void PredicateIndex::MatchPair(AttributeId attribute, Value value,
                                ResultVector* results) const {
-  const AttrIndexes* idx = by_attribute_.Load(attribute);
+  if (attribute >= by_attribute_.size()) return;
+  const AttrIndexes* idx = by_attribute_[attribute].get();
   if (idx != nullptr) idx->Probe(value, results);
 }
 
 size_t PredicateIndex::MemoryUsage() const {
-  size_t total = attribute_bound_ * sizeof(EpochPtr<AttrIndexes>);
-  for (size_t a = 0; a < attribute_bound_; ++a) {
-    const AttrIndexes* idx = by_attribute_.Load(a);
+  size_t total =
+      by_attribute_.capacity() * sizeof(std::unique_ptr<AttrIndexes>);
+  for (const std::unique_ptr<AttrIndexes>& idx : by_attribute_) {
     if (idx != nullptr) total += sizeof(AttrIndexes) + idx->MemoryUsage();
   }
   return total;

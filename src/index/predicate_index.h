@@ -20,19 +20,16 @@
 #include "src/index/equality_index.h"
 #include "src/index/not_equal_index.h"
 #include "src/index/range_index.h"
-#include "src/util/epoch.h"
 
 namespace vfps {
 
-/// Index triple for one attribute. Copyable (deep copy), so a concurrent
-/// matcher's copy-on-write phase-1 plane clones just the attribute a
-/// mutation touches while sharing the rest.
+/// Index triple for one attribute.
 struct AttrIndexes {
   EqualityIndex equality;
   RangeIndex range;
   NotEqualIndex not_equal;
   /// One past the largest id ever registered here; Probe grows the result
-  /// vector to it, so a plane newer than the caller's sizing stays safe.
+  /// vector to it, so callers need not size it up front.
   size_t id_bound = 0;
 
   /// Registers `p` in the index matching its operator. Returns false when
@@ -54,17 +51,8 @@ struct AttrIndexes {
 };
 
 /// Per-attribute dispatch over all three predicate index kinds.
-///
-/// The per-attribute triples are published through an EpochSlotArray.
-/// With a null publisher (serial owner) Insert/Remove edit them in place;
-/// otherwise each mutation publishes a copy of the one attribute it
-/// touches, so MatchEvent/MatchPair may run under an epoch pin while one
-/// writer mutates.
 class PredicateIndex {
  public:
-  explicit PredicateIndex(EpochPublisher* publisher = nullptr)
-      : publisher_(publisher) {}
-
   /// Registers an interned predicate. Call exactly once per distinct
   /// predicate (i.e. when PredicateTable::Intern reports `inserted`).
   void Insert(const Predicate& p, PredicateId id);
@@ -84,17 +72,15 @@ class PredicateIndex {
   void MatchPair(AttributeId attribute, Value value,
                  ResultVector* results) const;
 
-  /// Number of registered predicates (writer side).
+  /// Number of registered predicates.
   size_t size() const { return size_; }
 
   /// Approximate heap footprint in bytes (Figure 3(c) accounting).
   size_t MemoryUsage() const;
 
  private:
-  EpochPublisher* publisher_;
-  EpochSlotArray<AttrIndexes> by_attribute_;
-  /// One past the largest attribute ever indexed (writer-side walks).
-  size_t attribute_bound_ = 0;
+  /// Index triples by attribute id (null for an attribute never indexed).
+  std::vector<std::unique_ptr<AttrIndexes>> by_attribute_;
   size_t size_ = 0;
 };
 

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <optional>
 #include <string>
 
 #include "src/util/hash.h"
@@ -46,23 +45,6 @@ struct BatchCandidate {
   uint64_t mask[BatchResultVector::kMaxWordsPerLane];
 };
 
-/// A counter with a single writer (the reader holding the context's pin)
-/// and occasional aggregating readers.
-class ReaderCounter {
- public:
-  void Add(uint64_t delta) {
-    // sync-relaxed-ok: single-writer counter; stats() only sums it and
-    // nothing is published through it.
-    value_.store(value_.load(std::memory_order_relaxed) + delta,
-                 std::memory_order_relaxed);  // sync-relaxed-ok: as above
-  }
-  uint64_t Get() const { return value_.load(); }
-  void Reset() { value_.store(0); }
-
- private:
-  std::atomic<uint64_t> value_{0};
-};
-
 }  // namespace
 
 struct ClusteredMatcherBase::Work {
@@ -74,7 +56,7 @@ struct ClusteredMatcherBase::Work {
   int64_t phase2_ns = 0;
 };
 
-struct ClusteredMatcherBase::ReaderContext {
+struct ClusteredMatcherBase::MatchContext {
   ResultVector results;
   // The current event's (Match) or chunk's (MatchBatch) values, from which
   // every table key is extracted into `key`.
@@ -87,16 +69,8 @@ struct ClusteredMatcherBase::ReaderContext {
   std::vector<DistinctPair> distinct_pairs;
   std::vector<BatchCandidate> batch_candidates;
 
-  ReaderCounter events, predicates, checks, clusters, matches, phase1_ns,
-      phase2_ns;
-
-  /// ν sampling: events matched by this reader, and (concurrent build) the
-  /// latest sampled event awaiting the writer. The flag hands `sample`
-  /// back and forth: the reader fills it only while clear, the writer
-  /// folds and clears it.
+  /// Events matched, for ν sampling.
   uint64_t seen = 0;
-  Event sample;
-  std::atomic<bool> sample_ready{false};
 
   /// The cluster list `table` holds for the cached lane's key, or nullptr
   /// (also when the lane lacks a schema attribute).
@@ -115,18 +89,12 @@ struct ClusteredMatcherBase::ReaderContext {
 };
 
 ClusteredMatcherBase::ClusteredMatcherBase(bool use_prefetch,
-                                           uint32_t observe_sample_rate,
-                                           bool concurrent)
-    : publisher_(concurrent ? std::make_unique<EpochPublisher>() : nullptr),
-      predicate_index_(publisher_.get()),
-      use_prefetch_(use_prefetch),
-      observe_sample_rate_(observe_sample_rate) {}
+                                           uint32_t observe_sample_rate)
+    : use_prefetch_(use_prefetch),
+      observe_sample_rate_(observe_sample_rate),
+      ctx_(std::make_unique<MatchContext>()) {}
 
-ClusteredMatcherBase::~ClusteredMatcherBase() {
-  // Run the pending deleters while the predicate table they recycle ids
-  // into is still alive (no reader is pinned at destruction).
-  if (publisher_ != nullptr) publisher_->manager()->TryReclaim();
-}
+ClusteredMatcherBase::~ClusteredMatcherBase() = default;
 
 // --- writer side ------------------------------------------------------------
 
@@ -137,14 +105,12 @@ Status ClusteredMatcherBase::AddSubscription(
     return Status::AlreadyExists("subscription id " +
                                  std::to_string(subscription.id()));
   }
-  FoldSampledEvents();
   SubRecord record;
   InternPredicates(subscription, &record);
   auto [it, inserted] = records_.emplace(subscription.id(), std::move(record));
   (void)inserted;
   Place(subscription.id(), &it->second, InitialPlacement(it->second));
   AfterChange(nullptr);
-  if (publisher_ != nullptr) publisher_->manager()->TryReclaim();
   return Status::OK();
 }
 
@@ -154,27 +120,13 @@ Status ClusteredMatcherBase::RemoveSubscription(SubscriptionId id) {
   if (it == records_.end()) {
     return Status::NotFound("subscription id " + std::to_string(id));
   }
-  FoldSampledEvents();
   BeforeRemove(it->second);
   const Placement vacated = it->second.placement;
-  // The row goes first, then the predicates it referenced (a reader never
-  // finds a row whose predicate bits can no longer be set).
   Unplace(it->second, vacated, it->second.slot);
   ReleasePredicates(it->second);
   records_.erase(it);
   AfterChange(&vacated);
-  if (publisher_ != nullptr) publisher_->manager()->TryReclaim();
   return Status::OK();
-}
-
-void ClusteredMatcherBase::FoldSampledEvents() {
-  if (publisher_ == nullptr) return;
-  contexts_.ForEach([this](ReaderContext* ctx) {
-    if (ctx->sample_ready.load()) {
-      stats_model_.Observe(ctx->sample);
-      ctx->sample_ready.store(false);
-    }
-  });
 }
 
 void ClusteredMatcherBase::InternPredicates(const Subscription& s,
@@ -199,16 +151,8 @@ void ClusteredMatcherBase::InternPredicates(const Subscription& s,
 void ClusteredMatcherBase::ReleasePredicates(const SubRecord& record) {
   for (PredicateId pid : record.preds) {
     const Predicate predicate = predicate_table_.Get(pid);
-    if (publisher_ == nullptr) {
-      if (predicate_table_.Release(pid)) {
-        predicate_index_.Remove(predicate, pid);
-      }
-    } else if (predicate_table_.ReleaseKeepId(pid)) {
-      // A reader on an older plane may still set this id's bit, so the id
-      // is reused only once those readers unpin.
+    if (predicate_table_.Release(pid)) {
       predicate_index_.Remove(predicate, pid);
-      publisher_->manager()->Retire(
-          [this, pid] { predicate_table_.RecycleId(pid); });
     }
   }
 }
@@ -254,12 +198,7 @@ uint32_t ClusteredMatcherBase::GetOrCreateTable(const AttributeSet& schema) {
   auto it = table_lookup_.find(schema);
   if (it != table_lookup_.end()) return it->second;
   const uint32_t index = table_count();
-  auto* table = new MultiAttrHashTable(schema);
-  // Publish the (empty) table before the count that lets readers reach it.
-  published_tables_.Publish(index, table, manager());
-  table_count_.store(index + 1);
-  tables_.push_back(table);
-  live_tables_.fetch_add(1);
+  tables_.push_back(std::make_unique<MultiAttrHashTable>(schema));
   table_lookup_.emplace(schema, index);
   return index;
 }
@@ -316,13 +255,15 @@ void ClusteredMatcherBase::Place(SubscriptionId id, SubRecord* record,
   ComputeResidualSlots(*record, placement, &scratch_slots_);
   switch (placement.table_index) {
     case kFallbackTable:
-      record->slot =
-          AddToList(&fallback_, id, scratch_slots_, publisher_.get());
+      record->slot = AddToList(&fallback_, id, scratch_slots_);
       return;
     case kSingletonTable: {
       VFPS_DCHECK(placement.access_pred != kInvalidPredicateId);
-      record->slot = AddToList(eq_lists_.Slot(placement.access_pred), id,
-                               scratch_slots_, publisher_.get());
+      if (placement.access_pred >= eq_lists_.size()) {
+        eq_lists_.resize(size_t{placement.access_pred} + 1);
+      }
+      record->slot =
+          AddToList(&eq_lists_[placement.access_pred], id, scratch_slots_);
       ++singleton_count_;
       const AttributeId attr =
           predicate_table_.Get(placement.access_pred).attribute;
@@ -336,8 +277,7 @@ void ClusteredMatcherBase::Place(SubscriptionId id, SubRecord* record,
     default: {
       ExtractKeyFor(*record, placement.table_index, &scratch_key_);
       record->slot =
-          Table(placement.table_index)
-              ->Add(scratch_key_, id, scratch_slots_, publisher_.get());
+          Table(placement.table_index)->Add(scratch_key_, id, scratch_slots_);
       OnPlaced(placement, scratch_key_);
       return;
     }
@@ -350,11 +290,10 @@ void ClusteredMatcherBase::Unplace(const SubRecord& record,
   SubscriptionId moved;
   switch (placement.table_index) {
     case kFallbackTable:
-      moved = RemoveFromList(&fallback_, slot, publisher_.get());
+      moved = RemoveFromList(&fallback_, slot);
       break;
     case kSingletonTable: {
-      moved = RemoveFromList(eq_lists_.Slot(placement.access_pred), slot,
-                             publisher_.get());
+      moved = RemoveFromList(&eq_lists_[placement.access_pred], slot);
       --singleton_count_;
       const AttributeId attr =
           predicate_table_.Get(placement.access_pred).attribute;
@@ -367,7 +306,7 @@ void ClusteredMatcherBase::Unplace(const SubRecord& record,
       MultiAttrHashTable* table = Table(placement.table_index);
       VFPS_CHECK(table != nullptr);
       ExtractKeyFor(record, placement.table_index, &scratch_key_);
-      moved = table->Remove(scratch_key_, slot, publisher_.get());
+      moved = table->Remove(scratch_key_, slot);
       break;
     }
   }
@@ -387,19 +326,11 @@ void ClusteredMatcherBase::MoveAll(const std::vector<MoveTo>& moves) {
   };
   std::vector<Source> sources;
   sources.reserve(moves.size());
-  move_seq_.fetch_add(1);
-  {
-    EpochPublisher::Batch batch(publisher_.get());
-    for (const MoveTo& move : moves) {
-      SubRecord& record = records_.find(move.id)->second;
-      sources.push_back(Source{record.placement, record.slot, move.id});
-      Place(move.id, &record, move.to);
-    }
+  for (const MoveTo& move : moves) {
+    SubRecord& record = records_.find(move.id)->second;
+    sources.push_back(Source{record.placement, record.slot, move.id});
+    Place(move.id, &record, move.to);
   }
-  // Every reader pinned before this point may have loaded a source list
-  // before its target gained the row; once they drain, all readers see
-  // the targets, and the source rows can go.
-  if (publisher_ != nullptr) publisher_->manager()->SynchronizeReaders();
   // Removing in descending row order means the row swapped into a vacated
   // slot is never a source row still to be removed: it is a placed row,
   // whose record Unplace patches.
@@ -407,61 +338,36 @@ void ClusteredMatcherBase::MoveAll(const std::vector<MoveTo>& moves) {
             [](const Source& a, const Source& b) {
               return a.slot.row > b.slot.row;
             });
-  {
-    EpochPublisher::Batch batch(publisher_.get());
-    for (const Source& source : sources) {
-      Unplace(records_.find(source.id)->second, source.placement,
-              source.slot);
-    }
+  for (const Source& source : sources) {
+    Unplace(records_.find(source.id)->second, source.placement, source.slot);
   }
-  move_seq_.fetch_add(1);
 }
 
 size_t ClusteredMatcherBase::DropTable(uint32_t t) {
-  MultiAttrHashTable* table = Table(t);
+  // Detached first, so ChooseBestPlacement skips it; its rows die with it,
+  // so nothing is unplaced.
+  const std::unique_ptr<MultiAttrHashTable> table = std::move(tables_[t]);
   VFPS_CHECK(table != nullptr);
-  // Detached from the writer's view (ChooseBestPlacement skips it) while
-  // readers still reach it.
-  tables_[t] = nullptr;
-  live_tables_.fetch_sub(1);
   table_lookup_.erase(table->schema());
   std::vector<SubscriptionId> ids;
   ids.reserve(table->subscription_count());
   table->ForEachEntry([&](std::span<const Value>, const ClusterList& list) {
     list.ForEachId([&](SubscriptionId id) { ids.push_back(id); });
   });
-  // Re-place everything elsewhere while the table stays published, drain
-  // the readers that might not see the new rows, then drop the table (its
-  // rows die with it, so nothing is unplaced).
-  move_seq_.fetch_add(1);
-  {
-    EpochPublisher::Batch batch(publisher_.get());
-    for (SubscriptionId id : ids) {
-      SubRecord& record = records_.find(id)->second;
-      Place(id, &record, ChooseBestPlacement(record));
-    }
+  for (SubscriptionId id : ids) {
+    SubRecord& record = records_.find(id)->second;
+    Place(id, &record, ChooseBestPlacement(record));
   }
-  if (publisher_ != nullptr) publisher_->manager()->SynchronizeReaders();
-  published_tables_.Publish(t, nullptr, manager());
-  move_seq_.fetch_add(1);
   return ids.size();
 }
 
 void ClusteredMatcherBase::ClearPlacements() {
-  VFPS_CHECK(!concurrent());
-  for (uint32_t t = 0; t < table_count(); ++t) {
-    published_tables_.Publish(t, nullptr, nullptr);
-  }
-  table_count_.store(0);
   tables_.clear();
-  live_tables_.store(0);
   table_lookup_.clear();
-  for (PredicateId pid = 0; pid < predicate_table_.capacity(); ++pid) {
-    if (eq_lists_.Load(pid) != nullptr) eq_lists_.Publish(pid, nullptr, nullptr);
-  }
+  eq_lists_.clear();
   singleton_count_ = 0;
   singleton_attr_count_.clear();
-  fallback_.Publish(nullptr, nullptr);
+  fallback_.reset();
 }
 
 double ClusteredMatcherBase::PlacementCost(const SubRecord& record,
@@ -509,7 +415,7 @@ ClusteredMatcherBase::Placement ClusteredMatcherBase::ChooseBestPlacement(
         predicate_table_.Get(record.preds[i]).attribute);
   }
   for (uint32_t t = 0; t < table_count(); ++t) {
-    const MultiAttrHashTable* table = tables_[t];
+    const MultiAttrHashTable* table = Table(t);
     if (table == nullptr) continue;
     const AttributeSet& schema = table->schema();
     if ((schema.bloom() & eq_bloom) != schema.bloom()) continue;
@@ -527,46 +433,26 @@ ClusteredMatcherBase::Placement ClusteredMatcherBase::ChooseBestPlacement(
 
 // --- reader side ------------------------------------------------------------
 
-ClusteredMatcherBase::ReaderContext* ClusteredMatcherBase::Context(
-    std::optional<EpochManager::PinGuard>* pin) {
-  size_t slot = 0;
-  if (publisher_ != nullptr) {
-    pin->emplace(publisher_->manager());
-    slot = (*pin)->slot();
-  }
-  return contexts_.GetOrCreate(slot, [] { return new ReaderContext; });
-}
-
-void ClusteredMatcherBase::ObserveSampled(const Event& event,
-                                          ReaderContext* ctx) {
-  if (observe_sample_rate_ == 0 || ++ctx->seen % observe_sample_rate_ != 0) {
-    return;
-  }
-  if (publisher_ == nullptr) {
+void ClusteredMatcherBase::ObserveSampled(const Event& event) {
+  if (observe_sample_rate_ != 0 && ++ctx_->seen % observe_sample_rate_ == 0) {
     stats_model_.Observe(event);
-  } else if (!ctx->sample_ready.load()) {
-    // Readers never touch the statistics: hand the event to the writer,
-    // which folds it at its next mutation (when placement reads ν).
-    ctx->sample = event;
-    ctx->sample_ready.store(true);
   }
 }
 
-void ClusteredMatcherBase::Record(ReaderContext* ctx, const Work& work,
-                                  size_t events) {
-  ctx->events.Add(events);
-  ctx->predicates.Add(work.predicates);
-  ctx->checks.Add(work.checks);
-  ctx->clusters.Add(work.clusters);
-  ctx->matches.Add(work.matches);
-  ctx->phase1_ns.Add(static_cast<uint64_t>(work.phase1_ns));
-  ctx->phase2_ns.Add(static_cast<uint64_t>(work.phase2_ns));
+void ClusteredMatcherBase::Record(const Work& work, size_t events) {
+  stats_.events += events;
+  stats_.predicates_satisfied += work.predicates;
+  stats_.subscription_checks += work.checks;
+  stats_.clusters_scanned += work.clusters;
+  stats_.matches += work.matches;
+  stats_.phase1_seconds += static_cast<double>(work.phase1_ns) * 1e-9;
+  stats_.phase2_seconds += static_cast<double>(work.phase2_ns) * 1e-9;
 }
 
 namespace {
 
 /// Scans one candidate list for the current event, growing the result
-/// vector first when the list is newer than the phase-1 view.
+/// vector first to cover the list's residual predicates.
 inline void ScanList(const ClusterList& list, ResultVector* results,
                      bool use_prefetch, std::vector<SubscriptionId>* out,
                      uint64_t* checks, uint64_t* clusters) {
@@ -576,21 +462,12 @@ inline void ScanList(const ClusterList& list, ResultVector* results,
   list.Match(results->data(), use_prefetch, out);
 }
 
-/// Sort + unique: a reader overlapping a placement move may see one
-/// subscription in both its source and target lists.
-inline void Dedup(std::vector<SubscriptionId>* ids) {
-  std::sort(ids->begin(), ids->end());
-  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
-}
-
 }  // namespace
 
 void ClusteredMatcherBase::Match(const Event& event,
                                  std::vector<SubscriptionId>* out) {
   out->clear();
-  std::optional<EpochManager::PinGuard> pin;
-  ReaderContext* ctx = Context(&pin);
-  const uint64_t moves_before = move_seq_.load();
+  MatchContext* ctx = ctx_.get();
   Work work;
   Timer timer;
   ResultVector& results = ctx->results;
@@ -600,46 +477,42 @@ void ClusteredMatcherBase::Match(const Event& event,
   work.predicates = results.set_count();
 
   timer.Reset();
-  const uint32_t tables = table_count_.load();
-  if (tables != 0) ctx->lane_values.Fill({&event, 1});
+  if (!tables_.empty()) ctx->lane_values.Fill({&event, 1});
   // Singleton access predicates: phase 1 already identified the satisfied
   // equality predicates; any of them carrying a cluster list is a candidate
   // (Figure 2: "if p is an access predicate for a clusters list lc then
   // candidate_C = candidate_C ∪ lc"). set_ids() is stable while lists grow
   // the cell array.
   for (PredicateId pid : results.set_ids()) {
-    const ClusterList* list = eq_lists_.Load(pid);
+    const ClusterList* list = SingletonList(pid);
     if (list == nullptr) continue;
     ScanList(*list, &results, use_prefetch_, out, &work.checks,
              &work.clusters);
   }
   // Multi-attribute hashing structures: one key extraction + probe each.
-  for (uint32_t t = 0; t < tables; ++t) {
-    const MultiAttrHashTable* table = published_tables_.Load(t);
+  for (const std::unique_ptr<MultiAttrHashTable>& table : tables_) {
     if (table == nullptr) continue;
     const ClusterList* list = ctx->ProbeLane(*table, 0);
     if (list == nullptr) continue;
     ScanList(*list, &results, use_prefetch_, out, &work.checks,
              &work.clusters);
   }
-  if (const ClusterList* fallback = fallback_.Load()) {
-    ScanList(*fallback, &results, use_prefetch_, out, &work.checks,
+  if (fallback_ != nullptr) {
+    ScanList(*fallback_, &results, use_prefetch_, out, &work.checks,
              &work.clusters);
   }
-  const uint64_t moves_after = move_seq_.load();
-  if (moves_after != moves_before || (moves_before & 1) != 0) Dedup(out);
   work.phase2_ns = timer.ElapsedNanos();
   work.matches = out->size();
 
-  Record(ctx, work, 1);
+  Record(work, 1);
 #if VFPS_TELEMETRY
   if (telemetry_ != nullptr) {
     telemetry_->RecordEvent(work.phase1_ns, work.phase2_ns, work.predicates,
                             work.clusters, work.checks, work.matches);
   }
 #endif
-  ObserveSampled(event, ctx);
-  if (publisher_ == nullptr) AfterMatch();
+  ObserveSampled(event);
+  AfterMatch();
 }
 
 namespace {
@@ -659,23 +532,16 @@ void ClusteredMatcherBase::MatchBatch(std::span<const Event> events,
                                       BatchResult* out) {
   out->Reset(events.size());
   if (events.empty()) return;
-  std::optional<EpochManager::PinGuard> pin;
-  ReaderContext* ctx = Context(&pin);
-  const uint64_t moves_before = move_seq_.load();
   Timer batch_timer;
   Work work;
   for (size_t base = 0; base < events.size();
        base += BatchResultVector::kMaxLanes) {
     const size_t chunk =
         std::min(BatchResultVector::kMaxLanes, events.size() - base);
-    MatchChunk(ctx, events.subspan(base, chunk), base, out, &work);
-  }
-  const uint64_t moves_after = move_seq_.load();
-  if (moves_after != moves_before || (moves_before & 1) != 0) {
-    for (size_t e = 0; e < events.size(); ++e) Dedup(out->mutable_matches(e));
+    MatchChunk(events.subspan(base, chunk), base, out, &work);
   }
   work.matches = out->total_matches();
-  Record(ctx, work, events.size());
+  Record(work, events.size());
 #if VFPS_TELEMETRY
   if (telemetry_ != nullptr) {
     telemetry_->RecordBatchWork(events.size(), work.predicates,
@@ -683,14 +549,14 @@ void ClusteredMatcherBase::MatchBatch(std::span<const Event> events,
     RecordBatchTelemetry(events.size(), batch_timer.ElapsedNanos());
   }
 #endif
-  for (const Event& event : events) ObserveSampled(event, ctx);
-  if (publisher_ == nullptr) AfterMatch();
+  for (const Event& event : events) ObserveSampled(event);
+  AfterMatch();
 }
 
-void ClusteredMatcherBase::MatchChunk(ReaderContext* ctx,
-                                      std::span<const Event> events,
+void ClusteredMatcherBase::MatchChunk(std::span<const Event> events,
                                       size_t lane_base, BatchResult* out,
                                       Work* work) const {
+  MatchContext* ctx = ctx_.get();
   const size_t lanes = events.size();
   Timer timer;
   ResultVector& results = ctx->results;
@@ -765,7 +631,7 @@ void ClusteredMatcherBase::MatchChunk(ReaderContext* ctx,
   // mask of the lanes it admits (copied: growing the block moves stripes).
   uint64_t alive[BatchResultVector::kMaxWordsPerLane];
   for (PredicateId pid : block.set_ids()) {
-    const ClusterList* list = eq_lists_.Load(pid);
+    const ClusterList* list = SingletonList(pid);
     if (list == nullptr) continue;
     std::copy_n(block.stripe(pid), words, alive);
     scan(*list, alive);
@@ -774,10 +640,8 @@ void ClusteredMatcherBase::MatchChunk(ReaderContext* ctx,
   // event) from the chunk's value cache, then group lanes by the cluster
   // list they landed on so each list is still scanned only once.
   std::vector<BatchCandidate>& candidates = ctx->batch_candidates;
-  const uint32_t tables = table_count_.load();
-  if (tables != 0) ctx->lane_values.Fill(events);
-  for (uint32_t t = 0; t < tables; ++t) {
-    const MultiAttrHashTable* table = published_tables_.Load(t);
+  if (!tables_.empty()) ctx->lane_values.Fill(events);
+  for (const std::unique_ptr<MultiAttrHashTable>& table : tables_) {
     if (table == nullptr) continue;
     candidates.clear();
     for (size_t e = 0; e < lanes; ++e) {
@@ -801,61 +665,21 @@ void ClusteredMatcherBase::MatchChunk(ReaderContext* ctx,
   // Fallback list: every lane is alive.
   for (size_t w = 0; w < words; ++w) alive[w] = ~uint64_t{0};
   if (lanes % 64 != 0) alive[words - 1] = (uint64_t{1} << (lanes % 64)) - 1;
-  if (const ClusterList* fallback = fallback_.Load()) scan(*fallback, alive);
+  if (fallback_ != nullptr) scan(*fallback_, alive);
   work->phase2_ns += timer.ElapsedNanos();
 }
 
 // --- introspection ----------------------------------------------------------
 
-const MatcherStats& ClusteredMatcherBase::stats() const {
-  MatcherStats sum;
-  uint64_t phase1_ns = 0, phase2_ns = 0;
-  contexts_.ForEach([&](const ReaderContext* ctx) {
-    sum.events += ctx->events.Get();
-    sum.predicates_satisfied += ctx->predicates.Get();
-    sum.subscription_checks += ctx->checks.Get();
-    sum.clusters_scanned += ctx->clusters.Get();
-    sum.matches += ctx->matches.Get();
-    phase1_ns += ctx->phase1_ns.Get();
-    phase2_ns += ctx->phase2_ns.Get();
-  });
-  sum.phase1_seconds = static_cast<double>(phase1_ns) * 1e-9;
-  sum.phase2_seconds = static_cast<double>(phase2_ns) * 1e-9;
-  stats_snapshot_ = sum;
-  return stats_snapshot_;
-}
-
-void ClusteredMatcherBase::ResetStats() {
-  contexts_.ForEach([](ReaderContext* ctx) {
-    for (ReaderCounter* c :
-         {&ctx->events, &ctx->predicates, &ctx->checks, &ctx->clusters,
-          &ctx->matches, &ctx->phase1_ns, &ctx->phase2_ns}) {
-      c->Reset();
-    }
-  });
-}
-
 void ClusteredMatcherBase::AttachTelemetry(MetricsRegistry* registry) {
   Matcher::AttachTelemetry(registry);
-  if (registry == nullptr) return;
 #if VFPS_TELEMETRY
+  if (registry == nullptr) return;
   registry->RegisterGauge("vfps_matcher_tables", [this] {
-    return static_cast<int64_t>(live_tables_.load());
+    MutexLock lock(writer_mu_);
+    return static_cast<int64_t>(table_lookup_.size());
   });
 #endif
-  if (publisher_ == nullptr) return;
-  // Epoch-domain health gauges (docs/OBSERVABILITY.md). Sampled with the
-  // registry lock released, so limbo_depth's brief lock is rank-legal.
-  const EpochManager* epoch = publisher_->manager();
-  registry->RegisterGauge("vfps_epoch_pinned_readers", [epoch] {
-    return static_cast<int64_t>(epoch->pinned_readers());
-  });
-  registry->RegisterGauge("vfps_epoch_limbo_depth", [epoch] {
-    return static_cast<int64_t>(epoch->limbo_depth());
-  });
-  registry->RegisterGauge("vfps_epoch_reclaimed_total", [epoch] {
-    return static_cast<int64_t>(epoch->reclaimed_total());
-  });
 }
 
 size_t ClusteredMatcherBase::subscription_count() const {
@@ -865,8 +689,7 @@ size_t ClusteredMatcherBase::subscription_count() const {
 
 size_t ClusteredMatcherBase::fallback_count() const {
   MutexLock lock(writer_mu_);
-  const ClusterList* fallback = fallback_.Load();
-  return fallback == nullptr ? 0 : fallback->subscription_count();
+  return fallback_ == nullptr ? 0 : fallback_->subscription_count();
 }
 
 size_t ClusteredMatcherBase::singleton_placed_count() const {
@@ -889,24 +712,17 @@ size_t ClusteredMatcherBase::MemoryUsage() const {
   MutexLock lock(writer_mu_);
   size_t total = predicate_table_.MemoryUsage() +
                  predicate_index_.MemoryUsage() + stats_model_.MemoryUsage();
-  if (const ClusterList* fallback = fallback_.Load()) {
-    total += sizeof(ClusterList) + fallback->MemoryUsage();
+  if (fallback_ != nullptr) {
+    total += sizeof(ClusterList) + fallback_->MemoryUsage();
   }
-  // Reader scratch is private to its pinned reader; only a serial
-  // matcher's single context can be measured without a race.
-  if (publisher_ == nullptr) {
-    contexts_.ForEach([&](const ReaderContext* ctx) {
-      total += sizeof(ReaderContext) + ctx->MemoryUsage();
-    });
-  }
-  total += predicate_table_.capacity() * sizeof(EpochPtr<ClusterList>);
-  for (PredicateId pid = 0; pid < predicate_table_.capacity(); ++pid) {
-    const ClusterList* list = eq_lists_.Load(pid);
+  total += sizeof(MatchContext) + ctx_->MemoryUsage();
+  total += eq_lists_.capacity() * sizeof(std::unique_ptr<ClusterList>);
+  for (const std::unique_ptr<ClusterList>& list : eq_lists_) {
     if (list != nullptr) total += sizeof(ClusterList) + list->MemoryUsage();
   }
-  total += table_count() * sizeof(EpochPtr<MultiAttrHashTable>);
-  for (uint32_t t = 0; t < table_count(); ++t) {
-    if (const MultiAttrHashTable* table = Table(t)) {
+  total += tables_.capacity() * sizeof(std::unique_ptr<MultiAttrHashTable>);
+  for (const std::unique_ptr<MultiAttrHashTable>& table : tables_) {
+    if (table != nullptr) {
       total += sizeof(MultiAttrHashTable) + table->MemoryUsage();
     }
   }

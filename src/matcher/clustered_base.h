@@ -19,32 +19,16 @@
 // Subclasses differ only in how they pick the access predicate and whether
 // they reorganize placement over time.
 //
-// Serial and concurrent builds. Everything Match reads — the phase-1
-// index plane, the singleton cluster lists, the multi-attribute tables and
-// the fallback list — is reached through epoch-published slots
-// (src/util/epoch.h), and all per-event scratch and counters live in
-// per-reader contexts. The two builds differ only where a mutation is
-// applied:
-//   * serial (the default): mutators edit the published objects in place,
-//     and callers serialize Match against mutation (the paper's single
-//     matching process; dynamic maintenance runs between events);
-//   * concurrent (constructor flag): every mutation is a copy-on-write of
-//     the one object it touches, published by pointer swap, with superseded
-//     versions reclaimed once the readers that might hold them unpin.
-//     Match and MatchBatch may then run on any number of threads while
-//     one writer at a time (mutators serialize on writer_mu_) changes the
-//     subscription set. A subscription stable across a Match call is
-//     always matched exactly; one added or removed during the call may or
-//     may not be reported. Placement moves (dynamic maintenance) go add →
-//     SynchronizeReaders → remove, and readers overlapping a move drop the
-//     transient duplicate.
+// One matching process (the paper's). Match and MatchBatch read the
+// placement structures directly and keep their scratch in one match
+// context; callers serialize them against subscription changes, and
+// dynamic maintenance runs between events (AfterMatch). The mutators also
+// serialize on writer_mu_ among themselves.
 
 #ifndef VFPS_MATCHER_CLUSTERED_BASE_H_
 #define VFPS_MATCHER_CLUSTERED_BASE_H_
 
-#include <atomic>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -57,7 +41,6 @@
 #include "src/cost/event_statistics.h"
 #include "src/index/predicate_index.h"
 #include "src/matcher/matcher.h"
-#include "src/util/epoch.h"
 #include "src/util/sync.h"
 
 namespace vfps {
@@ -83,23 +66,12 @@ class ClusteredMatcherBase : public Matcher {
   size_t subscription_count() const override;
   size_t MemoryUsage() const override;
 
-  /// True for a matcher built concurrent (see the file comment).
-  bool concurrent() const { return publisher_ != nullptr; }
-
-  /// Sums the per-reader counters. Match may run concurrently (the
-  /// counters are atomic), but callers of stats() itself serialize: the
-  /// sum lands in one member snapshot.
-  const MatcherStats& stats() const override;
-  void ResetStats() override;
-
-  /// Attaches the vfps_matcher_* instruments (recorded per event in both
-  /// builds) and the vfps_matcher_tables gauge; a concurrent matcher also
-  /// registers the vfps_epoch_* gauges.
+  /// Attaches the vfps_matcher_* instruments (recorded per event) and the
+  /// vfps_matcher_tables gauge.
   void AttachTelemetry(MetricsRegistry* registry) override;
 
   /// The event statistics the matcher maintains (ν and μ estimates). Can be
-  /// seeded before loading subscriptions to describe the expected workload
-  /// (not synchronized: seed before any concurrent activity).
+  /// seeded before loading subscriptions to describe the expected workload.
   EventStatistics* mutable_statistics() { return &stats_model_; }
   const EventStatistics& statistics() const { return stats_model_; }
 
@@ -112,12 +84,6 @@ class ClusteredMatcherBase : public Matcher {
 
   /// Subscriptions whose access predicate is a single equality predicate.
   size_t singleton_placed_count() const;
-
-  /// The epoch domain of a concurrent matcher (benches and tests print its
-  /// reclaim counters); nullptr for a serial one.
-  const EpochManager* epoch() const {
-    return publisher_ != nullptr ? publisher_->manager() : nullptr;
-  }
 
  protected:
   /// Placement targets beyond real table indexes.
@@ -146,10 +112,8 @@ class ClusteredMatcherBase : public Matcher {
 
   /// `use_prefetch` selects the prefetching cluster kernels;
   /// `observe_sample_rate` folds every k-th matched event into the ν/μ
-  /// statistics (0 disables observation); `concurrent` selects the
-  /// copy-on-write build (see the file comment).
-  ClusteredMatcherBase(bool use_prefetch, uint32_t observe_sample_rate,
-                       bool concurrent);
+  /// statistics (0 disables observation).
+  ClusteredMatcherBase(bool use_prefetch, uint32_t observe_sample_rate);
 
   // --- subclass hooks (all run under writer_mu_) ------------------------------
 
@@ -166,11 +130,10 @@ class ClusteredMatcherBase : public Matcher {
   /// removed subscription left, nullptr after an addition.
   virtual void AfterChange(const Placement* vacated) { (void)vacated; }
 
-  /// Serial build only: called at the end of every Match and MatchBatch
-  /// call, after its events were sampled into the statistics, without
-  /// writer_mu_ (callers serialize Match against mutation). Maintenance
-  /// that reacts to events steps here; an override takes writer_mu_ before
-  /// it mutates. A concurrent matcher's readers never call it.
+  /// Called at the end of every Match and MatchBatch call, after its
+  /// events were sampled into the statistics, without writer_mu_ (callers
+  /// serialize Match against mutation). Maintenance that reacts to events
+  /// steps here; an override takes writer_mu_ before it mutates.
   virtual void AfterMatch() {}
 
   /// Called after a subscription lands in a cluster list. For singleton
@@ -207,15 +170,15 @@ class ClusteredMatcherBase : public Matcher {
   /// Index of the multi-attribute table for `schema`, or kFallbackTable.
   uint32_t FindTable(const AttributeSet& schema) const;
 
-  /// Table `t`, or nullptr once deleted (writer side).
-  MultiAttrHashTable* Table(uint32_t t) const { return tables_[t]; }
+  /// Table `t`, or nullptr once deleted.
+  MultiAttrHashTable* Table(uint32_t t) const { return tables_[t].get(); }
 
   /// Table indexes ever created; live ones are those Table() returns.
   uint32_t table_count() const { return static_cast<uint32_t>(tables_.size()); }
 
   /// The cluster list hanging off equality predicate `pid`, or nullptr.
   const ClusterList* SingletonList(PredicateId pid) const {
-    return eq_lists_.Load(pid);
+    return pid < eq_lists_.size() ? eq_lists_[pid].get() : nullptr;
   }
 
   /// Puts the subscription at `placement`, filling record->placement and
@@ -228,19 +191,17 @@ class ClusteredMatcherBase : public Matcher {
     Placement to;
   };
 
-  /// Relocates placed subscriptions. A concurrent matcher publishes every
-  /// target row, waits out the readers that might see only the sources,
-  /// then unpublishes the source rows, so no reader misses one; each list
-  /// it touches is copied once per phase.
+  /// Relocates placed subscriptions: every target row is added first, then
+  /// the source rows are removed.
   void MoveAll(const std::vector<MoveTo>& moves);
 
   /// Deletes table `t`: re-places its subscriptions (cheapest option
-  /// elsewhere), then unpublishes the table. Returns the subscriptions
-  /// moved. The OnPlaced hook fires for each re-placement.
+  /// elsewhere), then frees the table. Returns the subscriptions moved.
+  /// The OnPlaced hook fires for each re-placement.
   size_t DropTable(uint32_t t);
 
   /// Drops every placement structure (tables, lists), keeping records and
-  /// interned predicates. Serial matchers only.
+  /// interned predicates.
   void ClearPlacements();
 
   /// Computes the table key of `record` under the schema of table `t`.
@@ -266,13 +227,8 @@ class ClusteredMatcherBase : public Matcher {
 
   // --- state ------------------------------------------------------------------
 
-  /// The concurrent build's writer and epoch domain; nullptr in a serial
-  /// matcher. Declared first: the published containers below take its
-  /// address.
-  std::unique_ptr<EpochPublisher> publisher_;
-
-  /// Serializes the mutators (both builds; uncontended in the serial one).
-  /// Guards all writer-side state below; Match never takes it.
+  /// Serializes the mutators. Guards all writer-side state below; Match
+  /// never takes it.
   mutable Mutex writer_mu_{LockRank::kMatcherWriter, "matcher_writer"};
 
   PredicateTable predicate_table_;
@@ -295,75 +251,45 @@ class ClusteredMatcherBase : public Matcher {
   bool use_prefetch_;
 
  private:
-  /// Per-reader scratch and counters: one per epoch reader slot in a
-  /// concurrent matcher (slot 0 serves a serial one), so Match and
-  /// MatchBatch write nothing shared.
-  struct ReaderContext;
+  /// Match scratch.
+  struct MatchContext;
   /// One event's (or batch's) phase work, accumulated locally and then
-  /// added to the reader's counters.
+  /// added to the match counters.
   struct Work;
-
-  /// Pins (concurrent build) and returns the calling reader's context.
-  ReaderContext* Context(std::optional<EpochManager::PinGuard>* pin);
 
   /// Interns all predicates of `s` into `record` (equality-first order) and
   /// registers new ones with the predicate index.
   void InternPredicates(const Subscription& s, SubRecord* record);
 
   /// Releases the record's predicate references, unregistering predicates
-  /// whose last reference died (a concurrent matcher recycles their ids
-  /// only after the readers drain).
+  /// whose last reference died.
   void ReleasePredicates(const SubRecord& record);
-
-  /// The epoch manager a concurrent matcher retires through (nullptr in a
-  /// serial one).
-  EpochManager* manager() const {
-    return publisher_ != nullptr ? publisher_->manager() : nullptr;
-  }
 
   /// Removes the row of `record` at (`placement`, `slot`), patching the
   /// record of the row swapped into its place.
   void Unplace(const SubRecord& record, const Placement& placement,
                ClusterSlot slot);
 
-  /// Folds the events readers sampled for the ν statistics (concurrent
-  /// build: readers never touch the statistics themselves).
-  void FoldSampledEvents();
-
   /// Counts one matched event toward ν sampling.
-  void ObserveSampled(const Event& event, ReaderContext* ctx);
+  void ObserveSampled(const Event& event);
 
   /// Matches one chunk of <= BatchResultVector::kMaxLanes events whose
   /// lanes start at `lane_base` of `out`.
-  void MatchChunk(ReaderContext* ctx, std::span<const Event> events,
-                  size_t lane_base, BatchResult* out, Work* work) const;
+  void MatchChunk(std::span<const Event> events, size_t lane_base,
+                  BatchResult* out, Work* work) const;
 
-  /// Adds one phase's work to the reader's counters and the per-event
-  /// histograms.
-  void Record(ReaderContext* ctx, const Work& work, size_t events);
+  /// Adds one call's work to the match counters (stats_).
+  void Record(const Work& work, size_t events);
 
   /// Cluster lists of singleton access predicates, indexed by PredicateId.
-  EpochSlotArray<ClusterList> eq_lists_;
-  /// Multi-attribute tables by index, as readers reach them (a null slot
-  /// is a deleted table; indexes below table_count_ are published) and as
-  /// the writer does (tables_: null once the table is deleted or dying).
-  EpochSlotArray<MultiAttrHashTable> published_tables_;
-  std::atomic<uint32_t> table_count_{0};
-  std::vector<MultiAttrHashTable*> tables_;
-  /// Live tables (the vfps_matcher_tables gauge samples it from any
-  /// thread).
-  std::atomic<uint32_t> live_tables_{0};
-  EpochPtr<ClusterList> fallback_;
-
-  /// Odd while a MoveAll or DropTable has a subscription in two lists; a
-  /// reader that saw it change deduplicates its result.
-  std::atomic<uint64_t> move_seq_{0};
+  std::vector<std::unique_ptr<ClusterList>> eq_lists_;
+  /// Multi-attribute tables by index; null once deleted.
+  std::vector<std::unique_ptr<MultiAttrHashTable>> tables_;
+  std::unique_ptr<ClusterList> fallback_;
 
   uint32_t observe_sample_rate_;
 
-  ReaderLocal<ReaderContext> contexts_;
-  /// What stats() last summed (see stats()).
-  mutable MatcherStats stats_snapshot_;
+  std::unique_ptr<MatchContext> ctx_;
 
   // Writer scratch buffers.
   std::vector<Value> scratch_key_;

@@ -52,8 +52,8 @@ AttributeSet DynamicMatcher::SchemaKey::ToSet() const {
 }
 
 DynamicMatcher::DynamicMatcher(DynamicOptions options, bool use_prefetch,
-                               uint32_t observe_sample_rate, bool concurrent)
-    : ClusteredMatcherBase(use_prefetch, observe_sample_rate, concurrent),
+                               uint32_t observe_sample_rate)
+    : ClusteredMatcherBase(use_prefetch, observe_sample_rate),
       options_(options) {}
 
 void DynamicMatcher::AttachTelemetry(MetricsRegistry* registry) {
@@ -127,9 +127,9 @@ void DynamicMatcher::CountChangeAndMaybeSweep() {
     changes_since_sweep_ = 0;
     return;
   }
-  // A serial matcher runs a change-driven sweep in full; event-driven ones
-  // (and every sweep of a concurrent matcher) go incrementally.
-  StartSweep(/*full=*/change_due && !concurrent());
+  // A change-driven sweep runs in full; an event-driven one goes
+  // incrementally.
+  StartSweep(/*full=*/change_due);
 }
 
 void DynamicMatcher::StartSweep(bool full) {
@@ -224,14 +224,10 @@ void DynamicMatcher::IncrementalSweepStep() {
   in_maintenance_ = true;
   // Refs may have gone stale since the snapshot (clusters emptied, tables
   // deleted, predicate ids recycled); ClusterDistribute resolves each ref
-  // afresh and skips the vanished ones. A concurrent matcher also bounds
-  // the lists per step: each one's moves wait out the pinned readers.
-  const size_t max_refs = concurrent() ? kIncrementalSweepChunk : SIZE_MAX;
-  size_t refs = 0, rows = 0;
-  while (sweep_pos_ < sweep_refs_.size() && refs < max_refs &&
-         rows < kSweepStepRows) {
+  // afresh and skips the vanished ones.
+  size_t rows = 0;
+  while (sweep_pos_ < sweep_refs_.size() && rows < kSweepStepRows) {
     rows += ClusterDistribute(sweep_refs_[sweep_pos_++], /*census=*/true);
-    ++refs;
   }
   CreateReadyTables();
   if (sweep_pos_ >= sweep_refs_.size()) {

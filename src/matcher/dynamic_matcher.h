@@ -69,21 +69,17 @@ struct DynamicOptions {
 
 /// Adaptive clustered matcher.
 ///
-/// A serial matcher runs a sweep made due by subscription changes in full,
-/// between two changes; one made due by sampled events is spread over the
-/// following Match/MatchBatch calls (and changes), a bounded number of
-/// subscriptions per call (dynamic_matcher.cc), so the matching thread never
-/// stalls for a whole pass. A concurrent one (see ClusteredMatcherBase)
-/// spreads every sweep over the following changes, at most
-/// kIncrementalSweepChunk cluster lists per change; its readers never
-/// maintain. An incremental sweep resets the vote census once when it
+/// A sweep made due by subscription changes runs in full, between two
+/// changes; one made due by sampled events is spread over the following
+/// Match/MatchBatch calls (and changes), a bounded number of subscriptions
+/// per call (dynamic_matcher.cc), so the matching thread never stalls for a
+/// whole pass. An incremental sweep resets the vote census once when it
 /// becomes due; clusters that appear mid-pass are caught by the next one.
 class DynamicMatcher : public ClusteredMatcherBase {
  public:
   explicit DynamicMatcher(DynamicOptions options = {},
                           bool use_prefetch = true,
-                          uint32_t observe_sample_rate = 16,
-                          bool concurrent = false);
+                          uint32_t observe_sample_rate = 16);
 
   const char* name() const override { return "dynamic"; }
 
@@ -91,12 +87,9 @@ class DynamicMatcher : public ClusteredMatcherBase {
   /// re-taken by a census (~8k events at the broker's sampling rate 16):
   /// enough to price ν within ~25% for a few dozen values per attribute.
   static constexpr uint64_t kColdCensusSamples = 512;
-  /// Cluster lists a concurrent matcher's incremental sweep redistributes
-  /// per change.
-  static constexpr size_t kIncrementalSweepChunk = 16;
 
-  /// Maintenance counters (for the Figure 4 benches and tests). Writer
-  /// side: read while no mutation is in flight.
+  /// Maintenance counters (for the Figure 4 benches and tests). Read while
+  /// no mutation is in flight.
   struct MaintenanceStats {
     uint64_t clusters_distributed = 0;
     uint64_t subscriptions_moved = 0;
@@ -198,7 +191,7 @@ class DynamicMatcher : public ClusteredMatcherBase {
   bool EventSweepDue() const;
 
   /// Starts a sweep: backoff baselines, trigger bookkeeping, then either
-  /// the full pass (`full`, serial only) or the first incremental step.
+  /// the full pass (`full`) or the first incremental step.
   void StartSweep(bool full);
 
   /// Starts an incremental sweep: resets the census and snapshots the

@@ -80,10 +80,9 @@ class Matcher {
   /// Approximate total heap footprint in bytes (Figure 3(c)).
   virtual size_t MemoryUsage() const = 0;
 
-  /// Cumulative per-match counters. Virtual so concurrent matchers can
-  /// aggregate from their atomic counters.
-  virtual const MatcherStats& stats() const { return stats_; }
-  virtual void ResetStats() { stats_.Reset(); }
+  /// Cumulative per-match counters.
+  const MatcherStats& stats() const { return stats_; }
+  void ResetStats() { stats_.Reset(); }
 
   /// Attaches the standard vfps_matcher_* instruments of `registry`; every
   /// Match() then also records per-event phase timings and work counters

@@ -7,9 +7,8 @@
 namespace vfps {
 
 PropagationMatcher::PropagationMatcher(bool use_prefetch,
-                                       uint32_t observe_sample_rate,
-                                       bool concurrent)
-    : ClusteredMatcherBase(use_prefetch, observe_sample_rate, concurrent) {}
+                                       uint32_t observe_sample_rate)
+    : ClusteredMatcherBase(use_prefetch, observe_sample_rate) {}
 
 ClusteredMatcherBase::Placement PropagationMatcher::InitialPlacement(
     const SubRecord& record) const {

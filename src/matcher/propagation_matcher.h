@@ -21,10 +21,8 @@ class PropagationMatcher : public ClusteredMatcherBase {
   /// (propagation-wp) or the plain ones (propagation).
   /// `observe_sample_rate`: every k-th event updates the ν statistics used
   /// to pick access predicates for later insertions (0 disables).
-  /// `concurrent`: see ClusteredMatcherBase.
   explicit PropagationMatcher(bool use_prefetch = true,
-                              uint32_t observe_sample_rate = 16,
-                              bool concurrent = false);
+                              uint32_t observe_sample_rate = 16);
 
   const char* name() const override {
     return use_prefetch_ ? "propagation-wp" : "propagation";

@@ -7,8 +7,8 @@
 namespace vfps {
 
 StaticMatcher::StaticMatcher(GreedyOptions greedy_options, bool use_prefetch,
-                             uint32_t observe_sample_rate, bool concurrent)
-    : ClusteredMatcherBase(use_prefetch, observe_sample_rate, concurrent),
+                             uint32_t observe_sample_rate)
+    : ClusteredMatcherBase(use_prefetch, observe_sample_rate),
       greedy_options_(greedy_options) {}
 
 void StaticMatcher::MaterializeConfiguration(

@@ -27,8 +27,7 @@ class StaticMatcher : public ClusteredMatcherBase {
   /// estimates come from there.
   explicit StaticMatcher(GreedyOptions greedy_options = {},
                          bool use_prefetch = true,
-                         uint32_t observe_sample_rate = 16,
-                         bool concurrent = false);
+                         uint32_t observe_sample_rate = 16);
 
   const char* name() const override { return "static"; }
 

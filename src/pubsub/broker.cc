@@ -25,14 +25,7 @@ Result<Algorithm> AlgorithmFromString(const std::string& name) {
   return Status::InvalidArgument("unknown algorithm: " + name);
 }
 
-bool IsClustered(Algorithm algorithm) {
-  return algorithm == Algorithm::kPropagation ||
-         algorithm == Algorithm::kPropagationPrefetch ||
-         algorithm == Algorithm::kStatic || algorithm == Algorithm::kDynamic;
-}
-
-std::unique_ptr<Matcher> MakeMatcher(Algorithm algorithm, bool concurrent) {
-  VFPS_CHECK(!concurrent || IsClustered(algorithm));
+std::unique_ptr<Matcher> MakeMatcher(Algorithm algorithm) {
   constexpr uint32_t kObserveRate = 16;
   switch (algorithm) {
     case Algorithm::kNaive:
@@ -41,18 +34,18 @@ std::unique_ptr<Matcher> MakeMatcher(Algorithm algorithm, bool concurrent) {
       return std::make_unique<CountingMatcher>();
     case Algorithm::kPropagation:
       return std::make_unique<PropagationMatcher>(/*use_prefetch=*/false,
-                                                  kObserveRate, concurrent);
+                                                  kObserveRate);
     case Algorithm::kPropagationPrefetch:
       return std::make_unique<PropagationMatcher>(/*use_prefetch=*/true,
-                                                  kObserveRate, concurrent);
+                                                  kObserveRate);
     case Algorithm::kStatic:
       return std::make_unique<StaticMatcher>(GreedyOptions{},
                                              /*use_prefetch=*/true,
-                                             kObserveRate, concurrent);
+                                             kObserveRate);
     case Algorithm::kDynamic:
       return std::make_unique<DynamicMatcher>(DynamicOptions{},
                                               /*use_prefetch=*/true,
-                                              kObserveRate, concurrent);
+                                              kObserveRate);
     case Algorithm::kTree:
       return std::make_unique<TreeMatcher>();
   }

@@ -59,15 +59,9 @@ enum class Algorithm {
 /// "dynamic"/"tree"; InvalidArgument otherwise.
 Result<Algorithm> AlgorithmFromString(const std::string& name);
 
-/// True for the clustered algorithms (propagation, propagation-wp, static,
-/// dynamic): the ones that can be built concurrent.
-bool IsClustered(Algorithm algorithm);
-
 /// Constructs a standalone matcher for `algorithm` (also usable without a
-/// Broker). `concurrent` builds a clustered matcher whose Match may run
-/// alongside subscription changes; it requires IsClustered(algorithm).
-std::unique_ptr<Matcher> MakeMatcher(Algorithm algorithm,
-                                     bool concurrent = false);
+/// Broker).
+std::unique_ptr<Matcher> MakeMatcher(Algorithm algorithm);
 
 /// A delivered match: which subscription fired for which published event.
 struct Notification {

@@ -13,11 +13,10 @@
 
 namespace vfps {
 
-/// Cached instrument pointers for one matcher. Every matcher, serial or
-/// concurrent, records straight into the registry it is attached to (the
-/// server's match worker records into the server registry), so an export
-/// needs no collection step; matchers attached to the same registry share
-/// instruments.
+/// Cached instrument pointers for one matcher. Every matcher records
+/// straight into the registry it is attached to (the server's match worker
+/// records into the server registry), so an export needs no collection
+/// step; matchers attached to the same registry share instruments.
 struct MatcherTelemetry {
   Counter* events = nullptr;
   Counter* predicates_evaluated = nullptr;

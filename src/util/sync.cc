@@ -24,7 +24,7 @@ namespace {
 
 constexpr int kMaxFrames = 32;
 /// Locks held simultaneously by one thread. Legal chains are a few deep
-/// (verify harness -> matcher writer -> epoch reclaim); 64 is a bug
+/// (verify harness -> matcher writer -> telemetry); 64 is a bug
 /// backstop, not a design budget.
 constexpr int kMaxHeld = 64;
 

@@ -108,8 +108,7 @@ enum class LockRank : uint32_t {
   kVerifyHarness = 100,
   /// Clustered-matcher writer lock (ClusteredMatcherBase): serializes
   /// subscribe/unsubscribe/maintenance against each other (Match never
-  /// takes it). Held while retiring superseded snapshots, so it ranks below
-  /// kEpochReclaim.
+  /// takes it).
   kMatcherWriter = 150,
   /// MatchWorker queue/lifecycle lock (the network server's one match-worker
   /// thread). Jobs run with it released.
@@ -119,10 +118,6 @@ enum class LockRank : uint32_t {
   /// event loop and the match worker to post/swap results; never held
   /// while calling into the broker, the socket layer, or any other lock.
   kNetResults = 230,
-  /// EpochManager limbo-list lock (src/util/epoch.h). Leaf-like: taken
-  /// from writer paths to retire and reclaim; deleters always run with it
-  /// released.
-  kEpochReclaim = 250,
   /// Fault-injection registry (armed from admin paths, evaluated on the
   /// server thread; never held while calling out).
   kFailPoints = 300,

@@ -30,9 +30,9 @@ struct DiffVariant {
 };
 
 /// The full verification matrix: counting, propagation (with and without
-/// prefetch), static, dynamic, tree, the concurrent build of dynamic, and
-/// dynamic sampling every event ("dynamic-eager", whose cold-start census
-/// runs within 512 matched events).
+/// prefetch), static, dynamic, tree, and dynamic sampling every event
+/// ("dynamic-eager", whose cold-start census runs within 512 matched
+/// events).
 std::vector<DiffVariant> DefaultDiffVariants();
 
 /// Workload shape for one differential run. All randomness derives from
@@ -50,7 +50,8 @@ struct DiffConfig {
   int events = 100;
   /// Probability that each attribute appears in a generated event.
   double p_present = 0.7;
-  /// Interleave random unsubscribes with the subscribes, matching after
+  /// Load `subscriptions / 2` subscriptions blind (before any event), then
+  /// interleave random unsubscribes with the subscribes, matching after
   /// every few mutations (exercises deletion paths and id relocation).
   bool churn = false;
 };
@@ -76,13 +77,15 @@ struct DiffReport {
 };
 
 /// Fully random subscription: 1..5 predicates over `attrs` attributes with
-/// all six operators and values in [1, domain]. Deliberately explores
+/// all six operators and values in [1, domain], half of them after an
+/// equality prefix a0 ∈ [1, 2], a1 ∈ [1, 3]. Deliberately explores
 /// degenerate shapes: duplicate attributes, contradictions, no equalities.
 Subscription RandomDiffSubscription(Rng* rng, SubscriptionId id,
                                     uint32_t attrs, Value domain);
 
 /// Random event; each attribute present with probability `p_present`
-/// (p_present 0 yields empty events, which are legal).
+/// (p_present 0 yields empty events, which are legal), with a value in
+/// [1, domain], or in [1, 3] for a0 and a1.
 Event RandomDiffEvent(Rng* rng, uint32_t attrs, Value domain,
                       double p_present);
 

@@ -6,10 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -481,110 +479,6 @@ TEST(MultiAttrHashTest, DirectoryMatchesMapModelArity2) {
 
 TEST(MultiAttrHashTest, DirectoryMatchesMapModelArity4) {
   RunDirectoryModel(/*arity=*/4, /*seed=*/12, /*steps=*/20000);
-}
-
-// Concurrent build: edits go to a private copy of the directory, so the
-// version readers loaded before the edits keeps probing the old key set
-// (here held open by a publisher batch) until the copy is published.
-TEST(MultiAttrHashTest, PublishedDirectoryKeepsOldKeySetUntilCommit) {
-  EpochPublisher publisher;
-  MultiAttrHashTable table(AttributeSet{0, 1});
-  Value next = 1;
-  // One home slot: erasing `dropped` shifts `kept` in the new version.
-  const auto keys = KeysWithHome(2, 0xff, 3, &next);
-  const std::vector<Value>& dropped = keys[0];
-  const std::vector<Value>& kept = keys[1];
-  const std::vector<Value>& added = keys[2];
-  const ClusterSlot dropped_slot = table.Add(dropped, 10, {}, &publisher);
-  table.Add(kept, 11, {}, &publisher);
-  const ClusterList* old_list = nullptr;
-  {
-    EpochManager::PinGuard pin(publisher.manager());
-    {
-      EpochPublisher::Batch batch(&publisher);
-      table.Remove(dropped, dropped_slot, &publisher);
-      table.Add(added, 12, {}, &publisher);
-      old_list = table.Probe(dropped);
-      ASSERT_NE(old_list, nullptr);
-      EXPECT_EQ(old_list->subscription_count(), 1u);
-      EXPECT_NE(table.Probe(kept), nullptr);
-      EXPECT_EQ(table.Probe(added), nullptr);
-      EXPECT_EQ(table.entry_count(), 2u);
-      EXPECT_TRUE(table.CheckInvariants(&publisher));  // the staged view
-    }
-    EXPECT_EQ(table.Probe(dropped), nullptr);
-    EXPECT_NE(table.Probe(kept), nullptr);
-    EXPECT_NE(table.Probe(added), nullptr);
-    // Retired, not reclaimed: this reader is still pinned.
-    EXPECT_EQ(publisher.manager()->TryReclaim(), 0u);
-    EXPECT_EQ(old_list->subscription_count(), 1u);
-  }
-  EXPECT_GT(publisher.manager()->TryReclaim(), 0u);
-  EXPECT_TRUE(table.CheckInvariants(&publisher));
-}
-
-// Pinned readers probe while one writer churns keys that share home slots
-// with the readers' stable keys (so erases shift stable keys around in the
-// new versions): stable keys stay found, never-added keys stay absent.
-TEST(MultiAttrHashTest, PinnedReadersSeeStableKeysUnderChurn) {
-  EpochPublisher publisher;
-  MultiAttrHashTable table(AttributeSet{0, 1});
-  Value next = 1;
-  const auto stable = KeysWithHome(2, 0xff, 6, &next);
-  auto churn = KeysWithHome(2, 0xff, 24, &next);
-  for (auto& key : KeysWithHome(2, 0x00, 16, &next)) churn.push_back(key);
-  const auto absent = KeysWithHome(2, 0xff, 6, &next);
-  for (size_t i = 0; i < stable.size(); ++i) {
-    table.Add(stable[i], static_cast<SubscriptionId>(i + 1), {}, &publisher);
-  }
-
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> errors{0};
-  std::atomic<uint64_t> probes{0};
-  auto reader = [&] {
-    while (!stop.load()) {
-      EpochManager::PinGuard pin(publisher.manager());
-      for (const auto& key : stable) {
-        const ClusterList* list = table.Probe(key);
-        if (list == nullptr || list->subscription_count() != 1) {
-          errors.fetch_add(1);
-        }
-      }
-      for (const auto& key : absent) {
-        if (table.Probe(key) != nullptr) errors.fetch_add(1);
-      }
-      probes.fetch_add(1);
-    }
-  };
-  std::thread r1(reader), r2(reader);
-
-  Rng rng(21);
-  std::map<std::vector<Value>, std::vector<ClusterSlot>> live;
-  SubscriptionId next_id = 100;
-  for (int step = 0; step < 3000; ++step) {
-    EpochPublisher::Batch batch(step % 7 == 0 ? &publisher : nullptr);
-    for (int op = 0; op < (step % 7 == 0 ? 4 : 1); ++op) {
-      const auto& key = churn[rng.Below(churn.size())];
-      auto it = live.find(key);
-      if (it == live.end() || rng.Below(2) == 0) {
-        live[key].push_back(table.Add(key, next_id++, {}, &publisher));
-      } else {
-        // Remove the newest row: nothing relocates.
-        table.Remove(key, it->second.back(), &publisher);
-        it->second.pop_back();
-        if (it->second.empty()) live.erase(it);
-      }
-    }
-    publisher.manager()->TryReclaim();
-  }
-  while (probes.load() < 100) std::this_thread::yield();
-  stop.store(true);
-  r1.join();
-  r2.join();
-  EXPECT_EQ(errors.load(), 0u);
-  EXPECT_EQ(table.entry_count(), stable.size() + live.size());
-  EXPECT_TRUE(table.CheckInvariants(&publisher));
-  publisher.manager()->TryReclaim();
 }
 
 }  // namespace

@@ -122,6 +122,14 @@ TEST(EventTest, CreateRejectsDuplicateAttribute) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+// CreateUnchecked aborts on a duplicate attribute in every build type,
+// release included: it never builds an event with two pairs for one
+// attribute.
+TEST(EventDeathTest, CreateUncheckedAbortsOnDuplicateAttribute) {
+  EXPECT_DEATH(Event::CreateUnchecked({{4, 1}, {2, 5}, {4, 2}}),
+               "VFPS_CHECK failed");
+}
+
 TEST(EventTest, FindReturnsValueOrNullopt) {
   Event e = Event::CreateUnchecked({{3, 30}, {9, 90}});
   EXPECT_EQ(e.Find(3), 30);

@@ -98,9 +98,9 @@ TEST(DynamicMatcherTest, StaysCorrectWhileReorganizing) {
 // threshold make maintenance build dozens of 3- and 4-attribute tables on
 // a small-domain W0. Per-event Match, MatchBatch in batches of 100
 // (crossing a 64-lane mask word) and in one 300-event span (crossing the
-// 256-lane chunk) and the naive oracle agree on every event, in both
-// builds. Events carry 26 of the 32 attributes, so some lanes lack a
-// table's schema attribute and must skip its probe.
+// 256-lane chunk) and the naive oracle agree on every event. Events carry
+// 26 of the 32 attributes, so some lanes lack a table's schema attribute
+// and must skip its probe.
 TEST(DynamicMatcherTest, ManyTablesBatchEqualsMatchEqualsNaive) {
   DynamicOptions options;
   options.bm_max = 0.25;
@@ -129,38 +129,34 @@ TEST(DynamicMatcherTest, ManyTablesBatchEqualsMatchEqualsNaive) {
   }
   ASSERT_GT(total_matches, events.size() / 2);
 
-  for (bool concurrent : {false, true}) {
-    SCOPED_TRACE(concurrent ? "concurrent" : "serial");
-    DynamicMatcher m(options, /*use_prefetch=*/true,
-                     /*observe_sample_rate=*/16, concurrent);
-    gen.SeedStatistics(m.mutable_statistics(), 10000.0);
-    for (const Subscription& s : subs) ASSERT_TRUE(m.AddSubscription(s).ok());
-    size_t by_arity[5] = {};
-    for (const AttributeSet& schema : m.TableSchemas()) {
-      ++by_arity[std::min<size_t>(schema.size(), 4)];
-    }
-    EXPECT_GE(m.TableSchemas().size(), 32u);
-    EXPECT_GT(by_arity[3], 0u);
-    EXPECT_GT(by_arity[4], 0u);
+  DynamicMatcher m(options, /*use_prefetch=*/true, /*observe_sample_rate=*/16);
+  gen.SeedStatistics(m.mutable_statistics(), 10000.0);
+  for (const Subscription& s : subs) ASSERT_TRUE(m.AddSubscription(s).ok());
+  size_t by_arity[5] = {};
+  for (const AttributeSet& schema : m.TableSchemas()) {
+    ++by_arity[std::min<size_t>(schema.size(), 4)];
+  }
+  EXPECT_GE(m.TableSchemas().size(), 32u);
+  EXPECT_GT(by_arity[3], 0u);
+  EXPECT_GT(by_arity[4], 0u);
 
-    std::vector<SubscriptionId> got;
-    for (size_t e = 0; e < events.size(); ++e) {
-      m.Match(events[e], &got);
-      ASSERT_EQ(Sorted(got), expected[e]) << "Match, event " << e;
+  std::vector<SubscriptionId> got;
+  for (size_t e = 0; e < events.size(); ++e) {
+    m.Match(events[e], &got);
+    ASSERT_EQ(Sorted(got), expected[e]) << "Match, event " << e;
+  }
+  BatchResult batch;
+  for (size_t base = 0; base < events.size(); base += 100) {
+    m.MatchBatch(std::span<const Event>(events).subspan(base, 100), &batch);
+    for (size_t e = 0; e < 100; ++e) {
+      ASSERT_EQ(Sorted(batch.matches(e)), expected[base + e])
+          << "MatchBatch(100), event " << base + e;
     }
-    BatchResult batch;
-    for (size_t base = 0; base < events.size(); base += 100) {
-      m.MatchBatch(std::span<const Event>(events).subspan(base, 100), &batch);
-      for (size_t e = 0; e < 100; ++e) {
-        ASSERT_EQ(Sorted(batch.matches(e)), expected[base + e])
-            << "MatchBatch(100), event " << base + e;
-      }
-    }
-    m.MatchBatch(events, &batch);
-    for (size_t e = 0; e < events.size(); ++e) {
-      ASSERT_EQ(Sorted(batch.matches(e)), expected[e])
-          << "MatchBatch(300), event " << e;
-    }
+  }
+  m.MatchBatch(events, &batch);
+  for (size_t e = 0; e < events.size(); ++e) {
+    ASSERT_EQ(Sorted(batch.matches(e)), expected[e])
+        << "MatchBatch(300), event " << e;
   }
 }
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/core/batch_result.h"
-#include "src/matcher/clustered_base.h"
 #include "src/matcher/naive_matcher.h"
 #include "src/matcher/static_matcher.h"
 #include "src/pubsub/broker.h"
@@ -344,26 +343,13 @@ TEST(ShapeEdgeCaseTest, EventCreateRejectsDuplicateAttributes) {
 
 // --- MatchBatch ≡ Match ------------------------------------------------------
 // The batched entry point must be observably identical to calling Match per
-// event — for the native batch kernels (propagation/static/dynamic), the
-// default loop fallback (counting/tree/naive), and the epoch-published
-// batch kernels of the concurrent builds.
+// event — for the native batch kernels (propagation/static/dynamic) and the
+// default loop fallback (counting/tree/naive).
 
 std::vector<std::unique_ptr<Matcher>> AllBatchMatchers() {
   std::vector<std::unique_ptr<Matcher>> matchers;
   for (Algorithm a : FastAlgorithms()) matchers.push_back(MakeMatcher(a));
-  for (Algorithm a : {Algorithm::kPropagationPrefetch, Algorithm::kStatic,
-                      Algorithm::kDynamic}) {
-    matchers.push_back(MakeMatcher(a, /*concurrent=*/true));
-  }
   return matchers;
-}
-
-/// Names a matcher in failure messages; a concurrent build shares its
-/// algorithm's name().
-std::string Label(const Matcher& m) {
-  const auto* clustered = dynamic_cast<const ClusteredMatcherBase*>(&m);
-  const bool concurrent = clustered != nullptr && clustered->concurrent();
-  return std::string(m.name()) + (concurrent ? "-concurrent" : "");
 }
 
 TEST(MatchBatchEquivalenceTest, BatchAgreesWithPerEventMatch) {
@@ -390,11 +376,11 @@ TEST(MatchBatchEquivalenceTest, BatchAgreesWithPerEventMatch) {
       for (size_t base = 0; base < events.size(); base += batch_size) {
         const size_t n = std::min(batch_size, events.size() - base);
         m->MatchBatch({events.data() + base, n}, &batch);
-        ASSERT_EQ(batch.batch_size(), n) << Label(*m);
+        ASSERT_EQ(batch.batch_size(), n) << m->name();
         for (size_t lane = 0; lane < n; ++lane) {
           m->Match(events[base + lane], &expect);
           ASSERT_EQ(Sorted(batch.matches(lane)), Sorted(expect))
-              << Label(*m) << " batch_size=" << batch_size << " lane=" << lane
+              << m->name() << " batch_size=" << batch_size << " lane=" << lane
               << " on " << events[base + lane].ToString();
         }
       }
@@ -415,8 +401,8 @@ TEST(MatchBatchEquivalenceTest, EmptyBatchYieldsEmptyResult) {
     const std::vector<Event> events = {RandomEvent(&rng, 4, 6, 1.0)};
     m->MatchBatch(events, &batch);  // leaves a non-empty lane behind
     m->MatchBatch({}, &batch);
-    EXPECT_EQ(batch.batch_size(), 0u) << Label(*m);
-    EXPECT_EQ(batch.total_matches(), 0u) << Label(*m);
+    EXPECT_EQ(batch.batch_size(), 0u) << m->name();
+    EXPECT_EQ(batch.total_matches(), 0u) << m->name();
   }
 }
 
@@ -438,7 +424,7 @@ TEST(MatchBatchEquivalenceTest, SingleEventBatchAgreesWithMatch) {
       ASSERT_EQ(batch.batch_size(), 1u);
       m->Match(one[0], &expect);
       ASSERT_EQ(Sorted(batch.matches(0)), Sorted(expect))
-          << Label(*m) << " on " << one[0].ToString();
+          << m->name() << " on " << one[0].ToString();
     }
   }
 }
@@ -465,11 +451,11 @@ TEST(MatchBatchEquivalenceTest, DuplicateEventsInBatchGetIdenticalLanes) {
     const std::vector<SubscriptionId> want_a = Sorted(expect);
     m->Match(b, &expect);
     const std::vector<SubscriptionId> want_b = Sorted(expect);
-    EXPECT_EQ(Sorted(batch.matches(0)), want_a) << Label(*m);
-    EXPECT_EQ(Sorted(batch.matches(1)), want_b) << Label(*m);
-    EXPECT_EQ(Sorted(batch.matches(2)), want_a) << Label(*m);
-    EXPECT_EQ(Sorted(batch.matches(3)), want_a) << Label(*m);
-    EXPECT_EQ(Sorted(batch.matches(4)), want_b) << Label(*m);
+    EXPECT_EQ(Sorted(batch.matches(0)), want_a) << m->name();
+    EXPECT_EQ(Sorted(batch.matches(1)), want_b) << m->name();
+    EXPECT_EQ(Sorted(batch.matches(2)), want_a) << m->name();
+    EXPECT_EQ(Sorted(batch.matches(3)), want_a) << m->name();
+    EXPECT_EQ(Sorted(batch.matches(4)), want_b) << m->name();
   }
 }
 

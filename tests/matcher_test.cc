@@ -26,19 +26,10 @@ std::vector<SubscriptionId> Sorted(std::vector<SubscriptionId> v) {
   return v;
 }
 
-// One matcher under test: an algorithm, and for the clustered ones
-// whether it is the concurrent (copy-on-write) build.
-struct MatcherParam {
-  Algorithm algorithm;
-  bool concurrent = false;
-};
-
-// Parameterized over every algorithm and build via the Broker factory.
-class AnyMatcherTest : public ::testing::TestWithParam<MatcherParam> {
+// Parameterized over every algorithm via the Broker factory.
+class AnyMatcherTest : public ::testing::TestWithParam<Algorithm> {
  protected:
-  void SetUp() override {
-    matcher_ = MakeMatcher(GetParam().algorithm, GetParam().concurrent);
-  }
+  void SetUp() override { matcher_ = MakeMatcher(GetParam()); }
 
   std::vector<SubscriptionId> Match(const Event& e) {
     std::vector<SubscriptionId> out;
@@ -101,6 +92,7 @@ TEST_P(AnyMatcherTest, RemoveStopsMatching) {
   ASSERT_TRUE(matcher_->RemoveSubscription(2).ok());
   EXPECT_TRUE(Match(Event::CreateUnchecked({{0, 5}})).empty());
   EXPECT_EQ(matcher_->subscription_count(), 0u);
+  EXPECT_EQ(matcher_->RemoveSubscription(2).code(), StatusCode::kNotFound);
 }
 
 TEST_P(AnyMatcherTest, ReAddAfterRemove) {
@@ -297,21 +289,13 @@ TEST_P(AnyMatcherTest, ManyEventsInterleavedWithChurnKeepStatsSane) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, AnyMatcherTest,
-    ::testing::Values(MatcherParam{Algorithm::kNaive},
-                      MatcherParam{Algorithm::kCounting},
-                      MatcherParam{Algorithm::kPropagation},
-                      MatcherParam{Algorithm::kPropagationPrefetch},
-                      MatcherParam{Algorithm::kStatic},
-                      MatcherParam{Algorithm::kDynamic},
-                      MatcherParam{Algorithm::kTree},
-                      MatcherParam{Algorithm::kPropagation, true},
-                      MatcherParam{Algorithm::kPropagationPrefetch, true},
-                      MatcherParam{Algorithm::kStatic, true},
-                      MatcherParam{Algorithm::kDynamic, true}),
-    [](const ::testing::TestParamInfo<MatcherParam>& info) {
-      std::string name = MakeMatcher(info.param.algorithm)->name();
+    ::testing::Values(Algorithm::kNaive, Algorithm::kCounting,
+                      Algorithm::kPropagation,
+                      Algorithm::kPropagationPrefetch, Algorithm::kStatic,
+                      Algorithm::kDynamic, Algorithm::kTree),
+    [](const ::testing::TestParamInfo<Algorithm>& info) {
+      std::string name = MakeMatcher(info.param)->name();
       std::replace(name.begin(), name.end(), '-', '_');
-      if (info.param.concurrent) name += "_concurrent";
       return name;
     });
 

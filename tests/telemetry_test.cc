@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/core/batch_result.h"
-#include "src/matcher/clustered_base.h"
 #include "src/matcher/dynamic_matcher.h"
 #include "src/pubsub/broker.h"
 #include "src/telemetry/metrics.h"
@@ -196,17 +195,12 @@ TEST(MetricsRegistryTest, JsonExportIsSingleLine) {
 // Per-event recording only exists when hot-path telemetry is compiled in.
 #if VFPS_TELEMETRY
 
-// Every build records straight into the attached registry: the counters
+// The matcher records straight into the attached registry: the counters
 // agree with stats() with no collection step before reading them.
-class MatcherTelemetryBuildTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(MatcherTelemetryBuildTest, MatchRecordsWorkCounters) {
+TEST(MatcherTelemetryTest, MatchRecordsWorkCounters) {
   WorkloadGenerator gen(workloads::W0(500, /*seed=*/7));
   std::vector<Subscription> subs = gen.MakeSubscriptions(500, 1);
-  std::unique_ptr<Matcher> matcher =
-      MakeMatcher(Algorithm::kDynamic, /*concurrent=*/GetParam());
-  ASSERT_EQ(static_cast<const ClusteredMatcherBase&>(*matcher).concurrent(),
-            GetParam());
+  std::unique_ptr<Matcher> matcher = MakeMatcher(Algorithm::kDynamic);
   for (const Subscription& s : subs) {
     ASSERT_TRUE(matcher->AddSubscription(s).ok());
   }
@@ -240,11 +234,36 @@ TEST_P(MatcherTelemetryBuildTest, MatchRecordsWorkCounters) {
   EXPECT_EQ(reg.GetCounter("vfps_matcher_events_total")->value(), kEvents);
 }
 
-INSTANTIATE_TEST_SUITE_P(SerialAndConcurrent, MatcherTelemetryBuildTest,
-                         ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Concurrent" : "Serial";
-                         });
+// Match records per event; MatchBatch is the native kernel, not the
+// per-event default loop (which would record one match_ns sample per
+// batched event as well).
+TEST(MatcherTelemetryTest, MatchBatchRecordsOneNativeBatch) {
+  DynamicMatcher matcher;
+  MetricsRegistry metrics;
+  matcher.AttachTelemetry(&metrics);
+  ASSERT_TRUE(matcher
+                  .AddSubscription(Subscription::Create(
+                      1, {Predicate(0, RelOp::kEq, 5)}))
+                  .ok());
+  std::vector<SubscriptionId> out;
+  for (int i = 0; i < 10; ++i) {
+    matcher.Match(Event::CreateUnchecked({{0, 5}}), &out);
+  }
+  std::vector<Event> batch(6, Event::CreateUnchecked({{0, 5}}));
+  BatchResult results;
+  matcher.MatchBatch(batch, &results);
+  for (size_t lane = 0; lane < batch.size(); ++lane) {
+    EXPECT_EQ(results.matches(lane), (std::vector<SubscriptionId>{1}));
+  }
+  EXPECT_EQ(matcher.stats().events, 16u);
+  EXPECT_EQ(metrics.GetHistogram("vfps_matcher_match_ns")->count(), 10u);
+  EXPECT_EQ(metrics.GetHistogram("vfps_matcher_phase1_ns")->count(), 10u);
+  EXPECT_EQ(metrics.GetHistogram("vfps_matcher_phase2_ns")->count(), 10u);
+  EXPECT_EQ(metrics.GetHistogram("vfps_matcher_batch_size")->count(), 1u);
+  EXPECT_EQ(metrics.GetCounter("vfps_matcher_events_total")->value(), 16u);
+  EXPECT_EQ(metrics.GetCounter("vfps_matcher_matches_total")->value(), 16u);
+  matcher.AttachTelemetry(nullptr);
+}
 
 // The dynamic matcher's maintenance work is exported as it happens: a
 // cold-start census driven by MatchBatch alone builds tables and moves

@@ -9,8 +9,8 @@
 //   vfps_verify --seeds=20 --events=1000
 //   vfps_verify --seed=42 --variant=tree --churn   # replay one config
 //   vfps_verify --concurrent            # TSan target: threaded churn over
-//                                       # the dynamic, dynamic-eager and
-//                                       # dynamic-concurrent variants
+//                                       # the dynamic and dynamic-eager
+//                                       # variants
 //   vfps_verify --batch=64              # batched pipeline (MatchBatch)
 
 #include <cinttypes>
@@ -133,14 +133,9 @@ int RunConcurrent(const tools::Flags& flags,
   config.p_present = flags.GetDouble("p-present", 0.7);
   for (const DiffVariant& v : variants) {
     // Only the mutable-under-load variants matter here: dynamic (the
-    // paper's adaptive algorithm), its eager-sampling twin (whose
-    // event-driven census then runs amid the churn), and its concurrent
-    // build (epoch-published snapshots; its truly lock-free overlap —
-    // Match with no harness lock — is soaked by tests/churn_test.cc).
-    if (v.name != "dynamic" && v.name != "dynamic-eager" &&
-        v.name != "dynamic-concurrent") {
-      continue;
-    }
+    // paper's adaptive algorithm) and its eager-sampling twin (whose
+    // event-driven census then runs amid the churn).
+    if (v.name != "dynamic" && v.name != "dynamic-eager") continue;
     auto divergence = RunConcurrentDifferential(
         config, v, /*writer_threads=*/2, /*reader_threads=*/2, mutations,
         /*reader_batch=*/static_cast<size_t>(flags.GetInt("batch", 0)));
@@ -179,7 +174,7 @@ int Main(int argc, char** argv) {
         "  --churn[=false]    interleave unsubscribes (default: odd seeds)\n"
         "  --variant=name     verify one variant only\n"
         "  --concurrent       threaded churn over dynamic and "
-        "dynamic-concurrent\n"
+        "dynamic-eager\n"
         "  --mutations=N      mutations in --concurrent mode (default "
         "2000)\n"
         "  --batch=N          verify MatchBatch with batches of N events\n"

@@ -34,6 +34,13 @@ constexpr const char* kStringOpError =
     "lexicographic)";
 constexpr const char* kValueError = "expected value after operator";
 
+Status ParseError(size_t offset, std::string_view what) {
+  return Status::InvalidArgument(std::string("parse error at offset ")
+                                     .append(std::to_string(offset))
+                                     .append(": ")
+                                     .append(what));
+}
+
 /// One parsed comparison, still in the input's words.
 struct Comparison {
   std::string_view attribute;
@@ -113,7 +120,7 @@ class Parser {
   /// every comparison is interned into `*predicates`, in input order.
   Status FinishCondition(const Status& parse_status,
                          std::vector<Predicate>* predicates) {
-    VFPS_RETURN_NOT_OK(LexStatus(parse_status));
+    VFPS_RETURN_NOT_OK(parse_status.ok() ? lexer_.status() : lexer_.Finish());
     predicates->reserve(comparisons_.size());
     for (const Comparison& c : comparisons_) {
       predicates->push_back(InternComparison(c, schema_));
@@ -128,9 +135,7 @@ class Parser {
   void Advance() { token_ = lexer_.Next(); }
 
   Status Error(const std::string& what) const {
-    return Status::InvalidArgument("parse error at offset " +
-                                   std::to_string(Peek().offset) + ": " +
-                                   what);
+    return ParseError(Peek().offset, what);
   }
 
   /// Error if anything but kEnd remains.
@@ -139,17 +144,6 @@ class Parser {
       return Error("unexpected " + std::string(TokenKindToString(Peek().kind)));
     }
     return Status::OK();
-  }
-
-  /// Lexes the rest of a failed parse; the lexer's status.
-  Status LexStatus(const Status& parse_status) {
-    if (!parse_status.ok()) {
-      while (Peek().kind != TokenKind::kEnd &&
-             Peek().kind != TokenKind::kError) {
-        Advance();
-      }
-    }
-    return lexer_.status();
   }
 
   /// Parses one comparison, IDENT op value.
@@ -253,14 +247,14 @@ class Parser {
 ///
 ///   event := [ pair { ',' pair } ]    pair := NAME '=' value
 ///
-/// The tokens an event is made of (names, '=', integers of up to 18
-/// digits, quoted strings, ',') are matched in place. At any other byte
-/// the Lexer lexes the token there, so the tokens, the lex errors and the
-/// parse errors are those of the token grammar ParseCondition uses, and
-/// the same rules settle a failure: a lex error anywhere outranks a parse
-/// error and interns nothing; a parse error interns the pairs before it.
-/// Names the registry already holds are looked up as they are parsed; the
-/// others are interned, in input order, once the whole text has lexed.
+/// Each token is matched in place by the Lexer's own scanners (lex::), so
+/// the tokens are those of the grammar ParseCondition uses. A failure
+/// hands the text from the failing token on to a Lexer, which names the
+/// token and lexes the rest, and the same rules settle it: a lex error
+/// anywhere outranks a parse error and interns nothing; a parse error
+/// interns the pairs before it. Names the registry already holds are
+/// looked up as they are parsed; the others are interned, in input order,
+/// once the whole text has lexed.
 class EventParser {
  public:
   EventParser(std::string_view text, SchemaRegistry* schema,
@@ -271,64 +265,55 @@ class EventParser {
     // The shortest pair plus separator ("a=1,") is four bytes. A reused
     // event already has the room.
     pairs_->reserve(std::min<size_t>((text_.size() + 1) / 4, 64));
-    size_t pos = SkipSpace(0);
-    if (pos == text_.size()) return Status::OK();
+    const char* const end = text_.data() + text_.size();
+    const char* p = lex::SkipSpace(text_.data(), end);
+    if (p == end) return Status::OK();
     while (true) {
       Comparison c;
-      // Name
-      size_t end = ScanName(pos);
-      if (end == pos) {
-        const Token t = TokenAt(pos, &end);
-        return Fail(pos, t, "expected attribute name, got " +
-                                std::string(TokenKindToString(t.kind)));
+      TokenKind kind = TokenKind::kEnd;
+      const char* q = lex::ScanWord(p, end, &kind);
+      if (q == p || kind != TokenKind::kIdentifier) {
+        return Fail(p, "expected attribute name, got ", /*name_token=*/true);
       }
-      c.attribute = text_.substr(pos, end - pos);
-      pos = SkipSpace(end);
-      // Operator: '=' is the only one an event may use, but the others
-      // still parse, so the error names them.
-      if (pos < text_.size() && text_[pos] == '=') {
-        c.op = RelOp::kEq;
-        pos += pos + 1 < text_.size() && text_[pos + 1] == '=' ? 2 : 1;
-      } else {
-        const Token t = TokenAt(pos, &end);
-        if (!ToRelOp(t.kind, &c.op)) {
-          return Fail(pos, t,
-                      std::string("expected comparison operator after '")
-                          .append(c.attribute)
-                          .append("'"));
-        }
-        pos = end;
+      c.attribute = std::string_view(p, static_cast<size_t>(q - p));
+      p = lex::SkipSpace(q, end);
+      // '=' is the only operator an event may use, but the others still
+      // parse, so the error names them.
+      q = lex::ScanPunct(p, end, &kind);
+      if (q == nullptr || q == p || !ToRelOp(kind, &c.op)) {
+        return Fail(p, std::string("expected comparison operator after '")
+                           .append(c.attribute)
+                           .append("'"));
       }
-      pos = SkipSpace(pos);
-      // Value
-      if (!ScanValue(pos, &c.value, &end)) {
-        const Token t = TokenAt(pos, &end);
-        if (t.kind != TokenKind::kInteger && t.kind != TokenKind::kString) {
-          return Fail(pos, t, kValueError);
-        }
-        c.value = t;
+      p = lex::SkipSpace(q, end);
+      c.value.offset = Offset(p);
+      c.value.kind = TokenKind::kInteger;
+      q = lex::ScanInteger(p, end, &c.value.integer);
+      if (q == p) {
+        c.value.kind = TokenKind::kString;
+        q = lex::ScanString(p, end, &c.value.text);
       }
+      if (q == nullptr || q == p) return Fail(p, kValueError);
       if (c.value.kind == TokenKind::kString && c.op != RelOp::kEq &&
           c.op != RelOp::kNe) {
-        return Fail(pos, c.value, kStringOpError);
+        return Fail(p, kStringOpError);
       }
       Resolve(c);
-      pos = SkipSpace(end);
+      p = lex::SkipSpace(q, end);
       if (c.op != RelOp::kEq) {
-        return Fail(pos, Status::InvalidArgument(
-                             "events use '=' pairs only, got operator " +
-                             std::string(RelOpToString(c.op))));
+        return Fail(p, Status::InvalidArgument(
+                           "events use '=' pairs only, got operator " +
+                           std::string(RelOpToString(c.op))));
       }
-      if (pos == text_.size()) break;
-      if (text_[pos] != ',') {
-        const Token t = TokenAt(pos, &end);
-        return Fail(pos, t,
-                    "unexpected " + std::string(TokenKindToString(t.kind)));
+      if (p == end) break;
+      q = lex::ScanPunct(p, end, &kind);
+      if (q == nullptr || q == p || kind != TokenKind::kComma) {
+        return Fail(p, "unexpected ", /*name_token=*/true);
       }
-      pos = SkipSpace(pos + 1);
-      if (pos == text_.size()) {
-        return Fail(pos, Status::InvalidArgument(
-                             "trailing ',' without a following pair"));
+      p = lex::SkipSpace(q, end);
+      if (p == end) {
+        return Fail(p, Status::InvalidArgument(
+                           "trailing ',' without a following pair"));
       }
     }
     InternUnresolved();
@@ -336,88 +321,23 @@ class EventParser {
   }
 
  private:
-  size_t SkipSpace(size_t pos) const {
-    while (pos < text_.size() && lex::Is(text_[pos], lex::kSpace)) ++pos;
-    return pos;
+  size_t Offset(const char* p) const {
+    return static_cast<size_t>(p - text_.data());
   }
 
-  /// The length of the run of class-`cls` bytes at `pos`.
-  size_t RunLength(size_t pos, uint8_t cls) const {
-    size_t n = 0;
-    while (pos + n < text_.size() && lex::Is(text_[pos + n], cls)) ++n;
-    return n;
+  /// Fails with parse error `what` at the token at `p`, followed by the
+  /// token's kind if `name_token`.
+  Status Fail(const char* p, std::string what, bool name_token = false) {
+    const Token t = Lexer(text_, Offset(p)).Next();
+    if (name_token) what += TokenKindToString(t.kind);
+    return Fail(p, ParseError(t.offset, what));
   }
 
-  /// The end of the attribute name at `pos`, or `pos` if none starts
-  /// there (a keyword is no name).
-  size_t ScanName(size_t pos) const {
-    if (!lex::Is(text_[pos], lex::kIdentStart)) return pos;
-    const size_t end = pos + 1 + RunLength(pos + 1, lex::kIdentBody);
-    const std::string_view word = text_.substr(pos, end - pos);
-    if (word.size() <= 3 &&
-        (lex::IsKeyword(word, "and") || lex::IsKeyword(word, "or") ||
-         lex::IsKeyword(word, "not"))) {
-      return pos;
-    }
-    return end;
-  }
-
-  /// Matches an integer of up to 18 digits (it cannot overflow) or a
-  /// terminated quoted string at `pos`. False for anything else.
-  bool ScanValue(size_t pos, Token* value, size_t* end) const {
-    if (pos == text_.size()) return false;
-    const char c = text_[pos];
-    value->offset = pos;
-    if (lex::Is(c, lex::kDigit)) {
-      const size_t digits = RunLength(pos, lex::kDigit);
-      if (digits > 18) return false;
-      value->kind = TokenKind::kInteger;
-      int64_t v = 0;
-      for (size_t i = pos; i < pos + digits; ++i) v = v * 10 + (text_[i] - '0');
-      value->integer = v;
-      *end = pos + digits;
-      return true;
-    }
-    if (c == '\'' || c == '"') {
-      const size_t close = text_.find(c, pos + 1);
-      if (close == std::string_view::npos) return false;
-      value->kind = TokenKind::kString;
-      value->text = text_.substr(pos + 1, close - pos - 1);
-      *end = close + 1;
-      return true;
-    }
-    return false;
-  }
-
-  /// The token at `pos` by the Lexer's full rules; `*end` is the offset
-  /// past it. A lex error is kept for Fail() to report.
-  Token TokenAt(size_t pos, size_t* end) {
-    Lexer lexer(text_, pos);
-    const Token t = lexer.Next();
-    *end = lexer.position();
-    if (t.kind == TokenKind::kError) lex_status_ = lexer.status();
-    return t;
-  }
-
-  /// Fails at token `t` (which starts at `pos`) with parse error `what`,
-  /// unless `t` is itself a lex error.
-  Status Fail(size_t pos, const Token& t, const std::string& what) {
-    if (t.kind == TokenKind::kError) return lex_status_;
-    return Fail(pos, Status::InvalidArgument("parse error at offset " +
-                                             std::to_string(t.offset) + ": " +
-                                             what));
-  }
-
-  /// Settles a parse that failed with `parse_error` at byte `pos`: the
-  /// rest of the text is lexed, and a lex error there is the outcome;
-  /// otherwise the pairs parsed so far are interned.
-  Status Fail(size_t pos, Status parse_error) {
-    Lexer lexer(text_, pos);
-    TokenKind kind;
-    do {
-      kind = lexer.Next().kind;
-    } while (kind != TokenKind::kEnd && kind != TokenKind::kError);
-    VFPS_RETURN_NOT_OK(lexer.status());
+  /// Settles a parse that failed with `parse_error` at byte `p`: the rest
+  /// of the text is lexed, and a lex error there is the outcome; otherwise
+  /// the pairs parsed so far are interned.
+  Status Fail(const char* p, Status parse_error) {
+    VFPS_RETURN_NOT_OK(Lexer(text_, Offset(p)).Finish());
     InternUnresolved();
     return parse_error;
   }
@@ -459,7 +379,6 @@ class EventParser {
   std::vector<UnresolvedPair> unresolved_;
   /// The attribute id the next pair likely names (see FindAttribute).
   AttributeId guess_ = 0;
-  Status lex_status_;
 };
 
 /// The comparison operator of a negated comparison.

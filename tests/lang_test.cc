@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -68,6 +69,214 @@ TEST(LexerTest, KeywordsCaseInsensitive) {
   EXPECT_EQ(r.value()[3].kind, TokenKind::kAnd);
   EXPECT_EQ(r.value()[7].kind, TokenKind::kOr);
   EXPECT_EQ(r.value()[8].kind, TokenKind::kNot);
+}
+
+// --- Token rules (lex::) --------------------------------------------------------
+//
+// The scanners both parsers build on, called directly and through Lex().
+
+/// What `scan` makes of the start of `text`: the bytes its token takes, 0
+/// if no token of its kind starts there, or -1 if the token is malformed.
+template <typename Scan>
+ptrdiff_t Scanned(std::string_view text, Scan scan) {
+  const char* q = scan(text.data(), text.data() + text.size());
+  return q == nullptr ? -1 : q - text.data();
+}
+
+/// Lex()'s tokens, as "kind(text or value) ...", or its error.
+std::string Lexed(std::string_view text) {
+  Result<std::vector<Token>> r = Lex(text);
+  if (!r.ok()) return r.status().ToString();
+  std::string out;
+  for (const Token& t : r.value()) {
+    if (!out.empty()) out += ' ';
+    out += TokenKindToString(t.kind);
+    if (t.kind == TokenKind::kInteger) {
+      out.append("(").append(std::to_string(t.integer)).append(")");
+    } else if (t.kind == TokenKind::kIdentifier ||
+               t.kind == TokenKind::kString) {
+      out.append("(").append(t.text).append(")");
+    }
+  }
+  return out;
+}
+
+TEST(TokenRulesTest, Integers) {
+  struct Case {
+    std::string_view text;
+    ptrdiff_t length;
+    int64_t value;
+    std::string_view lexed;
+  };
+  const Case kCases[] = {
+      {"123456789012345678", 18, 123456789012345678,
+       "integer(123456789012345678) end of input"},
+      {"1234567890123456789", 19, 1234567890123456789,
+       "integer(1234567890123456789) end of input"},
+      {"9223372036854775807", 19, std::numeric_limits<int64_t>::max(),
+       "integer(9223372036854775807) end of input"},
+      {"9223372036854775808", -1, 0,
+       "InvalidArgument: lex error at offset 0: integer overflow"},
+      {"-9223372036854775808", 20, std::numeric_limits<int64_t>::min(),
+       "integer(-9223372036854775808) end of input"},
+      {"-9223372036854775809", -1, 0,
+       "InvalidArgument: lex error at offset 0: integer overflow"},
+      {"-0012", 5, -12, "integer(-12) end of input"},
+      {"7a", 1, 7, "integer(7) identifier(a) end of input"},
+      {"-", 0, 0, "InvalidArgument: lex error at offset 0: unexpected "
+                  "character '-'"},
+      {"--1", 0, 0, "InvalidArgument: lex error at offset 0: unexpected "
+                    "character '-'"},
+      {"a", 0, 0, "identifier(a) end of input"},
+  };
+  for (const Case& c : kCases) {
+    int64_t value = 0;
+    EXPECT_EQ(Scanned(c.text,
+                      [&](const char* p, const char* end) {
+                        return lex::ScanInteger(p, end, &value);
+                      }),
+              c.length)
+        << c.text;
+    if (c.length > 0) {
+      EXPECT_EQ(value, c.value) << c.text;
+    }
+    EXPECT_EQ(Lexed(c.text), c.lexed) << c.text;
+  }
+}
+
+TEST(TokenRulesTest, WordsAndKeywords) {
+  struct Case {
+    std::string_view text;
+    ptrdiff_t length;
+    TokenKind kind;
+  };
+  const Case kCases[] = {
+      {"an", 2, TokenKind::kIdentifier},   {"nota", 4, TokenKind::kIdentifier},
+      {"ANDx", 4, TokenKind::kIdentifier}, {"Or", 2, TokenKind::kOr},
+      {"and", 3, TokenKind::kAnd},         {"nOT", 3, TokenKind::kNot},
+      {"_a.b-9 ", 6, TokenKind::kIdentifier},
+      {"or.", 3, TokenKind::kIdentifier},  {"9a", 0, TokenKind::kEnd},
+      {"-a", 0, TokenKind::kEnd},
+  };
+  for (const Case& c : kCases) {
+    TokenKind kind = TokenKind::kEnd;
+    EXPECT_EQ(Scanned(c.text,
+                      [&](const char* p, const char* end) {
+                        return lex::ScanWord(p, end, &kind);
+                      }),
+              c.length)
+        << c.text;
+    EXPECT_EQ(kind, c.kind) << c.text;
+  }
+  EXPECT_EQ(Lexed("an nota ANDx Or"),
+            "identifier(an) identifier(nota) identifier(ANDx) OR end of input");
+}
+
+TEST(TokenRulesTest, Operators) {
+  struct Case {
+    std::string_view text;
+    ptrdiff_t length;
+    TokenKind kind;
+  };
+  const Case kCases[] = {
+      {"==", 2, TokenKind::kEq}, {"= =", 1, TokenKind::kEq},
+      {"<>", 2, TokenKind::kNe}, {"!=", 2, TokenKind::kNe},
+      {"!", 1, TokenKind::kNot}, {"! =", 1, TokenKind::kNot},
+      {"<=", 2, TokenKind::kLe}, {">", 1, TokenKind::kGt},
+      {"&&", 2, TokenKind::kAnd}, {"||", 2, TokenKind::kOr},
+      {"&", -1, TokenKind::kEnd}, {"|&", -1, TokenKind::kEnd},
+      {"#", 0, TokenKind::kEnd}, {"-", 0, TokenKind::kEnd},
+  };
+  for (const Case& c : kCases) {
+    TokenKind kind = TokenKind::kEnd;
+    EXPECT_EQ(Scanned(c.text,
+                      [&](const char* p, const char* end) {
+                        return lex::ScanPunct(p, end, &kind);
+                      }),
+              c.length)
+        << c.text;
+    if (c.length > 0) {
+      EXPECT_EQ(kind, c.kind) << c.text;
+    }
+  }
+  EXPECT_EQ(Lexed("a == 1 <> ! != &&"),
+            "identifier(a) '=' integer(1) '!=' NOT '!=' AND end of input");
+  EXPECT_EQ(Lexed("x & y"),
+            "InvalidArgument: lex error at offset 2: stray '&' (use && or "
+            "AND)");
+  EXPECT_EQ(Lexed("x |"),
+            "InvalidArgument: lex error at offset 2: stray '|' (use || or OR)");
+}
+
+TEST(TokenRulesTest, HighBytesStartNoToken) {
+  for (const std::string_view text : {"\x80", "\xff", "\xc3\xa9"}) {
+    TokenKind kind = TokenKind::kEnd;
+    int64_t value = 0;
+    std::string_view body;
+    const auto word = [&](const char* p, const char* end) {
+      return lex::ScanWord(p, end, &kind);
+    };
+    EXPECT_EQ(Scanned(text, word), 0);
+    EXPECT_EQ(Scanned(text,
+                      [&](const char* p, const char* end) {
+                        return lex::ScanInteger(p, end, &value);
+                      }),
+              0);
+    EXPECT_EQ(Scanned(text,
+                      [&](const char* p, const char* end) {
+                        return lex::ScanString(p, end, &body);
+                      }),
+              0);
+    EXPECT_EQ(Scanned(text,
+                      [&](const char* p, const char* end) {
+                        return lex::ScanPunct(p, end, &kind);
+                      }),
+              0);
+    EXPECT_EQ(Scanned(text, lex::SkipSpace), 0);
+    EXPECT_EQ(Lexed(text), std::string("InvalidArgument: lex error at offset "
+                                       "0: unexpected character '")
+                               .append(1, text[0])
+                               .append("'"));
+  }
+  // A word ends at a high byte; a string holds it.
+  TokenKind kind = TokenKind::kEnd;
+  EXPECT_EQ(Scanned("ab\xc3\xa9", [&](const char* p, const char* end) {
+              return lex::ScanWord(p, end, &kind);
+            }),
+            2);
+  EXPECT_EQ(Lexed("'caf\xc3\xa9'"), "string(caf\xc3\xa9) end of input");
+  EXPECT_EQ(Scanned(" \t\n\v\f\rx", lex::SkipSpace), 6);
+}
+
+TEST(TokenRulesTest, Strings) {
+  struct Case {
+    std::string_view text;
+    ptrdiff_t length;
+    std::string_view body;
+  };
+  const Case kCases[] = {
+      {"'abc' d", 5, "abc"}, {"\"it's\"", 6, "it's"}, {"''", 2, ""},
+      {"'", -1, ""},         {"\"", -1, ""},          {"'open", -1, ""},
+      {"\"open'", -1, ""},   {"x", 0, ""},
+  };
+  for (const Case& c : kCases) {
+    std::string_view body;
+    EXPECT_EQ(Scanned(c.text,
+                      [&](const char* p, const char* end) {
+                        return lex::ScanString(p, end, &body);
+                      }),
+              c.length)
+        << c.text;
+    if (c.length > 0) {
+      EXPECT_EQ(body, c.body) << c.text;
+    }
+  }
+  EXPECT_EQ(Lexed("x = 'open"),
+            "InvalidArgument: lex error at offset 4: unterminated string "
+            "literal");
+  EXPECT_EQ(Lexed("x = \"open'"),
+            "InvalidArgument: lex error at offset 4: unterminated string "
+            "literal");
 }
 
 // --- ParseCondition -------------------------------------------------------------
@@ -455,6 +664,31 @@ constexpr GoldenCase kGolden[] = {
     {kEvent, "a = 18446744073709551620",
      "ERR InvalidArgument: lex error at offset 4: integer overflow attrs=[] "
      "values=[]"},
+    // Negative integers in events, scanned in place like positive ones.
+    {kEvent, "a = -5, b = -0012, c = -123456789012345678",
+     "OK 0=-5 1=-12 2=-123456789012345678 attrs=[a,b,c] values=[]"},
+    {kEvent, "a = -1234567890123456789",
+     "OK 0=-1234567890123456789 attrs=[a] values=[]"},
+    {kEvent, "a = 'x', b = -9223372036854775808",
+     "OK 0=0 1=-9223372036854775808 attrs=[a,b] values=[x]"},
+    {kEvent, "a = --1",
+     "ERR InvalidArgument: lex error at offset 4: unexpected character '-' "
+     "attrs=[] values=[]"},
+    {kEvent, "a = -x",
+     "ERR InvalidArgument: lex error at offset 4: unexpected character '-' "
+     "attrs=[] values=[]"},
+    {kEvent, "a = -1-2",
+     "ERR InvalidArgument: parse error at offset 6: unexpected integer "
+     "attrs=[a] values=[]"},
+    {kEvent, "a = -3 b = 4",
+     "ERR InvalidArgument: parse error at offset 7: unexpected identifier "
+     "attrs=[a] values=[]"},
+    {kEvent, "a = -7 #",
+     "ERR InvalidArgument: lex error at offset 7: unexpected character '#' "
+     "attrs=[] values=[]"},
+    {kEvent, "a < -3",
+     "ERR InvalidArgument: events use '=' pairs only, got operator < "
+     "attrs=[a] values=[]"},
 };
 
 std::string RegistryText(const SchemaRegistry& schema) {
@@ -529,13 +763,15 @@ TEST(ParseConditionTest, GoldenOutcomes) {
   }
 }
 
-// --- Event scanner vs the token grammar -----------------------------------------
+// --- Event grammar vs the token grammar ------------------------------------------
 //
-// ParseEvent matches the common event tokens in place instead of pulling
-// every token from the Lexer (more than twice as fast on a W0 event). The
-// reference below is the event grammar over Lex()'s tokens, the slow way;
-// on random token soup both must give the same result, error text and
-// registry contents.
+// ParseEvent matches its tokens in place with the Lexer's own scanners
+// (lex::) instead of pulling Tokens from the Lexer, and settles failures
+// by its own rules. The reference below is the event grammar over Lex()'s
+// tokens, the slow way; on random token soup both must give the same
+// result, error text and registry contents. This checks ParseEvent's
+// grammar and failure rules; the token rules are shared, and the
+// TokenRulesTest cases pin them.
 
 /// The event grammar driven by Lex(): a lex error anywhere is the outcome
 /// and interns nothing; otherwise the pairs up to a parse error (or all of
@@ -677,6 +913,62 @@ TEST(ParseEventTest, ScannerMatchesLexerGrammarOnTokenSoup) {
     ASSERT_EQ(Outcome(status, reused, reuse_schema), want)
         << "text: [" << text << "]";
   }
+}
+
+/// Random text from a soup of tokens and near-tokens: the boundary cases
+/// of every token rule, and bytes that start no token.
+std::string TokenSoup(Rng* rng) {
+  const char* const kPieces[] = {
+      "a", "b1", "c.d-e", "_x", "an", "nota", "ANDx", "Or", "and", "NOT",
+      "=", "==", "<", "<=", "<>", ">", ">=", "!", "!=", "&&", "||", "&", "|",
+      "(", ")", ",", "0", "7", "-3", "-", "--1", "-a",
+      "123456789012345678", "1234567890123456789", "9223372036854775807",
+      "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+      "'x'", "\"y\"", "''", "'", "\"", "'open", "\"it's\"", " ", "\t", "\r",
+      "#", "\x80", "\xff", "\xc3\xa9"};
+  std::string text;
+  for (uint64_t n = rng->Below(12); n > 0; --n) {
+    text += kPieces[rng->Below(std::size(kPieces))];
+    if (rng->Chance(0.5)) text += ' ';
+  }
+  return text;
+}
+
+bool IsLexError(const Status& status) {
+  return status.message().rfind("lex error", 0) == 0;
+}
+
+// Both entry points lex with the same rules and let a lex error outrank
+// any parse error, so on any text they fail with a lex error together,
+// with the same status, which is Lex()'s, and intern nothing.
+TEST(ParseEventTest, LexErrorsMatchParseCondition) {
+  Rng rng(22);
+  int lex_errors = 0;
+  for (int iter = 0; iter < 30000; ++iter) {
+    const std::string text = TokenSoup(&rng);
+    SchemaRegistry event_schema;
+    const Status event = ParseEvent(text, &event_schema).status();
+    SchemaRegistry condition_schema;
+    const Status condition = ParseCondition(text, &condition_schema).status();
+    const Status lexed = Lex(text).status();
+    ASSERT_EQ(IsLexError(event), IsLexError(condition)) << "text: [" << text
+                                                        << "]";
+    ASSERT_EQ(IsLexError(event), !lexed.ok()) << "text: [" << text << "]";
+    if (!lexed.ok()) {
+      ++lex_errors;
+      ASSERT_EQ(event.ToString(), lexed.ToString()) << "text: [" << text
+                                                    << "]";
+      ASSERT_EQ(condition.ToString(), lexed.ToString())
+          << "text: [" << text << "]";
+      ASSERT_EQ(event_schema.attribute_count(), 0u) << "text: [" << text
+                                                    << "]";
+      ASSERT_EQ(condition_schema.attribute_count(), 0u)
+          << "text: [" << text << "]";
+    }
+  }
+  // The soup must reach both outcomes often.
+  EXPECT_GT(lex_errors, 3000);
+  EXPECT_LT(lex_errors, 27000);
 }
 
 // --- Differential property test -------------------------------------------------
